@@ -26,7 +26,7 @@ for x in range(2):
 result = ab.validate(pr)
 print(f"valid no-signaling box: {result.ok}")
 
-print(f"correlators: {ab.correlators(pr).c}")
+print(f"correlators: {ab.correlators(pr)}")
 print(f"perfectly correlated at (1,1): {ab.is_perfectly_correlated(pr, 1, 1)}")
 
 # The two conditionals the agreement analysis revolves around:

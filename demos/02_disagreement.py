@@ -28,7 +28,7 @@ print(f"  certainty levels (alpha): {h.alphas}")
 print(f"  certainty levels (beta):  {h.betas}")
 print(f"  stabilizes at N = {h.N}")
 print(f"  common certainty of disagreement: {report.ccd}")
-print(f"  singular disagreement: {ab.detect_sd(ab.pr_box()).sd}")
+print(f"  singular disagreement: {report.sd}")
 
 # A one-parameter family: the four-parameter disagreement form with
 # r = t = 1/2, u = 0, sweeping s.  qA = s/r moves, qB stays 0.

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .boxes import (
     Box,
     Conditional,
-    CorrelatorVector,
     RelabelFrame,
     ValidationResult,
     all_frames,
@@ -30,13 +29,11 @@ from .boxes import (
 from .bridge import (
     DEFAULT_BUDGET,
     BellCertificate,
-    InstructionSystem,
     LocalityVerdict,
     bell_local_bound,
     bell_value,
     box_to_model,
     correlator_functional,
-    instruction_system,
     is_local,
     locality_to_json_doc,
     model_to_box,
@@ -69,9 +66,7 @@ from .epistemic import (
     CertaintyHierarchy,
     DisagreementReport,
     detect_ccd,
-    detect_sd,
     hierarchy,
-    mutual_certainty_depth,
     report_to_json,
 )
 from .errors import (
@@ -98,7 +93,6 @@ from .reduction import (
     ReductionPlan,
     classify_general,
     plan_doc,
-    plan_to_json,
     reduce_box,
     split_output,
 )

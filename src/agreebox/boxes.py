@@ -200,18 +200,12 @@ def conditional(box: Box, target, given) -> Conditional:
     if party == "B":
         if not (0 <= out < box.nB and 0 <= other < box.nA):
             raise ShapeError(f"output out of range: target={target} given={given}")
-        joint = box.p(other, out, x, y)
-        marg = box.marginal_a(other, x, y)
-    elif party == "A":
+        return cond_event_b(box, (out,), other, x, y)
+    if party == "A":
         if not (0 <= out < box.nA and 0 <= other < box.nB):
             raise ShapeError(f"output out of range: target={target} given={given}")
-        joint = box.p(out, other, x, y)
-        marg = box.marginal_b(other, x, y)
-    else:
-        raise ShapeError(f"party must be 'A' or 'B', got {party!r}")
-    if marg == 0:
-        return UNDEFINED
-    return Conditional(joint / marg, True)
+        return cond_event_a(box, (out,), other, x, y)
+    raise ShapeError(f"party must be 'A' or 'B', got {party!r}")
 
 
 def cond_event_b(box: Box, bs, a: int, x: int, y: int) -> Conditional:
@@ -245,14 +239,8 @@ def is_perfectly_correlated(box: Box, x: int, y: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CorrelatorVector:
+def correlators(box: Box) -> dict:
     """c[x, y] = p(a=b|xy) - p(a!=b|xy) for a binary-output box."""
-
-    c: dict
-
-
-def correlators(box: Box) -> CorrelatorVector:
     if box.nA != 2 or box.nB != 2:
         raise ShapeError("correlators are defined for binary outputs only")
     c = {}
@@ -261,7 +249,7 @@ def correlators(box: Box) -> CorrelatorVector:
             agree = box.p(0, 0, x, y) + box.p(1, 1, x, y)
             differ = box.p(0, 1, x, y) + box.p(1, 0, x, y)
             c[(x, y)] = agree - differ
-    return CorrelatorVector(c)
+    return c
 
 
 # ---------------------------------------------------------------------------

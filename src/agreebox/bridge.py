@@ -29,19 +29,6 @@ ZERO = Fraction(0)
 DEFAULT_BUDGET = 4096
 
 
-@dataclass(frozen=True)
-class InstructionSystem:
-    """The linear system M P = C for one box.
-
-    states[k] = (alpha, beta) in lexicographic order of the concatenated
-    output tuple; rows of M are indexed by (x, y, a, b), lexicographically.
-    """
-
-    states: tuple
-    M: tuple
-    C: tuple
-
-
 def instruction_states(nA, nB, nX, nY, budget=DEFAULT_BUDGET):
     count = nA**nX * nB**nY
     if count > budget:
@@ -81,12 +68,6 @@ def _shape_solver(nA, nB, nX, nY, budget):
     return LinearSolver(M)
 
 
-def instruction_system(box: Box, budget=DEFAULT_BUDGET) -> InstructionSystem:
-    states, labels, M = _shape_system(box.nA, box.nB, box.nX, box.nY, budget)
-    C = tuple(box.p(a, b, x, y) for (a, b, x, y) in labels)
-    return InstructionSystem(states, M, C)
-
-
 def model_to_box(model: OntologicalModel) -> Box:
     """Read the box off the model: p(ab|xy) = mass of the cell intersection."""
     nX = len(model.partsA)
@@ -114,10 +95,9 @@ def box_to_model(box: Box, budget=DEFAULT_BUDGET) -> OntologicalModel:
     measure is signed whenever the particular solution has a negative
     weight; is_local() decides whether some unsigned solution exists.
     """
-    states, _, _ = _shape_system(box.nA, box.nB, box.nX, box.nY, budget)
+    states, labels, _ = _shape_system(box.nA, box.nB, box.nX, box.nY, budget)
     solver = _shape_solver(box.nA, box.nB, box.nX, box.nY, budget)
-    sysm = instruction_system(box, budget)
-    P = solver.solve(list(sysm.C))
+    P = solver.solve([box.p(a, b, x, y) for (a, b, x, y) in labels])
     if P is None:
         raise PreconditionError(
             "instruction system inconsistent: the box is not no-signaling"
@@ -170,11 +150,8 @@ def is_local(box: Box, budget=DEFAULT_BUDGET) -> LocalityVerdict:
         )
         return LocalityVerdict(True, weights, None)
     coeffs = {labels[i]: dual[i] for i in range(len(labels)) if dual[i] != 0}
-    bound = max(
-        sum((dual[i] * M[i][k] for i in range(len(labels))), ZERO)
-        for k in range(len(states))
-    )
-    value = sum((dual[i] * C[i] for i in range(len(labels))), ZERO)
+    bound = bell_local_bound(coeffs, box.nA, box.nB, box.nX, box.nY)
+    value = bell_value(box, coeffs)
     return LocalityVerdict(False, None, BellCertificate(coeffs, bound, value))
 
 

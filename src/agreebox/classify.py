@@ -117,7 +117,7 @@ def tsirelson_obstruction(box: Box):
         raise ShapeError("gap test is defined for binary outputs only")
     if not (is_perfectly_correlated(box, 0, 0) and is_perfectly_correlated(box, 1, 1)):
         return None
-    c = correlators(box).c
+    c = correlators(box)
     return c[(0, 1)] - c[(1, 0)]
 
 

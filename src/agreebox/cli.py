@@ -23,7 +23,7 @@ from . import __version__
 from .boxes import box_doc, box_from_json, box_to_json, validate
 from .bridge import DEFAULT_BUDGET, box_to_model, is_local
 from .classical import model_to_json, verify_agreement_theorem
-from .classify import classify, tsirelson_obstruction, verdict_to_json
+from .classify import tsirelson_obstruction, verdict_to_json
 from .epistemic import detect_ccd, report_doc
 from .errors import (
     AgreeboxError,
@@ -117,12 +117,7 @@ def _parse_grid(text):
 
 def _cmd_classify(args):
     box = _load_box(args.input)
-    if (box.nA, box.nB, box.nX, box.nY) == (2, 2, 2, 2):
-        verdict = classify(box, relabel_search=args.relabel_search, budget=args.budget)
-    else:
-        verdict = classify_general(
-            box, relabel_search=args.relabel_search, budget=args.budget
-        )
+    verdict = classify_general(box, relabel_search=args.relabel_search, budget=args.budget)
     _write_text(args.output, verdict_to_json(verdict))
     return EXIT_OK
 
@@ -162,7 +157,7 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_rows(family, tuples, budget):
+def _sweep_rows(family, tuples):
     skipped = 0
     for r, s, t, u in tuples:
         if family in ("ccd", "sd"):
@@ -179,7 +174,7 @@ def _sweep_rows(family, tuples, budget):
             "family": family,
             "ccd": str(report.ccd).lower(),
             "sd": str(report.sd).lower(),
-            "local": str(is_local(box, budget).local).lower(),
+            "local": str(is_local(box).local).lower(),
         }
         for name, value in (("r", r), ("s", s), ("t", t), ("u", u)):
             row[name] = rat_str(value) if value is not None else ""
@@ -198,6 +193,8 @@ def _sweep_rows(family, tuples, budget):
 def _cmd_sweep(args):
     if args.family in ("ccd", "sd"):
         if args.sample is not None:
+            if args.sample > 9**4:  # r, s, t, u each take one of the values k/8
+                raise ParseError(f"--sample {args.sample} exceeds the 6561 distinct tuples")
             rng = random.Random(args.seed)
             seen = set()
             while len(seen) < args.sample:
@@ -224,7 +221,7 @@ def _cmd_sweep(args):
     try:
         writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
-        for row in _sweep_rows(args.family, tuples, args.budget):
+        for row in _sweep_rows(args.family, tuples):
             writer.writerow(row)
     finally:
         if args.output is not None:
@@ -234,16 +231,7 @@ def _cmd_sweep(args):
 
 def _cmd_reduce(args):
     box = _load_box(args.input)
-    mode = args.mode
-    if mode == "auto":
-        report = detect_ccd(box)
-        if report.ccd:
-            mode = "ccd"
-        elif report.sd:
-            mode = "sd"
-        else:
-            raise ReductionRefused("box carries neither disagreement", report)
-    reduced, plan = reduce_box(box, mode)
+    reduced, plan = reduce_box(box, args.mode)
     doc = {"box": box_doc(reduced), "plan": plan_doc(plan)}
     _write_text(args.output, json.dumps(doc, indent=2))
     return EXIT_OK
@@ -288,10 +276,11 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"agreebox {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, input_required=True):
-        if input_required:
-            p.add_argument("--input", required=True, help="path to a box JSON file")
+    def add_common(p):
+        p.add_argument("--input", required=True, help="path to a box JSON file")
         p.add_argument("--output", default=None, help="output path (default stdout)")
+
+    def add_budget(p):
         p.add_argument(
             "--budget", type=int, default=DEFAULT_BUDGET,
             help="instruction-state budget for exact LP work",
@@ -299,6 +288,7 @@ def build_parser():
 
     p = sub.add_parser("classify", help="classify a box")
     add_common(p)
+    add_budget(p)
     p.add_argument(
         "--relabel-search", action="store_true",
         help="search input/output relabelings for a matching canonical frame",
@@ -318,7 +308,6 @@ def build_parser():
                    help="draw this many random parameter tuples instead of a grid")
     p.add_argument("--seed", type=int, default=0, help="seed for --sample")
     p.add_argument("--output", default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("reduce", help="reduce a many-output box to 2x2")
@@ -328,6 +317,7 @@ def build_parser():
 
     p = sub.add_parser("ontology", help="instruction-set model for a box")
     add_common(p)
+    add_budget(p)
     p.set_defaults(func=_cmd_ontology)
 
     p = sub.add_parser("verify-classical", help="exhaustive small-model agreement check")

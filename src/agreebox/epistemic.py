@@ -113,7 +113,13 @@ def hierarchy(box: Box, qA, qB) -> CertaintyHierarchy:
     return CertaintyHierarchy(tuple(alphas), tuple(betas), len(alphas) - 2, qa, qb)
 
 
-def _assess(box: Box) -> DisagreementReport:
+def detect_ccd(box: Box) -> DisagreementReport:
+    """Full disagreement report.
+
+    The ccd and sd fields answer the two questions; hierarchy.N is the
+    mutual certainty depth, the smallest N with alpha_N = alpha_{N+1} and
+    beta_N = beta_{N+1} (two-output boxes always stabilize by level 1).
+    """
     if min(box.nA, box.nB, box.nX, box.nY) < 2:
         raise ShapeError("disagreement analysis needs two outputs and inputs per party")
     qA = conditional(box, ("B", 1), (0, 0, 1))
@@ -136,24 +142,6 @@ def _assess(box: Box) -> DisagreementReport:
     )
     sd = corr and qA.value == 1 and qB.value == 0 and witness_mass > 0
     return DisagreementReport(h, ccd, sd, (0, 0, 0, 0), corr, reason)
-
-
-def detect_ccd(box: Box) -> DisagreementReport:
-    """Full disagreement report; the ccd field answers the question."""
-    return _assess(box)
-
-
-def detect_sd(box: Box) -> DisagreementReport:
-    """Same report as detect_ccd; the sd field answers the question."""
-    return _assess(box)
-
-
-def mutual_certainty_depth(box: Box) -> int:
-    """Smallest N with alpha_N = alpha_{N+1} and beta_N = beta_{N+1}.
-
-    Two-output boxes always stabilize by level 1.
-    """
-    return _assess(box).hierarchy.N
 
 
 def report_doc(report: DisagreementReport) -> dict:

@@ -16,7 +16,6 @@ classify_general() routes an arbitrary finite box through this reduction
 and classifies the effective box with the 2x2 machinery.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -25,7 +24,7 @@ from .boxes import Box, make_box
 from .bridge import DEFAULT_BUDGET, is_local
 from .classify import ClassificationVerdict, Conclusion, classify
 from .epistemic import detect_ccd
-from .errors import ReductionRefused, ShapeError
+from .errors import BudgetError, ReductionRefused, ShapeError
 from .rationals import rat
 
 ZERO = Fraction(0)
@@ -44,13 +43,18 @@ def reduce_box(box: Box, mode: str):
 
     The corresponding disagreement must hold on the source: the groups are
     read off its certainty hierarchy, and the theorem being exercised has
-    the detection as hypothesis.  Refusal carries the failed report.
+    the detection as hypothesis.  Mode "auto" picks ccd when the box
+    carries it, else sd.  Refusal carries the failed report.
     """
-    if mode not in ("ccd", "sd"):
-        raise ValueError(f"mode must be 'ccd' or 'sd', got {mode!r}")
+    if mode not in ("ccd", "sd", "auto"):
+        raise ValueError(f"mode must be 'ccd', 'sd' or 'auto', got {mode!r}")
     if box.nX < 2 or box.nY < 2:
         raise ShapeError("reduction needs at least two inputs per party")
     report = detect_ccd(box)
+    if mode == "auto":
+        if not (report.ccd or report.sd):
+            raise ReductionRefused("box carries neither disagreement", report)
+        mode = "ccd" if report.ccd else "sd"
     if mode == "ccd" and not report.ccd:
         raise ReductionRefused("source box has no common certainty of disagreement", report)
     if mode == "sd" and not report.sd:
@@ -128,16 +132,16 @@ def classify_general(
     """
     if (box.nA, box.nB, box.nX, box.nY) == (2, 2, 2, 2):
         return classify(box, relabel_search=relabel_search, budget=budget)
-    report = detect_ccd(box)
-    if report.ccd:
-        reduced, _ = reduce_box(box, "ccd")
+    try:
+        reduced, _ = reduce_box(box, "auto")
+    except ReductionRefused:
+        pass
+    else:
         return classify(reduced, budget=budget)
-    if report.sd:
-        reduced, _ = reduce_box(box, "sd")
-        return classify(reduced, budget=budget)
-    local = None
-    if box.nA**box.nX * box.nB**box.nY <= budget:
+    try:
         local = is_local(box, budget).local
+    except BudgetError:
+        local = None
     return ClassificationVerdict(
         local, None, None, None, False, Conclusion.NO_OBSTRUCTION_FOUND
     )
@@ -151,6 +155,3 @@ def plan_doc(plan: ReductionPlan) -> dict:
         "mode": plan.mode,
     }
 
-
-def plan_to_json(plan: ReductionPlan) -> str:
-    return json.dumps(plan_doc(plan), indent=2)

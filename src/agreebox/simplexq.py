@@ -17,6 +17,18 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _pivot(rows, r, col):
+    """Scale row r to a unit pivot at col and clear col from every other row."""
+    piv = rows[r][col]
+    if piv != 1:
+        rows[r] = [v / piv for v in rows[r]]
+    pivot_row = rows[r]
+    for i, row in enumerate(rows):
+        if i != r and row[col] != 0:
+            f = row[col]
+            rows[i] = [vi - f * vr for vi, vr in zip(row, pivot_row)]
+
+
 class LinearSolver:
     """Reusable exact solver for M x = c with M fixed across calls."""
 
@@ -36,13 +48,7 @@ class LinearSolver:
             if piv is None:
                 continue
             aug[r], aug[piv] = aug[piv], aug[r]
-            scale = aug[r][col]
-            if scale != 1:
-                aug[r] = [v / scale for v in aug[r]]
-            for i in range(m):
-                if i != r and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
+            _pivot(aug, r, col)
             pivots.append(col)
             r += 1
             if r == m:
@@ -90,15 +96,15 @@ def feasible_nonneg(rows, c):
         row.append(sign * Fraction(c[i]))
         tab.append(row)
     basis = list(range(n, n + m))
-    # objective row for min(sum of artificials), priced out for the basis
-    z = [ZERO] * (n + m + 1)
-    for j in range(n + m + 1):
-        z[j] = -sum((tab[i][j] for i in range(m)), ZERO)
+    # objective row for min(sum of artificials), priced out for the basis;
+    # it is the last tableau row, so every pivot updates it too
+    z = [-sum((tab[i][j] for i in range(m)), ZERO) for j in range(n + m + 1)]
     for i in range(m):
         z[n + i] += 1
+    tab.append(z)
 
     while True:
-        enter = next((j for j in range(n + m) if z[j] < 0), None)  # Bland
+        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)  # Bland
         if enter is None:
             break
         best = None
@@ -112,18 +118,10 @@ def feasible_nonneg(rows, c):
         if best is None:
             raise RuntimeError("phase-one objective unbounded; cannot happen")
         _, leave = best
-        piv = tab[leave][enter]
-        if piv != 1:
-            tab[leave] = [v / piv for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [vi - f * vr for vi, vr in zip(tab[i], tab[leave])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [vi - f * vr for vi, vr in zip(z, tab[leave])]
+        _pivot(tab, leave, enter)
         basis[leave] = enter
 
+    z = tab[m]
     w = -z[-1]  # optimal value of the artificial sum
     if w == 0:
         x = [ZERO] * n

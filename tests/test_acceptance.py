@@ -126,7 +126,7 @@ def test_check_3_sd_grid_detection_matches_constraints(capfd, sd_tuples):
         if i % 100 == 0 and not ab.validate(box).ok:
             problems.append(f"pruned grid let an invalid box through at {(r, s, t, u)}")
         expected = not ab.caption_violations("sd", r, s, t, u)
-        got = ab.detect_sd(box).sd
+        got = ab.detect_ccd(box).sd
         if got != expected:
             problems.append(f"detection {got} vs constraints {expected} at {(r, s, t, u)}")
         flagged += got
@@ -146,7 +146,7 @@ def test_check_4_sd_boxes_show_hardy_and_nonlocality(capfd, sd_tuples):
     instances = 0
     for r, s, t, u in sd_tuples:
         box = ab.sd_table_box(r, s, t, u)
-        if not ab.detect_sd(box).sd:
+        if not ab.detect_ccd(box).sd:
             continue
         instances += 1
         if not ab.hardy_pattern(box):

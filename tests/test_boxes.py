@@ -140,12 +140,12 @@ def test_uniform_not_perfectly_correlated():
 
 
 def test_pr_correlators():
-    c = ab.correlators(ab.pr_box()).c
+    c = ab.correlators(ab.pr_box())
     assert (c[(0, 0)], c[(0, 1)], c[(1, 0)], c[(1, 1)]) == (1, -1, 1, 1)
 
 
 def test_uniform_correlators_vanish():
-    assert all(v == 0 for v in ab.correlators(ab.uniform_box()).c.values())
+    assert all(v == 0 for v in ab.correlators(ab.uniform_box()).values())
 
 
 def test_correlators_reject_nonbinary():
@@ -164,7 +164,7 @@ def test_ccd_form_correlator_identities(r, s, t, u):
     box = ab.ccd_table_box(r, s, t, u)
     if not ab.validate(box).ok:
         return
-    c = ab.correlators(box).c
+    c = ab.correlators(box)
     assert c[(0, 1)] == 1 + 2 * r - 2 * t - 4 * s
     assert c[(1, 0)] == 1 + 2 * t - 2 * r - 4 * u
 
@@ -173,7 +173,7 @@ def test_ccd_form_correlator_identities(r, s, t, u):
 @settings(max_examples=40, deadline=None)
 def test_correlator_one_iff_perfectly_correlated(weights):
     box = local_box_from(weights)
-    c = ab.correlators(box).c
+    c = ab.correlators(box)
     for x in range(2):
         for y in range(2):
             assert -1 <= c[(x, y)] <= 1

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import agreebox as ab
 from agreebox.bridge import (
+    _shape_system,
     instruction_states,
-    instruction_system,
     row_labels,
 )
 
@@ -51,13 +51,13 @@ def test_state_budget():
 def test_each_constraint_row_touches_the_right_states():
     # a row (a, b, x, y) selects states free in the other nX - 1 and
     # nY - 1 coordinates
-    sysm = instruction_system(ab.pr_box())
-    labels = row_labels(2, 2, 2, 2)
-    assert len(sysm.M) == 16
+    states, labels, M = _shape_system(2, 2, 2, 2, ab.DEFAULT_BUDGET)
+    assert labels == row_labels(2, 2, 2, 2)
+    assert len(M) == 16
     for i, (a, b, x, y) in enumerate(labels):
-        assert sum(sysm.M[i]) == 4
-        for k, (alpha, beta) in enumerate(sysm.states):
-            assert sysm.M[i][k] == (1 if alpha[x] == a and beta[y] == b else 0)
+        assert sum(M[i]) == 4
+        for k, (alpha, beta) in enumerate(states):
+            assert M[i][k] == (1 if alpha[x] == a and beta[y] == b else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,13 @@ def test_sweep_needs_grid_or_sample(capsys):
     assert code == 2
 
 
+def test_sweep_sample_beyond_the_distinct_tuples_is_a_parse_error(capsys):
+    # r, s, t, u range over k/8, so only 9**4 = 6561 distinct tuples exist
+    code, out, err = run(capsys, "sweep", "--family", "ccd", "--sample", "6562")
+    assert code == 2
+    assert "6561" in err
+
+
 # ---------------------------------------------------------------------------
 # reduce and ontology
 
@@ -167,10 +174,11 @@ def test_reduce_split_box(tmp_path, capsys):
 def test_reduce_refusal_reports(tmp_path, capsys):
     path = tmp_path / "u.json"
     path.write_text(ab.box_to_json(ab.uniform_box()))
-    code, out, err = run(capsys, "reduce", "--input", str(path), "--mode", "ccd")
-    assert code == 3
-    assert "common certainty" in err
-    assert '"ccd": false' in err
+    for mode, reason in (("ccd", "common certainty"), ("auto", "neither disagreement")):
+        code, out, err = run(capsys, "reduce", "--input", str(path), "--mode", mode)
+        assert code == 3
+        assert reason in err
+        assert '"ccd": false' in err
 
 
 def test_ontology_flags_signed_models(tmp_path, capsys):

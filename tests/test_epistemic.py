@@ -104,28 +104,28 @@ def test_undefined_value_gives_reason_not_exception():
 
 
 # ---------------------------------------------------------------------------
-# detect_sd
+# singular disagreement
 
 def test_sd_form_at_pr_parameters_detects():
-    rep = ab.detect_sd(ab.sd_table_box(F(1, 2), F(1, 2), 0, F(1, 2)))
+    rep = ab.detect_ccd(ab.sd_table_box(F(1, 2), F(1, 2), 0, F(1, 2)))
     assert rep.sd
 
 
 def test_uniform_box_has_no_sd():
-    rep = ab.detect_sd(ab.uniform_box())
+    rep = ab.detect_ccd(ab.uniform_box())
     assert not rep.sd
     assert rep.hierarchy.qA.value == F(1, 2)
 
 
 def test_ccd_without_sd():
-    rep = ab.detect_sd(ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), 0))
+    rep = ab.detect_ccd(ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), 0))
     assert not rep.sd and rep.ccd
 
 
 def test_sd_needs_positive_witness_mass():
     # qA = 1, qB = 0, perfectly correlated at (1,1), but p(00|00) = 0
     box = ab.sd_table_box(F(1, 2), 0, F(1, 2), F(1, 2))
-    rep = ab.detect_sd(box)
+    rep = ab.detect_ccd(box)
     assert ab.validate(box).ok
     assert rep.hierarchy.qA.defined and rep.hierarchy.qA.value == 1
     assert not rep.sd
@@ -136,17 +136,17 @@ def test_sd_needs_positive_witness_mass():
 
 def test_two_output_boxes_stabilize_by_level_one():
     for (_, box) in valid_ccd_form_boxes():
-        assert ab.mutual_certainty_depth(box) <= 1
+        assert ab.detect_ccd(box).hierarchy.N <= 1
 
 
 def test_uniform_depth_zero():
-    assert ab.mutual_certainty_depth(ab.uniform_box()) == 0
+    assert ab.detect_ccd(ab.uniform_box()).hierarchy.N == 0
 
 
 def test_chain_box_has_depth_two():
     box = chain_box()
     assert ab.validate(box).ok
-    assert ab.mutual_certainty_depth(box) == 2
+    assert ab.detect_ccd(box).hierarchy.N == 2
     h = ab.detect_ccd(box).hierarchy
     assert h.alphas == ((0, 1), (0,), (), ())
     assert h.betas == ((0, 1), (0,), (), ())
@@ -201,7 +201,7 @@ def test_sd_iff_form_constraints_small_sweep():
                         continue
                     count += 1
                     expected = s > 0 and s + t != 0 and u + t != 1
-                    assert ab.detect_sd(box).sd == expected, (r, s, t, u)
+                    assert ab.detect_ccd(box).sd == expected, (r, s, t, u)
     assert count > 40
 
 

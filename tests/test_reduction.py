@@ -65,6 +65,20 @@ def test_refusal_carries_the_report():
     assert not exc.value.report.ccd
 
 
+def test_auto_mode_picks_ccd_then_sd_then_refuses():
+    _, plan = ab.reduce_box(split_pr(), "auto")  # carries both
+    assert plan.mode == "ccd"
+    sd_only = ab.sd_table_box(F(1, 4), F(1, 4), F(1, 4), F(1, 2))
+    report = ab.detect_ccd(sd_only)
+    assert report.sd and not report.ccd
+    reduced, plan = ab.reduce_box(sd_only, "auto")
+    assert plan.mode == "sd"
+    assert (reduced, plan) == ab.reduce_box(sd_only, "sd")
+    with pytest.raises(ab.ReductionRefused, match="neither") as exc:
+        ab.reduce_box(ab.uniform_box(), "auto")
+    assert not (exc.value.report.ccd or exc.value.report.sd)
+
+
 def test_reduce_rejects_unknown_mode():
     with pytest.raises(ValueError):
         ab.reduce_box(ab.pr_box(), "both")
