@@ -18,6 +18,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import floor, prod
 
 from . import __version__
 from .boxes import box_doc, box_from_json, box_to_json, validate
@@ -43,6 +44,9 @@ EXIT_UNEXPECTED = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
+
+# a sweep grid has at most 16 points on each of its four axes (step 1/15 on [0, 1])
+MAX_GRID_POINTS = 16**4
 
 
 def _read_text(path):
@@ -87,9 +91,10 @@ def _parse_grid(text):
     """Parse "r=0:1:1/4,s=1/2" into a name -> list of Fractions dict.
 
     A singleton "name=value" is a one-point axis; "start:stop:step" is an
-    inclusive range walked exactly.
+    inclusive range walked exactly.  The points are counted before any is
+    built, and a grid of more than MAX_GRID_POINTS raises BudgetError.
     """
-    out = {}
+    axes = {}  # name -> (start, step, count)
     for item in text.split(","):
         if "=" not in item:
             raise ParseError(f"bad grid axis {item!r}")
@@ -101,15 +106,17 @@ def _parse_grid(text):
             start, stop, step = (rat(p) for p in pieces)
             if step <= 0:
                 raise ParseError("grid step must be positive")
-            values = []
-            v = start
-            while v <= stop:
-                values.append(v)
-                v += step
-            out[name.strip()] = values
+            count = floor((stop - start) / step) + 1 if stop >= start else 0
+            axes[name.strip()] = (start, step, count)
         else:
-            out[name.strip()] = [rat(axis)]
-    return out
+            axes[name.strip()] = (rat(axis), 0, 1)
+    points = prod(count for _, _, count in axes.values())
+    if points > MAX_GRID_POINTS:
+        raise BudgetError(f"grid has {points} points, more than {MAX_GRID_POINTS}")
+    return {
+        name: [start + k * step for k in range(count)]
+        for name, (start, step, count) in axes.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +200,8 @@ def _sweep_rows(family, tuples):
 def _cmd_sweep(args):
     if args.family in ("ccd", "sd"):
         if args.sample is not None:
+            if args.sample < 0:
+                raise ParseError(f"--sample {args.sample} is negative")
             if args.sample > 9**4:  # r, s, t, u each take one of the values k/8
                 raise ParseError(f"--sample {args.sample} exceeds the 6561 distinct tuples")
             rng = random.Random(args.seed)
@@ -328,9 +337,11 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ReductionRefused as exc:

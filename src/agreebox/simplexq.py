@@ -1,32 +1,61 @@
 """Exact rational linear algebra: affine solving and LP feasibility.
 
-Two workhorses live here.  LinearSolver factors a fixed coefficient matrix
-once (Gauss-Jordan over Fractions, recording the row transform) so that
-many right-hand sides can be solved cheaply; the particular solution sets
-every free variable to zero under a fixed pivot order, which makes the
-output deterministic.  feasible_nonneg decides existence of a nonnegative
-solution of M x = c by a phase-one simplex with Bland's rule, returning
-either the solution or a Farkas certificate y with y M <= 0 and y c > 0.
-Both certificates are re-verified before being returned, so a bug in the
-pivoting cannot silently produce a wrong verdict.
+Both routines pivot on a fraction-free integer tableau (Edmonds, "Systems
+of distinct representatives and linear algebra", 1967; Escobedo and
+Moreno-Centeno, INFORMS J. Comput., 2015).  Denominators are cleared once:
+every rational input is multiplied by the lcm L of all input denominators,
+and the identity columns appended to the coefficients stay the identity.
+From then on the tableau T holds Python ints only and stands for the
+rational tableau T / d, where d is the last pivot element (1 before the
+first pivot).  A pivot at (r, col) with p = T[r][col] keeps row r and maps
+every other row to (p * T[i][j] - T[i][col] * T[r][j]) // d, then sets
+d = p.  The division is exact: with the identity columns in place, every
+entry is d times an entry of B^-1 [L M | I | L c] for the current basis
+B, and d = +-det B.  No Fraction is built while pivoting; results are
+read off as Fraction(numerator, d) at the end.
+
+LinearSolver factors a fixed coefficient matrix once (Gauss-Jordan on
+[L M | I], recording the row transform) so that many right-hand sides can
+be solved cheaply; the particular solution sets every free variable to
+zero under a fixed pivot order, which makes the output deterministic.
+feasible_nonneg decides existence of a nonnegative solution of M x = c by
+a phase-one simplex with Bland's rule, comparing ratios by integer
+cross-multiplication, and returns either the solution or a Farkas
+certificate y with y M <= 0 and y c > 0.  Both certificates are rechecked
+before they are returned, against the caller's M and c cleared to integers
+(L M and L c), never against the tableau, so a bug in the pivoting cannot
+silently produce a wrong verdict.
+
+Entries of M and c are rationals: int or Fraction.
 """
 
 from fractions import Fraction
+from math import lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
-def _pivot(rows, r, col):
-    """Scale row r to a unit pivot at col and clear col from every other row."""
-    piv = rows[r][col]
-    if piv != 1:
-        rows[r] = [v / piv for v in rows[r]]
+def _cleared(values, scale):
+    """The integers scale * v, for rationals v whose denominators divide scale."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _pivot(rows, r, col, d):
+    """Fraction-free pivot of the integer tableau rows / d at (r, col).
+
+    Returns the new divisor, the pivot element rows[r][col].
+    """
+    p = rows[r][col]
     pivot_row = rows[r]
     for i, row in enumerate(rows):
-        if i != r and row[col] != 0:
-            f = row[col]
-            rows[i] = [vi - f * vr for vi, vr in zip(row, pivot_row)]
+        if i == r:
+            continue
+        f = row[col]
+        if f:
+            rows[i] = [(p * vi - f * vr) // d for vi, vr in zip(row, pivot_row)]
+        elif p != d:
+            rows[i] = [p * vi // d for vi in row]
+    return p
 
 
 class LinearSolver:
@@ -35,12 +64,14 @@ class LinearSolver:
     def __init__(self, rows):
         m = len(rows)
         n = len(rows[0])
-        # Gauss-Jordan on [M | I]; afterwards R = E M is in reduced row
-        # echelon form and E records the elimination.
+        # Gauss-Jordan on [L M | I]; afterwards R = E L M is in reduced row
+        # echelon form and E records the elimination, E = transform / d.
+        scale = lcm(*(v.denominator for row in rows for v in row))
         aug = [
-            [Fraction(v) for v in row] + [ONE if j == i else ZERO for j in range(m)]
+            _cleared(row, scale) + [1 if j == i else 0 for j in range(m)]
             for i, row in enumerate(rows)
         ]
+        d = 1
         pivots = []
         r = 0
         for col in range(n):
@@ -48,7 +79,7 @@ class LinearSolver:
             if piv is None:
                 continue
             aug[r], aug[piv] = aug[piv], aug[r]
-            _pivot(aug, r, col)
+            d = _pivot(aug, r, col, d)
             pivots.append(col)
             r += 1
             if r == m:
@@ -57,22 +88,24 @@ class LinearSolver:
         self.n = n
         self.rank = r
         self.pivots = pivots
+        self.scale = scale
+        self.divisor = d
         self.transform = [row[n:] for row in aug]
 
     def solve(self, c):
         """Particular solution with free variables zero, or None if inconsistent."""
         if len(c) != self.m:
             raise ValueError("right-hand side has the wrong length")
-        v = [
-            sum((e * ci for e, ci in zip(erow, c) if e != 0), ZERO)
-            for erow in self.transform
-        ]
-        for j in range(self.rank, self.m):
-            if v[j] != 0:
-                return None
+        # x_pivot = E (L c) = transform (den c) * L / (d * den)
+        den = lcm(*(ci.denominator for ci in c))
+        cc = _cleared(c, den)
+        v = [sum(e * ci for e, ci in zip(erow, cc) if e) for erow in self.transform]
+        if any(v[self.rank:]):
+            return None
         x = [ZERO] * self.n
+        q = self.divisor * den
         for j, col in enumerate(self.pivots):
-            x[col] = v[j]
+            x[col] = Fraction(v[j] * self.scale, q)
         return x
 
 
@@ -86,62 +119,69 @@ def feasible_nonneg(rows, c):
     """
     m = len(rows)
     n = len(rows[0])
+    scale = lcm(
+        *(v.denominator for row in rows for v in row), *(ci.denominator for ci in c)
+    )
+    M = [_cleared(row, scale) for row in rows]
+    C = _cleared(c, scale)
     # phase one: minimize the sum of artificials on rows flipped to rhs >= 0
-    flipped = [c[i] < 0 for i in range(m)]
+    flipped = [ci < 0 for ci in C]
     tab = []
     for i in range(m):
         sign = -1 if flipped[i] else 1
-        row = [sign * Fraction(v) for v in rows[i]]
-        row += [ONE if j == i else ZERO for j in range(m)]
-        row.append(sign * Fraction(c[i]))
+        row = [sign * v for v in M[i]]
+        row += [1 if j == i else 0 for j in range(m)]
+        row.append(sign * C[i])
         tab.append(row)
     basis = list(range(n, n + m))
     # objective row for min(sum of artificials), priced out for the basis;
     # it is the last tableau row, so every pivot updates it too
-    z = [-sum((tab[i][j] for i in range(m)), ZERO) for j in range(n + m + 1)]
+    z = [-sum(col) for col in zip(*tab)]
     for i in range(m):
         z[n + i] += 1
     tab.append(z)
 
+    d = 1
     while True:
-        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)  # Bland
+        z = tab[m]
+        enter = next((j for j in range(n + m) if z[j] < 0), None)  # Bland
         if enter is None:
             break
-        best = None
+        # least ratio rhs / a over a > 0, ties to the least basic index;
+        # ratios are compared by cross-multiplication
+        leave = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best[0] or (
-                    ratio == best[0] and basis[i] < basis[best[1]]
-                ):
-                    best = (ratio, i)
-        if best is None:
+            a = tab[i][enter]
+            if a > 0:
+                if leave is not None:
+                    new, cur = tab[i][-1] * tab[leave][enter], tab[leave][-1] * a
+                    if new > cur or (new == cur and basis[i] > basis[leave]):
+                        continue
+                leave = i
+        if leave is None:
             raise RuntimeError("phase-one objective unbounded; cannot happen")
-        _, leave = best
-        _pivot(tab, leave, enter)
+        d = _pivot(tab, leave, enter, d)
         basis[leave] = enter
 
     z = tab[m]
-    w = -z[-1]  # optimal value of the artificial sum
-    if w == 0:
-        x = [ZERO] * n
+    if z[-1] == 0:  # the artificial sum reached zero
+        X = [0] * n
         for i in range(m):
             if basis[i] < n:
-                x[basis[i]] = tab[i][-1]
-        for i in range(m):
-            got = sum((Fraction(rows[i][j]) * x[j] for j in range(n) if x[j]), ZERO)
-            if got != c[i] or any(xi < 0 for xi in x):
-                raise RuntimeError("simplex produced an invalid feasible point")
-        return True, x, None
+                X[basis[i]] = tab[i][-1]
+        # x = X / d: x >= 0 and (L M) x = L c, i.e. (L M) X = (L c) d
+        if any(v < 0 for v in X) or any(
+            sum(a * v for a, v in zip(row, X) if v) != ci * d for row, ci in zip(M, C)
+        ):
+            raise RuntimeError("simplex produced an invalid feasible point")
+        return True, [Fraction(v, d) for v in X], None
 
-    # infeasible: simplex multipliers give the separating functional
-    y = [ONE - z[n + i] for i in range(m)]
-    y = [-y[i] if flipped[i] else y[i] for i in range(m)]
-    value = sum((y[i] * c[i] for i in range(m)), ZERO)
-    if value <= 0:
+    # infeasible: simplex multipliers y = 1 - z[artificial] give the
+    # separating functional; y = Y / d with d > 0
+    Y = [d - z[n + i] for i in range(m)]
+    Y = [-Y[i] if flipped[i] else Y[i] for i in range(m)]
+    if sum(yi * ci for yi, ci in zip(Y, C)) <= 0 or any(
+        sum(yi * a for yi, a in zip(Y, col) if a) > 0 for col in zip(*M)
+    ):
         raise RuntimeError("Farkas certificate failed verification")
-    for j in range(n):
-        col = sum((y[i] * rows[i][j] for i in range(m)), ZERO)
-        if col > 0:
-            raise RuntimeError("Farkas certificate failed verification")
-    return False, None, y
+    return False, None, [Fraction(v, d) for v in Y]

@@ -1,6 +1,7 @@
 """Instruction-set models, box conversion in both directions, locality."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,81 @@ def test_disagreement_form_boxes_are_nonlocal():
         box = ab.ccd_table_box(r, s, t, u)
         assert not ab.caption_violations("ccd", r, s, t, u)
         assert not ab.is_local(box).local
+
+
+# Fine's theorem (PRL 48, 291, 1982) as an independent oracle: a 2222
+# no-signaling box is local iff all eight CHSH inequalities hold
+
+def chsh_local(box):
+    """|E00 + E01 + E10 + E11 - 2 E_xy| <= 2 for every (x, y)."""
+    E = {
+        (x, y): sum(
+            (-1) ** (a + b) * box.p(a, b, x, y) for a in range(2) for b in range(2)
+        )
+        for x in range(2)
+        for y in range(2)
+    }
+    total = sum(E.values())
+    return all(abs(total - 2 * e) <= 2 for e in E.values())
+
+
+@st.composite
+def family_box(draw):
+    """A valid CCD- or SD-form box with parameters k/8: each parameter is
+    drawn from the range the earlier ones leave for a nonnegative table."""
+
+    def k(lo, hi):
+        return draw(st.integers(min_value=lo, max_value=hi))
+
+    if draw(st.booleans()):
+        r, t = k(0, 8), k(0, 8)
+        s, u = k(max(0, r - t), min(r, 8 - t)), k(max(0, t - r), min(t, 8 - r))
+        maker = ab.ccd_table_box
+    else:
+        r = k(0, 8)
+        t = k(0, 8 - r)
+        s = k(0, min(8 - r - t, r))
+        u = k(8 - t - r, 8 - s - t)
+        maker = ab.sd_table_box
+    return maker(*(F(v, 8) for v in (r, s, t, u)))
+
+
+def mix(lam, box1, box2):
+    return ab.make_box(2, 2, 2, 2, {
+        key: lam * box1.p(*key) + (1 - lam) * box2.p(*key)
+        for key in product(range(2), repeat=4)
+    })
+
+
+@st.composite
+def no_signaling_2222(draw):
+    kind = draw(st.sampled_from(("family", "local", "pr-uniform", "pr-local")))
+    if kind == "family":
+        return draw(family_box())
+    if kind == "local":
+        return local_mixture(draw(rational_weights(16)))
+    lam = F(draw(st.integers(min_value=0, max_value=16)), 16)
+    other = (
+        ab.uniform_box() if kind == "pr-uniform"
+        else local_mixture(draw(rational_weights(16)))
+    )
+    return mix(lam, ab.pr_box(), other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(no_signaling_2222())
+def test_is_local_agrees_with_fines_theorem(box):
+    assert ab.validate(box).ok
+    verdict = ab.is_local(box)
+    assert verdict.local == chsh_local(box)
+    if not verdict.local:
+        assert verdict.certificate.box_value > verdict.certificate.local_bound
+
+
+def test_pr_uniform_mixture_turns_nonlocal_past_one_half():
+    # CHSH value 4 * lam: the boundary lam = 1/2 is still local
+    assert ab.is_local(mix(F(1, 2), ab.pr_box(), ab.uniform_box())).local
+    assert not ab.is_local(mix(F(9, 16), ab.pr_box(), ab.uniform_box())).local
 
 
 # ---------------------------------------------------------------------------

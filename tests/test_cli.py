@@ -3,9 +3,10 @@
 import csv
 import io
 import json
+from fractions import Fraction as F
 
 import agreebox as ab
-from agreebox.cli import main
+from agreebox.cli import _parse_grid, main
 
 
 def run(capsys, *argv):
@@ -155,6 +156,27 @@ def test_sweep_sample_beyond_the_distinct_tuples_is_a_parse_error(capsys):
     code, out, err = run(capsys, "sweep", "--family", "ccd", "--sample", "6562")
     assert code == 2
     assert "6561" in err
+
+
+def test_sweep_negative_sample_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "sweep", "--family", "ccd", "--sample", "-3")
+    assert code == 2
+    assert out == ""
+
+
+def test_sweep_grid_beyond_the_point_budget_exits_at_once(capsys):
+    # 10**8 + 1 points on one axis: counted, never built
+    grid = "r=0:1:1/100000000,s=0,t=0,u=0"
+    code, out, err = run(capsys, "sweep", "--family", "ccd", "--grid", grid)
+    assert code == 4
+    assert "100000001" in err
+    assert out == ""
+
+
+def test_sweep_grid_at_eighths_is_within_the_point_budget():
+    grid = _parse_grid("r=0:1:1/8,s=0:1:1/8,t=0:1:1/8,u=0:1:1/8")
+    assert all(values == [F(k, 8) for k in range(9)] for values in grid.values())
+    assert _parse_grid("r=1/2:1/4:1/8,s=1/3")["r"] == []
 
 
 # ---------------------------------------------------------------------------

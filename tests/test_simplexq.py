@@ -1,0 +1,172 @@
+"""The exact LP and the affine solver, called directly."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import agreebox as ab
+from agreebox.bridge import _shape_system, row_labels
+from agreebox.simplexq import LinearSolver, feasible_nonneg
+
+
+def lp_2222(box):
+    _, _, M = _shape_system(2, 2, 2, 2, ab.DEFAULT_BUDGET)
+    return M, [box.p(*label) for label in row_labels(2, 2, 2, 2)]
+
+
+def fracs(text):
+    return [F(v) for v in text.split()]
+
+
+def assert_certificate(rows, c, ok, x, y):
+    """Recheck the answer in plain Fractions, independently of the solver."""
+    m, n = len(rows), len(rows[0])
+    if ok:
+        assert y is None
+        assert all(xj >= 0 for xj in x)
+        for i in range(m):
+            assert sum((F(rows[i][j]) * x[j] for j in range(n)), F(0)) == c[i]
+    else:
+        assert x is None
+        assert sum((yi * F(ci) for yi, ci in zip(y, c)), F(0)) > 0
+        for j in range(n):
+            assert sum((y[i] * F(rows[i][j]) for i in range(m)), F(0)) <= 0
+
+
+# ---------------------------------------------------------------------------
+# pinned answers on the 16-state system: the pivot sequence, and so the
+# returned point or functional, is fixed by Bland's rule
+
+PR_DUAL = fracs("1 -3 -3 1 -3 1 1 -3 1 -3 -3 1 1 -3 -3 1")
+
+
+@pytest.mark.parametrize(
+    "box, expected",
+    [
+        (ab.pr_box(), (False, None, PR_DUAL)),
+        (ab.uniform_box(), (True, fracs("0 0 0 0 0 1/4 1/4 0 0 1/4 1/4 0 0 0 0 0"), None)),
+        (
+            ab.ccd_table_box(F(1, 4), F(0), F(1, 4), F(1, 4)),
+            (False, None, fracs("1 -3 -3 1 1 -3 -3 1 -3 1 1 -3 1 -3 -3 1")),
+        ),
+        (ab.sd_table_box(F(1, 4), F(1, 4), F(0), F(3, 4)), (False, None, PR_DUAL)),
+        (
+            ab.mix_strategies(
+                [((0, 0, 0, 0), F(1, 3)), ((0, 1, 1, 0), F(1, 6)), ((1, 1, 0, 1), F(1, 2))]
+            ),
+            (True, fracs("1/3 0 0 0 0 0 1/6 0 0 0 0 0 0 1/2 0 0"), None),
+        ),
+    ],
+    ids=["pr", "uniform", "ccd", "sd", "local-mixture"],
+)
+def test_pinned_answers_on_2222(box, expected):
+    M, C = lp_2222(box)
+    got = feasible_nonneg(M, C)
+    assert got == expected
+    assert all(type(v) is F for v in got[1] or got[2])
+    assert_certificate(M, C, *got)
+
+
+@pytest.mark.parametrize(
+    "rows, c, dual",
+    [
+        ([[2, 2], [1, 0], [1, 1]], [0, 1, 0], [-1, 1, 1]),
+        ([[0, 0, 2], [2, 1, 2], [1, 0, 1]], [2, 2, 2], [1, F(-3, 2), 1]),
+    ],
+)
+def test_ratio_ties_go_to_the_least_basic_index(rows, c, dual):
+    # the first pivot ties between rows; breaking the tie the other way
+    # ends at another, equally valid, functional
+    c = [F(v) for v in c]
+    got = feasible_nonneg(rows, c)
+    assert got == (False, None, dual)
+    assert_certificate(rows, c, *got)
+
+
+# ---------------------------------------------------------------------------
+# rational coefficients and flipped rows
+
+def test_rational_rows_feasible():
+    rows = [[F(1, 2), 3], [F(2, 3), -1]]
+    c = [F(3, 2), F(1, 3)]
+    ok, x, y = feasible_nonneg(rows, c)
+    assert ok and x == [1, F(1, 3)]
+    assert_certificate(rows, c, ok, x, y)
+
+
+def test_rational_rows_infeasible():
+    rows = [[F(1, 2), F(1, 3)], [F(5, 7), -F(2, 9)]]
+    c = [F(1, 5), F(-3, 4)]
+    ok, x, y = feasible_nonneg(rows, c)
+    assert not ok
+    assert_certificate(rows, c, ok, x, y)
+
+
+def test_negative_rhs_rows_are_flipped():
+    rows = [[1, -1], [1, 1]]
+    c = [F(-1), F(3)]
+    ok, x, y = feasible_nonneg(rows, c)
+    assert ok and x == [1, 2]
+    assert_certificate(rows, c, ok, x, y)
+
+    rows = [[1, 1], [1, -1]]
+    c = [F(-2), F(1)]
+    ok, x, y = feasible_nonneg(rows, c)
+    assert not ok
+    assert_certificate(rows, c, ok, x, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda m: st.tuples(
+            st.lists(
+                st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                         min_size=3, max_size=3),
+                min_size=m, max_size=m,
+            ),
+            st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                     min_size=m, max_size=m),
+        )
+    )
+)
+def test_every_answer_carries_a_valid_certificate(system):
+    rows, c = system
+    assert_certificate(rows, c, *feasible_nonneg(rows, c))
+
+
+# ---------------------------------------------------------------------------
+# the affine solver
+
+def test_rank_deficient_solver():
+    solver = LinearSolver([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert solver.rank == 2
+    assert solver.pivots == [0, 1]
+    # free variable x2 is zero
+    assert solver.solve([F(6), F(12), F(2)]) == [2, 2, 0]
+    assert solver.solve([F(1, 2), F(1), F(1, 3)]) == [F(1, 3), F(1, 12), 0]
+    # row 1 is twice row 0, so its rhs must be too
+    assert solver.solve([F(6), F(13), F(2)]) is None
+
+
+def test_rank_deficient_rational_solver():
+    solver = LinearSolver([[F(1, 2), 1], [1, 2]])
+    assert solver.rank == 1
+    assert solver.solve([F(1, 3), F(2, 3)]) == [F(2, 3), 0]
+    assert solver.solve([F(1, 3), F(1)]) is None
+    with pytest.raises(ValueError):
+        solver.solve([F(1)])
+
+
+def test_solver_reproduces_boxes_on_2222():
+    M, _ = lp_2222(ab.uniform_box())
+    solver = LinearSolver(M)
+    assert solver.rank == 9
+    for box in (ab.pr_box(), ab.uniform_box(), ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), F(0))):
+        _, C = lp_2222(box)
+        P = solver.solve(C)
+        assert all(type(v) is F for v in P)
+        for row, ci in zip(M, C):
+            assert sum((a * p for a, p in zip(row, P)), F(0)) == ci
