@@ -27,7 +27,7 @@ from .boxes import (
     validate,
 )
 from .bridge import (
-    DEFAULT_BUDGET,
+    MAX_STATES,
     BellCertificate,
     LocalityVerdict,
     bell_local_bound,

@@ -42,12 +42,6 @@ class Box:
     def p(self, a: int, b: int, x: int, y: int) -> Fraction:
         return self.table[(a, b, x, y)]
 
-    def outputs_a(self):
-        return range(self.nA)
-
-    def outputs_b(self):
-        return range(self.nB)
-
     def marginal_a(self, a: int, x: int, y: int) -> Fraction:
         """p(a|x), evaluated on the (x, y) row."""
         return sum((self.table[(a, b, x, y)] for b in range(self.nB)), ZERO)
@@ -268,15 +262,6 @@ class RelabelFrame:
     sigma_y: tuple
     pi_a: tuple  # tuple of per-input output permutations, indexed by original x
     pi_b: tuple
-
-    @staticmethod
-    def identity(box: Box) -> "RelabelFrame":
-        return RelabelFrame(
-            tuple(range(box.nX)),
-            tuple(range(box.nY)),
-            tuple(tuple(range(box.nA)) for _ in range(box.nX)),
-            tuple(tuple(range(box.nB)) for _ in range(box.nY)),
-        )
 
     def is_identity(self) -> bool:
         return (

@@ -26,13 +26,14 @@ from .rationals import rat_str
 from .simplexq import LinearSolver, feasible_nonneg
 
 ZERO = Fraction(0)
-DEFAULT_BUDGET = 4096
+# the largest instruction system built; checked before any state is enumerated
+MAX_STATES = 4096
 
 
-def instruction_states(nA, nB, nX, nY, budget=DEFAULT_BUDGET):
+def instruction_states(nA, nB, nX, nY):
     count = nA**nX * nB**nY
-    if count > budget:
-        raise BudgetError(f"{count} instruction states exceed the budget {budget}")
+    if count > MAX_STATES:
+        raise BudgetError(f"{count} instruction states exceed the limit {MAX_STATES}")
     return tuple(
         (alpha, beta)
         for alpha in product(range(nA), repeat=nX)
@@ -52,8 +53,8 @@ def row_labels(nA, nB, nX, nY):
 
 
 @lru_cache(maxsize=None)
-def _shape_system(nA, nB, nX, nY, budget):
-    states = instruction_states(nA, nB, nX, nY, budget)
+def _shape_system(nA, nB, nX, nY):
+    states = instruction_states(nA, nB, nX, nY)
     labels = row_labels(nA, nB, nX, nY)
     M = tuple(
         tuple(1 if (alpha[x] == a and beta[y] == b) else 0 for alpha, beta in states)
@@ -63,8 +64,8 @@ def _shape_system(nA, nB, nX, nY, budget):
 
 
 @lru_cache(maxsize=None)
-def _shape_solver(nA, nB, nX, nY, budget):
-    _, _, M = _shape_system(nA, nB, nX, nY, budget)
+def _shape_solver(nA, nB, nX, nY):
+    _, _, M = _shape_system(nA, nB, nX, nY)
     return LinearSolver(M)
 
 
@@ -87,7 +88,7 @@ def model_to_box(model: OntologicalModel) -> Box:
     return make_box(nA, nB, nX, nY, entries)
 
 
-def box_to_model(box: Box, budget=DEFAULT_BUDGET) -> OntologicalModel:
+def box_to_model(box: Box) -> OntologicalModel:
     """Deterministic quasi-probability model over instruction sets.
 
     The solution of M P = C picks free variables zero under the fixed
@@ -95,8 +96,8 @@ def box_to_model(box: Box, budget=DEFAULT_BUDGET) -> OntologicalModel:
     measure is signed whenever the particular solution has a negative
     weight; is_local() decides whether some unsigned solution exists.
     """
-    states, labels, _ = _shape_system(box.nA, box.nB, box.nX, box.nY, budget)
-    solver = _shape_solver(box.nA, box.nB, box.nX, box.nY, budget)
+    states, labels, _ = _shape_system(box.nA, box.nB, box.nX, box.nY)
+    solver = _shape_solver(box.nA, box.nB, box.nX, box.nY)
     P = solver.solve([box.p(a, b, x, y) for (a, b, x, y) in labels])
     if P is None:
         raise PreconditionError(
@@ -139,9 +140,9 @@ class LocalityVerdict:
     certificate: BellCertificate  # None if local
 
 
-def is_local(box: Box, budget=DEFAULT_BUDGET) -> LocalityVerdict:
+def is_local(box: Box) -> LocalityVerdict:
     """Exact LP feasibility of nonnegative M P = C, with certificate."""
-    states, labels, M = _shape_system(box.nA, box.nB, box.nX, box.nY, budget)
+    states, labels, M = _shape_system(box.nA, box.nB, box.nX, box.nY)
     C = [box.p(a, b, x, y) for (a, b, x, y) in labels]
     ok, x, dual = feasible_nonneg(M, C)
     if ok:

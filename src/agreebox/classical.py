@@ -313,12 +313,10 @@ def verify_agreement_theorem(
                     for EA in range(1 << n):
                         for T in zero_subsets:
                             EB = EA ^ T
-                            seen = set()
                             for ca in blocksA:
                                 for cb in blocksB:
-                                    if not ca & cb or (ca, cb) in seen:
+                                    if not ca & cb:
                                         continue
-                                    seen.add((ca, cb))
                                     mA, mB = mass_of(ca), mass_of(cb)
                                     qa_num = mass_of(EB & ca)
                                     qb_num = mass_of(EA & cb)

@@ -34,7 +34,7 @@ from .boxes import (
     is_perfectly_correlated,
     relabel,
 )
-from .bridge import DEFAULT_BUDGET, LocalityVerdict, is_local
+from .bridge import LocalityVerdict, is_local
 from .errors import ShapeError
 from .families import caption_violations, ccd_table_box, sd_table_box
 from .rationals import rat_str
@@ -55,7 +55,7 @@ class TableForm:
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    local: bool  # None when the locality LP was skipped (budget)
+    local: bool  # None when the shape exceeds bridge.MAX_STATES
     ccd_form: TableForm
     sd_form: TableForm
     tsirelson_gap: Fraction  # None when the premise fails
@@ -131,9 +131,7 @@ def hardy_pattern(box: Box) -> bool:
     )
 
 
-def classify(
-    box: Box, relabel_search: bool = False, budget: int = DEFAULT_BUDGET
-) -> ClassificationVerdict:
+def classify(box: Box, relabel_search: bool = False) -> ClassificationVerdict:
     """Run every obstruction and the locality LP on a 2x2x2x2 box.
 
     With relabel_search=True the box is first moved through input/output
@@ -152,7 +150,7 @@ def classify(
                 frame = None if fr.is_identity() else fr
                 break
 
-    verdict: LocalityVerdict = is_local(working, budget)
+    verdict: LocalityVerdict = is_local(working)
     ccd_form = match_ccd_form(working)
     sd_form = match_sd_form(working)
     gap = tsirelson_obstruction(working)

@@ -9,7 +9,7 @@ Subcommands:
     verify-classical  exhaustive small-model agreement check -> report JSON
 
 Exit codes: 0 success, 2 parse error, 3 validation or precondition error,
-4 budget exceeded, 1 anything unexpected.
+4 size limit exceeded, 1 anything unexpected.
 """
 
 import argparse
@@ -17,12 +17,13 @@ import csv
 import json
 import random
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from math import floor, prod
 
 from . import __version__
 from .boxes import box_doc, box_from_json, box_to_json, validate
-from .bridge import DEFAULT_BUDGET, box_to_model, is_local
+from .bridge import box_to_model, is_local
 from .classical import model_to_json, verify_agreement_theorem
 from .classify import tsirelson_obstruction, verdict_to_json
 from .epistemic import detect_ccd, report_doc
@@ -45,6 +46,8 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
 
+# the parameters of the ccd and sd families; pr and uniform take none
+TABLE_PARAMS = ("r", "s", "t", "u")
 # a sweep grid has at most 16 points on each of its four axes (step 1/15 on [0, 1])
 MAX_GRID_POINTS = 16**4
 
@@ -74,17 +77,33 @@ def _load_box(path):
     return box
 
 
-def _parse_params(text):
-    """Parse "r=1/2,s=0.25" into a name -> Fraction dict."""
-    out = {}
-    if not text:
-        return out
+def _split_items(text, what):
+    """Split "name=value,..." into a name -> value text dict.
+
+    Every item needs an "=" and a name that is nonempty and new.
+    """
+    items = {}
     for item in text.split(","):
-        if "=" not in item:
-            raise ParseError(f"bad parameter {item!r}, expected name=value")
-        name, value = item.split("=", 1)
-        out[name.strip()] = rat(value)
-    return out
+        name, eq, value = item.partition("=")
+        name = name.strip()
+        if not eq or not name:
+            raise ParseError(f"bad {what} {item!r}, expected name=value")
+        if name in items:
+            raise ParseError(f"{what} {name!r} given twice")
+        items[name] = value
+    return items
+
+
+def _parse_params(text, names):
+    """Parse "r=1/2,s=0.25" into a name -> Fraction dict; only names are read."""
+    if not text:
+        return {}
+    items = _split_items(text, "parameter")
+    unknown = set(items) - set(names)
+    if unknown:
+        known = ", ".join(names) or "none"
+        raise ParseError(f"unknown parameters {sorted(unknown)} (known: {known})")
+    return {name: rat(value) for name, value in items.items()}
 
 
 def _parse_grid(text):
@@ -95,10 +114,7 @@ def _parse_grid(text):
     built, and a grid of more than MAX_GRID_POINTS raises BudgetError.
     """
     axes = {}  # name -> (start, step, count)
-    for item in text.split(","):
-        if "=" not in item:
-            raise ParseError(f"bad grid axis {item!r}")
-        name, axis = item.split("=", 1)
+    for name, axis in _split_items(text, "grid axis").items():
         if ":" in axis:
             pieces = axis.split(":")
             if len(pieces) != 3:
@@ -107,9 +123,9 @@ def _parse_grid(text):
             if step <= 0:
                 raise ParseError("grid step must be positive")
             count = floor((stop - start) / step) + 1 if stop >= start else 0
-            axes[name.strip()] = (start, step, count)
+            axes[name] = (start, step, count)
         else:
-            axes[name.strip()] = (rat(axis), 0, 1)
+            axes[name] = (rat(axis), 0, 1)
     points = prod(count for _, _, count in axes.values())
     if points > MAX_GRID_POINTS:
         raise BudgetError(f"grid has {points} points, more than {MAX_GRID_POINTS}")
@@ -124,7 +140,7 @@ def _parse_grid(text):
 
 def _cmd_classify(args):
     box = _load_box(args.input)
-    verdict = classify_general(box, relabel_search=args.relabel_search, budget=args.budget)
+    verdict = classify_general(box, relabel_search=args.relabel_search)
     _write_text(args.output, verdict_to_json(verdict))
     return EXIT_OK
 
@@ -134,8 +150,7 @@ def _family_box(family, params):
         return pr_box(), []
     if family == "uniform":
         return uniform_box(), []
-    needed = {"r", "s", "t", "u"}
-    missing = needed - set(params)
+    missing = set(TABLE_PARAMS) - set(params)
     if missing:
         raise ParseError(f"family {family!r} needs parameters {sorted(missing)}")
     r, s, t, u = params["r"], params["s"], params["t"], params["u"]
@@ -144,8 +159,8 @@ def _family_box(family, params):
 
 
 def _cmd_generate(args):
-    params = _parse_params(args.params)
-    box, warnings = _family_box(args.family, params)
+    names = TABLE_PARAMS if args.family in ("ccd", "sd") else ()
+    box, warnings = _family_box(args.family, _parse_params(args.params, names))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     result = validate(box)
@@ -213,7 +228,7 @@ def _cmd_sweep(args):
             if not args.grid:
                 raise ParseError("sweep over ccd/sd needs --grid or --sample")
             grid = _parse_grid(args.grid)
-            missing = {"r", "s", "t", "u"} - set(grid)
+            missing = set(TABLE_PARAMS) - set(grid)
             if missing:
                 raise ParseError(f"grid is missing axes {sorted(missing)}")
             tuples = [
@@ -248,26 +263,20 @@ def _cmd_reduce(args):
 
 def _cmd_ontology(args):
     box = _load_box(args.input)
-    model = box_to_model(box, budget=args.budget)
+    model = box_to_model(box)
     _write_text(args.output, model_to_json(model))
     return EXIT_OK
 
 
 def _cmd_verify_classical(args):
-    params = _parse_params(args.params) if args.params else {}
-    omega = int(params.get("omega", 4))
-    denom = int(params.get("denom", 3))
-    report = verify_agreement_theorem(omega, denom)
-    doc = {
-        "bound_omega": report.bound_omega,
-        "denominator_bound": report.denominator_bound,
-        "instances": report.instances,
-        "certainty_instances": report.certainty_instances,
-        "violations": report.violations,
-        "complete": report.complete,
-        "max_iterations": report.max_iterations,
-    }
-    _write_text(args.output, json.dumps(doc, indent=2))
+    params = _parse_params(args.params, ("omega", "denom"))
+    for name, value in params.items():
+        if value.denominator != 1:
+            raise ParseError(f"bound {name}={rat_str(value)} is not an integer")
+    report = verify_agreement_theorem(
+        int(params.get("omega", 4)), int(params.get("denom", 3))
+    )
+    _write_text(args.output, json.dumps(asdict(report), indent=2))
     if report.violations:
         return EXIT_UNEXPECTED
     if not report.complete:
@@ -289,15 +298,8 @@ def build_parser():
         p.add_argument("--input", required=True, help="path to a box JSON file")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    def add_budget(p):
-        p.add_argument(
-            "--budget", type=int, default=DEFAULT_BUDGET,
-            help="instruction-state budget for exact LP work",
-        )
-
     p = sub.add_parser("classify", help="classify a box")
     add_common(p)
-    add_budget(p)
     p.add_argument(
         "--relabel-search", action="store_true",
         help="search input/output relabelings for a matching canonical frame",
@@ -326,7 +328,6 @@ def build_parser():
 
     p = sub.add_parser("ontology", help="instruction-set model for a box")
     add_common(p)
-    add_budget(p)
     p.set_defaults(func=_cmd_ontology)
 
     p = sub.add_parser("verify-classical", help="exhaustive small-model agreement check")

@@ -86,12 +86,12 @@ def hierarchy(box: Box, qA, qB) -> CertaintyHierarchy:
     alpha = []
     beta = []
     if qa.defined:
-        for a in box.outputs_a():
+        for a in range(box.nA):
             c = conditional(box, ("B", 1), (a, 0, 1))
             if c.defined and c.value == qa.value:
                 alpha.append(a)
     if qb.defined:
-        for b in box.outputs_b():
+        for b in range(box.nB):
             c = conditional(box, ("A", 1), (b, 1, 0))
             if c.defined and c.value == qb.value:
                 beta.append(b)

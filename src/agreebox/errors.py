@@ -27,7 +27,7 @@ class PreconditionError(AgreeboxError):
 
 
 class BudgetError(AgreeboxError):
-    """Requested computation exceeds the configured enumeration budget."""
+    """Requested computation exceeds a fixed size limit (e.g. bridge.MAX_STATES)."""
 
 
 class ReductionRefused(PreconditionError):

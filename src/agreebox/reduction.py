@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 
 from .boxes import Box, make_box
-from .bridge import DEFAULT_BUDGET, is_local
+from .bridge import is_local
 from .classify import ClassificationVerdict, Conclusion, classify
 from .epistemic import detect_ccd
 from .errors import BudgetError, ReductionRefused, ShapeError
@@ -80,8 +80,8 @@ def reduce_box(box: Box, mode: str):
         entries[(ea, eb, x, y)] = sum(
             (
                 box.p(a, b, x, y)
-                for a in box.outputs_a()
-                for b in box.outputs_b()
+                for a in range(box.nA)
+                for b in range(box.nB)
                 if chi_a(ea, x, a) and chi_b(eb, y, b)
             ),
             ZERO,
@@ -117,9 +117,7 @@ def split_output(box: Box, output: int = 0, at_input: int = 0, ratio=Fraction(1,
     return make_box(box.nA + 1, box.nB, box.nX, box.nY, entries)
 
 
-def classify_general(
-    box: Box, relabel_search: bool = False, budget: int = DEFAULT_BUDGET
-) -> ClassificationVerdict:
+def classify_general(box: Box, relabel_search: bool = False) -> ClassificationVerdict:
     """Classify a box of any finite shape.
 
     2x2x2x2 boxes go straight to classify().  Larger boxes are reduced
@@ -127,19 +125,19 @@ def classify_general(
     verdict is returned; local post-processing preserves quantum
     realizability, so a POSTQUANTUM verdict transfers to the source.
     Without disagreement there is no obstruction to report, and the
-    locality field is filled in informatively when the shape fits the
-    budget (None otherwise).
+    locality field is filled in informatively when the shape has at most
+    bridge.MAX_STATES instruction states (None otherwise).
     """
     if (box.nA, box.nB, box.nX, box.nY) == (2, 2, 2, 2):
-        return classify(box, relabel_search=relabel_search, budget=budget)
+        return classify(box, relabel_search=relabel_search)
     try:
         reduced, _ = reduce_box(box, "auto")
     except ReductionRefused:
         pass
     else:
-        return classify(reduced, budget=budget)
+        return classify(reduced)
     try:
-        local = is_local(box, budget).local
+        local = is_local(box).local
     except BudgetError:
         local = None
     return ClassificationVerdict(

@@ -45,14 +45,20 @@ def test_state_enumeration_order_and_count():
 def test_state_budget():
     with pytest.raises(ab.BudgetError):
         instruction_states(4, 4, 4, 4)
+    # 2**6 * 2**7 = 8192 states, one shape past the limit
+    with pytest.raises(ab.BudgetError, match="8192"):
+        instruction_states(2, 2, 6, 7)
     with pytest.raises(ab.BudgetError):
-        instruction_states(2, 2, 2, 2, budget=10)
+        ab.is_local(ab.uniform_box(2, 2, 6, 7))
+    # 2**6 * 2**6 = 4096 states sits exactly at the limit
+    assert ab.MAX_STATES == 4096
+    assert len(instruction_states(2, 2, 6, 6)) == ab.MAX_STATES
 
 
 def test_each_constraint_row_touches_the_right_states():
     # a row (a, b, x, y) selects states free in the other nX - 1 and
     # nY - 1 coordinates
-    states, labels, M = _shape_system(2, 2, 2, 2, ab.DEFAULT_BUDGET)
+    states, labels, M = _shape_system(2, 2, 2, 2)
     assert labels == row_labels(2, 2, 2, 2)
     assert len(M) == 16
     for i, (a, b, x, y) in enumerate(labels):

@@ -5,6 +5,8 @@ import io
 import json
 from fractions import Fraction as F
 
+import pytest
+
 import agreebox as ab
 from agreebox.cli import _parse_grid, main
 
@@ -45,6 +47,26 @@ def test_generate_missing_params_is_a_parse_error(capsys):
     code, out, err = run(capsys, "generate", "--family", "ccd", "--params", "r=1/2")
     assert code == 2
     assert "needs parameters" in err
+
+
+def test_generate_rejects_names_it_does_not_read(capsys):
+    for family, params in (
+        ("pr", "zzz=3"),
+        ("ccd", "r=1/2,s=1/4,t=1/2,u=0,v=1"),
+    ):
+        code, out, err = run(capsys, "generate", "--family", family, "--params", params)
+        assert code == 2
+        assert "unknown parameters" in err
+        assert out == ""
+
+
+def test_repeated_parameter_is_a_parse_error(capsys):
+    code, out, err = run(
+        capsys, "generate", "--family", "ccd", "--params", "r=1/2,s=1/4,t=1/2,u=0,r=0"
+    )
+    assert code == 2
+    assert "given twice" in err
+    assert out == ""
 
 
 def test_generated_params_survive_classification(tmp_path, capsys):
@@ -146,6 +168,21 @@ def test_sweep_bad_grid(capsys):
     assert code == 2
 
 
+def test_sweep_grid_repeated_axis_is_a_parse_error(capsys):
+    grid = "r=0,r=1/2,s=1/2,t=1/2,u=0"
+    code, out, err = run(capsys, "sweep", "--family", "ccd", "--grid", grid)
+    assert code == 2
+    assert "'r' given twice" in err
+    assert out == ""
+
+
+def test_sweep_grid_empty_axis_name_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "sweep", "--family", "ccd", "--grid", "=1,r=0,s=0,t=0,u=0")
+    assert code == 2
+    assert "'=1'" in err
+    assert out == ""
+
+
 def test_sweep_needs_grid_or_sample(capsys):
     code, out, err = run(capsys, "sweep", "--family", "ccd")
     assert code == 2
@@ -214,10 +251,40 @@ def test_ontology_flags_signed_models(tmp_path, capsys):
 
 
 def test_ontology_budget_exit(tmp_path, capsys):
+    path = tmp_path / "u2267.json"
+    path.write_text(ab.box_to_json(ab.uniform_box(2, 2, 6, 7)))  # 8192 states
+    code, out, err = run(capsys, "ontology", "--input", str(path))
+    assert code == 4
+    assert "8192 instruction states exceed the limit 4096" in err
+    assert out == ""
+
+
+def test_ontology_at_the_state_limit(tmp_path, capsys):
+    path = tmp_path / "u2266.json"
+    path.write_text(ab.box_to_json(ab.uniform_box(2, 2, 6, 6)))  # 4096 states
+    code, out, err = run(capsys, "ontology", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["omega"] == ab.MAX_STATES
+
+
+def test_classify_beyond_the_state_limit_leaves_local_null(tmp_path, capsys):
+    path = tmp_path / "u2267.json"
+    path.write_text(ab.box_to_json(ab.uniform_box(2, 2, 6, 7)))
+    code, out, err = run(capsys, "classify", "--input", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["local"] is None
+    assert doc["conclusion"] == "NO_OBSTRUCTION_FOUND"
+
+
+@pytest.mark.parametrize("command", ["classify", "ontology"])
+def test_budget_flag_is_gone(tmp_path, capsys, command):
     path = tmp_path / "pr.json"
     path.write_text(ab.box_to_json(ab.pr_box()))
-    code, out, err = run(capsys, "ontology", "--input", str(path), "--budget", "8")
-    assert code == 4
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(path), "--budget", "8"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +297,35 @@ def test_verify_classical_tiny(capsys):
     assert doc["instances"] == 46
     assert doc["violations"] == 0
     assert doc["complete"] is True
+
+
+def test_verify_classical_report_key_order(capsys):
+    code, out, err = run(capsys, "verify-classical", "--params", "omega=1,denom=1")
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "bound_omega",
+        "denominator_bound",
+        "instances",
+        "certainty_instances",
+        "violations",
+        "complete",
+        "max_iterations",
+    ]
+
+
+def test_verify_classical_rejects_unknown_bounds(capsys):
+    code, out, err = run(capsys, "verify-classical", "--params", "omgea=2,denom=1")
+    assert code == 2
+    assert "'omgea'" in err
+    assert out == ""
+
+
+def test_verify_classical_rejects_non_integer_bounds(capsys):
+    for params in ("omega=5/2", "omega=2,denom=0.5"):
+        code, out, err = run(capsys, "verify-classical", "--params", params)
+        assert code == 2
+        assert "not an integer" in err
+        assert out == ""
 
 
 def test_verify_classical_clamped_exits_budget(capsys, monkeypatch):

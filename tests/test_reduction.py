@@ -145,8 +145,8 @@ def test_classify_general_without_disagreement():
 
 
 def test_classify_general_beyond_budget_leaves_local_unknown():
-    box = ab.uniform_box(3, 3, 2, 2)
-    verdict = ab.classify_general(box, budget=8)
+    box = ab.uniform_box(2, 2, 6, 7)  # 8192 instruction states
+    verdict = ab.classify_general(box)
     assert verdict.local is None
     assert verdict.conclusion is ab.Conclusion.NO_OBSTRUCTION_FOUND
 

@@ -12,7 +12,7 @@ from agreebox.simplexq import LinearSolver, feasible_nonneg
 
 
 def lp_2222(box):
-    _, _, M = _shape_system(2, 2, 2, 2, ab.DEFAULT_BUDGET)
+    _, _, M = _shape_system(2, 2, 2, 2)
     return M, [box.p(*label) for label in row_labels(2, 2, 2, 2)]
 
 
