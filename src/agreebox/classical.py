@@ -171,6 +171,9 @@ def common_certainty_at(model, events, qA, qB, omega_star: int) -> bool:
 # The enumeration works on integer masses (numerators over a common
 # denominator) and bitmask state sets, so the inner loop does no rational
 # arithmetic at all; conditionals are compared by cross-multiplication.
+# Each measure gets a table of the mass of all 2^n state sets, built once,
+# so every mass in the loop is one list lookup; the nonempty join cells and
+# their masses are listed once per partition pair, before the event loops.
 # A deterministic subsample of instances is re-run through the public
 # tower() above as a self-check of the fast path.
 
@@ -221,26 +224,35 @@ def _measures(n, dmax):
                 yield ks, d
 
 
-def _bit_tower(mass_of, blocksA, blocksB, EA, EB, qa_num, qa_den, qb_num, qb_den):
-    def level0(blocks, E, num, den):
-        out = 0
-        for cell in blocks:
-            cm = mass_of(cell)
-            if cm and mass_of(E & cell) * den == num * cm:
-                out |= cell
-        return out
+def _subset_masses(masses):
+    """Integer mass of every state set, indexed by its bitmask (2^n entries)."""
+    table = [0]
+    for m in masses:
+        table += [t + m for t in table]
+    return table
 
-    A = level0(blocksA, EB, qa_num, qa_den)
-    B = level0(blocksB, EA, qb_num, qb_den)
+
+def _level0(M, blocks, E, num, den):
+    out = 0
+    for cell in blocks:
+        cm = M[cell]
+        if cm and M[E & cell] * den == num * cm:
+            out |= cell
+    return out
+
+
+def _bit_tower(M, blocksA, blocksB, EA, EB, qa_num, qa_den, qb_num, qb_den):
+    A = _level0(M, blocksA, EB, qa_num, qa_den)
+    B = _level0(M, blocksB, EA, qb_num, qb_den)
     iters = 0
     while True:
         A2 = 0
         for cell in blocksA:
-            if cell & A == cell and mass_of(B & cell) == mass_of(cell):
+            if cell & A == cell and M[B & cell] == M[cell]:
                 A2 |= cell
         B2 = 0
         for cell in blocksB:
-            if cell & B == cell and mass_of(A & cell) == mass_of(cell):
+            if cell & B == cell and M[A & cell] == M[cell]:
                 B2 |= cell
         iters += 1
         if (A2, B2) == (A, B):
@@ -286,9 +298,7 @@ def verify_agreement_theorem(
     for n in range(1, omega + 1):
         partitions = list(_set_partitions(n))
         for masses, d in _measures(n, dmax):
-            def mass_of(bits, masses=masses, n=n):
-                return sum(masses[w] for w in range(n) if bits >> w & 1)
-
+            M = _subset_masses(masses)
             zero = 0
             for w in range(n):
                 if masses[w] == 0:
@@ -304,38 +314,36 @@ def verify_agreement_theorem(
                 sub = (sub - 1) & zero
             for blocksA in partitions:
                 for blocksB in partitions:
-                    if any(
-                        ca & cb and mass_of(ca & cb) == 0
+                    joins = [
+                        (ca, cb, M[ca], M[cb])
                         for ca in blocksA
                         for cb in blocksB
-                    ):
+                        if ca & cb
+                    ]
+                    if any(M[ca & cb] == 0 for ca, cb, _, _ in joins):
                         continue  # null join, outside the framework
                     for EA in range(1 << n):
                         for T in zero_subsets:
                             EB = EA ^ T
-                            for ca in blocksA:
-                                for cb in blocksB:
-                                    if not ca & cb:
-                                        continue
-                                    mA, mB = mass_of(ca), mass_of(cb)
-                                    qa_num = mass_of(EB & ca)
-                                    qb_num = mass_of(EA & cb)
-                                    A, B, iters = _bit_tower(
-                                        mass_of, blocksA, blocksB,
-                                        EA, EB, qa_num, mA, qb_num, mB,
+                            for ca, cb, mA, mB in joins:
+                                qa_num = M[EB & ca]
+                                qb_num = M[EA & cb]
+                                A, B, iters = _bit_tower(
+                                    M, blocksA, blocksB,
+                                    EA, EB, qa_num, mA, qb_num, mB,
+                                )
+                                max_iters = max(max_iters, iters)
+                                instances += 1
+                                if instances % cross_check_stride == 0:
+                                    _cross_check(
+                                        n, masses, d, blocksA, blocksB, EA, EB,
+                                        Fraction(qa_num, mA), Fraction(qb_num, mB),
+                                        A, B,
                                     )
-                                    max_iters = max(max_iters, iters)
-                                    instances += 1
-                                    if instances % cross_check_stride == 0:
-                                        _cross_check(
-                                            n, masses, d, blocksA, blocksB, EA, EB,
-                                            Fraction(qa_num, mA), Fraction(qb_num, mB),
-                                            A, B,
-                                        )
-                                    if A & B & ca & cb:
-                                        certainty += 1
-                                        if qa_num * mB != qb_num * mA:
-                                            violations += 1
+                                if A & B & ca & cb:
+                                    certainty += 1
+                                    if qa_num * mB != qb_num * mA:
+                                        violations += 1
     return AgreementCheckReport(
         omega, dmax, instances, certainty, violations, complete, max_iters
     )

@@ -109,12 +109,18 @@ def _parse_params(text, names):
 def _parse_grid(text):
     """Parse "r=0:1:1/4,s=1/2" into a name -> list of Fractions dict.
 
-    A singleton "name=value" is a one-point axis; "start:stop:step" is an
-    inclusive range walked exactly.  The points are counted before any is
-    built, and a grid of more than MAX_GRID_POINTS raises BudgetError.
+    Only the axes r, s, t and u are taken.  A singleton "name=value" is a
+    one-point axis; "start:stop:step" is an inclusive range walked exactly.
+    The points are counted before any is built, and a grid of more than
+    MAX_GRID_POINTS raises BudgetError.
     """
+    items = _split_items(text, "grid axis")
+    unknown = set(items) - set(TABLE_PARAMS)
+    if unknown:
+        known = ", ".join(TABLE_PARAMS)
+        raise ParseError(f"unknown grid axes {sorted(unknown)} (known: {known})")
     axes = {}  # name -> (start, step, count)
-    for name, axis in _split_items(text, "grid axis").items():
+    for name, axis in items.items():
         if ":" in axis:
             pieces = axis.split(":")
             if len(pieces) != 3:
@@ -239,6 +245,8 @@ def _cmd_sweep(args):
                 for u in grid["u"]
             ]
     else:
+        if args.grid or args.sample is not None:
+            raise ParseError(f"family {args.family!r} takes no --grid or --sample")
         tuples = [(None, None, None, None)]
 
     out = sys.stdout if args.output is None else open(args.output, "w", newline="")
@@ -273,6 +281,8 @@ def _cmd_verify_classical(args):
     for name, value in params.items():
         if value.denominator != 1:
             raise ParseError(f"bound {name}={rat_str(value)} is not an integer")
+        if value < 1:
+            raise ParseError(f"bound {name}={rat_str(value)} is below 1")
     report = verify_agreement_theorem(
         int(params.get("omega", 4)), int(params.get("denom", 3))
     )

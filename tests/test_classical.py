@@ -117,6 +117,15 @@ def test_verify_iterations_stay_within_state_count():
     rep = ab.verify_agreement_theorem(3, 3)
     assert rep.violations == 0
     assert rep.max_iterations <= 3
+    assert (rep.instances, rep.certainty_instances, rep.complete) == (2582, 1718, True)
+
+
+def test_verify_full_report_at_four_states():
+    rep = ab.verify_agreement_theorem(4, 2)
+    assert (
+        rep.instances, rep.certainty_instances, rep.violations,
+        rep.complete, rep.max_iterations,
+    ) == (10878, 7606, 0, True, 3)
 
 
 def test_verify_clamps_and_flags_incomplete(monkeypatch):
@@ -131,6 +140,27 @@ def test_verify_cross_check_runs():
     # a dense stride forces many reference-tower comparisons
     rep = classical.verify_agreement_theorem(2, 2, cross_check_stride=1)
     assert rep.violations == 0
+
+
+def test_verify_cross_check_catches_a_wrong_fast_tower(monkeypatch):
+    fast_tower = classical._bit_tower
+
+    def flipped(*args):
+        A, B, iters = fast_tower(*args)
+        return A ^ 1, B, iters
+
+    monkeypatch.setattr(classical, "_bit_tower", flipped)
+    with pytest.raises(RuntimeError, match="disagrees with the reference tower"):
+        classical.verify_agreement_theorem(2, 2, cross_check_stride=1)
+
+
+def test_subset_mass_table_matches_plain_sums():
+    for n in range(1, 5):
+        for masses, _ in classical._measures(n, 3):
+            table = classical._subset_masses(masses)
+            assert len(table) == 1 << n
+            for bits in range(1 << n):
+                assert table[bits] == sum(masses[w] for w in range(n) if bits >> w & 1)
 
 
 # ---------------------------------------------------------------------------

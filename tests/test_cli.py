@@ -201,6 +201,25 @@ def test_sweep_negative_sample_is_a_parse_error(capsys):
     assert out == ""
 
 
+def test_sweep_grid_unknown_axis_is_a_parse_error(capsys):
+    # rejected before the points are counted: the extra axis alone would
+    # take the grid past MAX_GRID_POINTS (exit 4)
+    for grid in ("r=0,s=0,t=0,u=0,zzz=0:1:1/8", "r=0,s=0,t=0,u=0,zzz=0:1:1/100000000"):
+        code, out, err = run(capsys, "sweep", "--family", "ccd", "--grid", grid)
+        assert code == 2
+        assert "unknown grid axes ['zzz']" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("family", ["pr", "uniform"])
+@pytest.mark.parametrize("option", [["--grid", "zzz=3"], ["--sample", "5"]])
+def test_sweep_fixed_family_rejects_grid_and_sample(capsys, family, option):
+    code, out, err = run(capsys, "sweep", "--family", family, *option)
+    assert code == 2
+    assert "takes no --grid or --sample" in err
+    assert out == ""
+
+
 def test_sweep_grid_beyond_the_point_budget_exits_at_once(capsys):
     # 10**8 + 1 points on one axis: counted, never built
     grid = "r=0:1:1/100000000,s=0,t=0,u=0"
@@ -325,6 +344,16 @@ def test_verify_classical_rejects_non_integer_bounds(capsys):
         code, out, err = run(capsys, "verify-classical", "--params", params)
         assert code == 2
         assert "not an integer" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("bound", ["omega", "denom"])
+def test_verify_classical_rejects_bounds_below_one(capsys, bound):
+    # a bound of 0 or less enumerates nothing and would pass vacuously
+    for value in ("0", "-1"):
+        code, out, err = run(capsys, "verify-classical", "--params", f"{bound}={value}")
+        assert code == 2
+        assert f"{bound}={value} is below 1" in err
         assert out == ""
 
 
