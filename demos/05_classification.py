@@ -10,7 +10,8 @@ the exact locality LP and three quantum obstructions.
   every quantum box (a Tsirelson-type argument), so a nonzero gap
   c01 - c10 is disqualifying.
 * The Hardy pattern p(00|00) > 0 with p(01|11) = p(00|01) = p(10|10) = 0
-  in this regime likewise admits no quantum realization.
+  is nonlocal.  Quantum boxes reach it only up to p(00|00) =
+  (5 sqrt 5 - 11)/2 ~ 0.09, so it is disqualifying only above that.
 
 LOCAL means the LP found a convex decomposition; POSTQUANTUM means an
 obstruction fired; NO_OBSTRUCTION_FOUND deliberately claims nothing.

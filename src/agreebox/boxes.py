@@ -9,6 +9,10 @@ input pair, and both no-signaling conditions:
     sum_b p(ab|xy) independent of y   (Bob cannot signal to Alice).
 
 All arithmetic is exact; there is no tolerance anywhere in this module.
+On construction a Box also stores its table in one integer form: den, the
+lcm of the entry denominators, and num[key] = den * p(key).  Validation,
+marginals and conditionals sum and compare these ints, and build a
+Fraction only for a returned value or a violation message.
 The conventional frame used by the analysis modules puts the observed
 event at inputs x = y = 0, outputs a = b = 0, and the events the parties
 reason about at output 1 of inputs x = 1 and y = 1.  Boxes that arrive in
@@ -21,12 +25,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import ParseError, ShapeError, StructuralError
 from .rationals import rat, rat_str
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -38,17 +42,31 @@ class Box:
     nX: int
     nY: int
     table: dict = field(compare=True)
+    den: int = field(init=False, compare=False, repr=False)  # lcm of denominators
+    num: dict = field(init=False, compare=False, repr=False)  # key -> den * p, an int
+
+    def __post_init__(self):
+        den = lcm(*(v.denominator for v in self.table.values()))
+        num = {k: v.numerator * (den // v.denominator) for k, v in self.table.items()}
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", num)
 
     def p(self, a: int, b: int, x: int, y: int) -> Fraction:
         return self.table[(a, b, x, y)]
 
+    def _num_a(self, a: int, x: int, y: int) -> int:
+        return sum(self.num[(a, b, x, y)] for b in range(self.nB))
+
+    def _num_b(self, b: int, x: int, y: int) -> int:
+        return sum(self.num[(a, b, x, y)] for a in range(self.nA))
+
     def marginal_a(self, a: int, x: int, y: int) -> Fraction:
         """p(a|x), evaluated on the (x, y) row."""
-        return sum((self.table[(a, b, x, y)] for b in range(self.nB)), ZERO)
+        return Fraction(self._num_a(a, x, y), self.den)
 
     def marginal_b(self, b: int, x: int, y: int) -> Fraction:
         """p(b|y), evaluated on the (x, y) row."""
-        return sum((self.table[(a, b, x, y)] for a in range(self.nA)), ZERO)
+        return Fraction(self._num_b(b, x, y), self.den)
 
 
 def make_box(nA: int, nB: int, nX: int, nY: int, entries) -> Box:
@@ -121,41 +139,41 @@ def validate(box: Box) -> ValidationResult:
     if structural:
         return ValidationResult(False, tuple(structural), ())
 
-    for key in sorted(box.table):
-        v = box.table[key]
-        if v < 0 or v > 1:
-            violations.append(f"entry out of [0,1] at (a,b,x,y)={key}: {rat_str(v)}")
+    # integer sums against den; a Fraction is built only to name a violation
+    den, num = box.den, box.num
+
+    def q(n):
+        return rat_str(Fraction(n, den))
+
+    for key in sorted(num):
+        if not 0 <= num[key] <= den:
+            violations.append(f"entry out of [0,1] at (a,b,x,y)={key}: {q(num[key])}")
     for x in range(box.nX):
         for y in range(box.nY):
-            total = sum(
-                (box.table[(a, b, x, y)] for a in range(box.nA) for b in range(box.nB)),
-                ZERO,
-            )
-            if total != 1:
-                violations.append(
-                    f"normalization at (x,y)=({x},{y}): sum={rat_str(total)}"
-                )
+            total = sum(box._num_a(a, x, y) for a in range(box.nA))
+            if total != den:
+                violations.append(f"normalization at (x,y)=({x},{y}): sum={q(total)}")
     # A -> B: Bob's marginal must not depend on Alice's input
     for b in range(box.nB):
         for y in range(box.nY):
-            ref = box.marginal_b(b, 0, y)
+            ref = box._num_b(b, 0, y)
             for x in range(1, box.nX):
-                got = box.marginal_b(b, x, y)
+                got = box._num_b(b, x, y)
                 if got != ref:
                     violations.append(
                         f"no-signaling A->B at (b,y)=({b},{y}): "
-                        f"x=0 gives {rat_str(ref)}, x={x} gives {rat_str(got)}"
+                        f"x=0 gives {q(ref)}, x={x} gives {q(got)}"
                     )
     # B -> A: Alice's marginal must not depend on Bob's input
     for a in range(box.nA):
         for x in range(box.nX):
-            ref = box.marginal_a(a, x, 0)
+            ref = box._num_a(a, x, 0)
             for y in range(1, box.nY):
-                got = box.marginal_a(a, x, y)
+                got = box._num_a(a, x, y)
                 if got != ref:
                     violations.append(
                         f"no-signaling B->A at (a,x)=({a},{x}): "
-                        f"y=0 gives {rat_str(ref)}, y={y} gives {rat_str(got)}"
+                        f"y=0 gives {q(ref)}, y={y} gives {q(got)}"
                     )
     return ValidationResult(not violations, (), tuple(violations))
 
@@ -204,20 +222,18 @@ def conditional(box: Box, target, given) -> Conditional:
 
 def cond_event_b(box: Box, bs, a: int, x: int, y: int) -> Conditional:
     """p(b in bs | a, x, y), the certainty probe used by the hierarchy."""
-    marg = box.marginal_a(a, x, y)
+    marg = box._num_a(a, x, y)
     if marg == 0:
         return UNDEFINED
-    num = sum((box.p(a, b, x, y) for b in bs), ZERO)
-    return Conditional(num / marg, True)
+    return Conditional(Fraction(sum(box.num[(a, b, x, y)] for b in bs), marg), True)
 
 
 def cond_event_a(box: Box, as_, b: int, x: int, y: int) -> Conditional:
     """p(a in as_ | b, x, y)."""
-    marg = box.marginal_b(b, x, y)
+    marg = box._num_b(b, x, y)
     if marg == 0:
         return UNDEFINED
-    num = sum((box.p(a, b, x, y) for a in as_), ZERO)
-    return Conditional(num / marg, True)
+    return Conditional(Fraction(sum(box.num[(a, b, x, y)] for a in as_), marg), True)
 
 
 # ---------------------------------------------------------------------------

@@ -142,12 +142,12 @@ class LocalityVerdict:
 
 def is_local(box: Box) -> LocalityVerdict:
     """Exact LP feasibility of nonnegative M P = C, with certificate."""
+    # solved as M (den P) = num on ints; its Farkas vectors are those of M P = C
     states, labels, M = _shape_system(box.nA, box.nB, box.nX, box.nY)
-    C = [box.p(a, b, x, y) for (a, b, x, y) in labels]
-    ok, x, dual = feasible_nonneg(M, C)
+    ok, x, dual = feasible_nonneg(M, [box.num[key] for key in labels])
     if ok:
         weights = tuple(
-            (states[k], xk) for k, xk in enumerate(x) if xk != 0
+            (states[k], xk / box.den) for k, xk in enumerate(x) if xk != 0
         )
         return LocalityVerdict(True, weights, None)
     coeffs = {labels[i]: dual[i] for i in range(len(labels)) if dual[i] != 0}

@@ -12,8 +12,10 @@ Three independent obstructions to quantum realizability are implemented.
   disqualifying.  Without the perfect-correlation premise the test is
   inapplicable and reports None.
 * Hardy pattern: p(00|00) > 0 with p(01|11) = p(00|01) = p(10|10) = 0 is
-  incompatible with locality, and in the SD regime sits in a region
-  containing no quantum boxes.
+  incompatible with locality.  Quantum boxes show the pattern too, but
+  only with p(00|00) <= (5 sqrt 5 - 11)/2 ~ 0.0902 (Rabelo, Zhi and
+  Scarani, PRL 109, 180401, 2012), so the pattern is an obstruction only
+  above that bound, decided exactly as (2 p(00|00) + 11)^2 > 125.
 
 classify() combines these with the exact locality LP.  The verdict is
 LOCAL when the LP finds a convex decomposition, POSTQUANTUM when an
@@ -59,7 +61,7 @@ class ClassificationVerdict:
     ccd_form: TableForm
     sd_form: TableForm
     tsirelson_gap: Fraction  # None when the premise fails
-    hardy: bool
+    hardy: bool  # the zero pattern alone; quantum boxes can show it too
     conclusion: Conclusion
     frame: RelabelFrame = None  # set when a relabel search moved the box
 
@@ -162,7 +164,7 @@ def classify(box: Box, relabel_search: bool = False) -> ClassificationVerdict:
         (ccd_form is not None and ccd_form.constraints_ok)
         or (sd_form is not None and sd_form.constraints_ok)
         or (gap is not None and gap != 0)
-        or hardy
+        or (hardy and (2 * working.p(0, 0, 0, 0) + 11) ** 2 > 125)
     ):
         conclusion = Conclusion.POSTQUANTUM
     else:

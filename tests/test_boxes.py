@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -84,10 +85,117 @@ def test_structural_beats_constraints_in_validate():
     assert not result.ok and result.structural and not result.violations
 
 
+# exact violation tuples: validate compares the integer form, and its
+# messages must still name these rationals byte for byte
+
+def test_validate_violations_are_pinned():
+    out_of_range = ab.ccd_table_box(0, 0, F(1, 2), 0)
+    assert ab.validate(out_of_range).violations == (
+        "entry out of [0,1] at (a,b,x,y)=(1, 0, 1, 0): -1/2",
+    )
+
+    entries = {k: F(1, 4) for k in product(range(2), repeat=4)}
+    entries[(0, 0, 0, 0)] = F(1, 2)
+    assert ab.validate(ab.make_box(2, 2, 2, 2, entries)).violations == (
+        "normalization at (x,y)=(0,0): sum=5/4",
+        "no-signaling A->B at (b,y)=(0,0): x=0 gives 3/4, x=1 gives 1/2",
+        "no-signaling B->A at (a,x)=(0,0): y=0 gives 3/4, y=1 gives 1/2",
+    )
+
+    # at x = 1 (y = 1) every row puts all its mass on b = 0 (a = 0)
+    bob_signals = ab.make_box(2, 2, 2, 2, {
+        (a, b, x, y): F(1, 4) if x == 0 else F(1 - b, 2)
+        for a, b, x, y in product(range(2), repeat=4)
+    })
+    assert ab.validate(bob_signals).violations == tuple(
+        f"no-signaling A->B at (b,y)=({b},{y}): x=0 gives 1/2, x=1 gives {1 - b}"
+        for b in range(2) for y in range(2)
+    )
+    alice_signals = ab.make_box(2, 2, 2, 2, {
+        (a, b, x, y): F(1, 4) if y == 0 else F(1 - a, 2)
+        for a, b, x, y in product(range(2), repeat=4)
+    })
+    assert ab.validate(alice_signals).violations == tuple(
+        f"no-signaling B->A at (a,x)=({a},{x}): y=0 gives 1/2, y=1 gives {1 - a}"
+        for a in range(2) for x in range(2)
+    )
+
+    table = dict(ab.uniform_box(3, 2, 2, 2).table)
+    table[(2, 1, 1, 1)] = F(-1, 6)
+    table[(0, 0, 1, 0)] = F(7, 6)
+    assert ab.validate(ab.make_box(3, 2, 2, 2, table)).violations == (
+        "entry out of [0,1] at (a,b,x,y)=(0, 0, 1, 0): 7/6",
+        "entry out of [0,1] at (a,b,x,y)=(2, 1, 1, 1): -1/6",
+        "normalization at (x,y)=(1,0): sum=2",
+        "normalization at (x,y)=(1,1): sum=2/3",
+        "no-signaling A->B at (b,y)=(0,0): x=0 gives 1/2, x=1 gives 3/2",
+        "no-signaling A->B at (b,y)=(1,1): x=0 gives 1/2, x=1 gives 1/6",
+        "no-signaling B->A at (a,x)=(0,1): y=0 gives 4/3, y=1 gives 1/3",
+        "no-signaling B->A at (a,x)=(2,1): y=0 gives 1/3, y=1 gives 0",
+    )
+
+
 @given(weights_strategy())
 @settings(max_examples=60, deadline=None)
 def test_strategy_mixtures_always_validate(weights):
     assert ab.validate(local_box_from(weights)).ok
+
+
+# ---------------------------------------------------------------------------
+# the integer form: den is the least common denominator, num = den * table
+
+def assert_integer_form(box):
+    assert box.num.keys() == box.table.keys()
+    assert all(isinstance(n, int) for n in box.num.values())
+    assert all(box.num[k] == box.table[k] * box.den for k in box.table)
+    # den is a common denominator, and no proper divisor of it is one
+    assert all(box.den % v.denominator == 0 for v in box.table.values())
+    assert gcd(*(box.den // v.denominator for v in box.table.values())) == 1
+
+
+small_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=30)
+
+
+@st.composite
+def any_box(draw):
+    kind = draw(st.sampled_from(
+        ("make_box", "relabel", "json", "ccd", "sd", "mixture", "fixed")
+    ))
+    if kind == "make_box":
+        nA, nB, nX, nY = (draw(st.integers(1, 3)) for _ in range(4))
+        keys = list(product(range(nA), range(nB), range(nX), range(nY)))
+        values = draw(st.lists(small_fraction, min_size=len(keys), max_size=len(keys)))
+        return ab.make_box(nA, nB, nX, nY, dict(zip(keys, values)))
+    if kind in ("ccd", "sd"):
+        maker = ab.ccd_table_box if kind == "ccd" else ab.sd_table_box
+        return maker(*(draw(small_fraction) for _ in range(4)))
+    if kind == "fixed":
+        return draw(st.sampled_from((
+            ab.pr_box(), ab.uniform_box(), ab.uniform_box(3, 2, 2, 3),
+            ab.strategy_box(0, 1, 1, 0),
+        )))
+    box = local_box_from(draw(weights_strategy()))
+    if kind == "relabel":
+        return ab.relabel(box, draw(st.sampled_from(list(ab.all_frames(box)))))
+    if kind == "json":
+        return ab.box_from_json(ab.box_to_json(box))
+    return box
+
+
+@given(any_box())
+@settings(max_examples=150, deadline=None)
+def test_integer_form_matches_the_table(box):
+    assert_integer_form(box)
+
+
+def test_integer_form_of_fixed_boxes():
+    assert (ab.pr_box().den, ab.uniform_box(3, 2, 2, 2).den) == (2, 6)
+    assert ab.strategy_box(0, 0, 0, 0).den == 1
+    box = ab.ccd_table_box(F(1, 2), F(1, 3), F(1, 2), 0)
+    assert box.den == 6 and box.num[(0, 1, 0, 1)] == 2 and box.num[(1, 1, 0, 0)] == 3
+    # the integer form is derived data: it takes no part in equality or repr
+    assert box == ab.make_box(2, 2, 2, 2, box.table)
+    assert "num" not in repr(box) and "den" not in repr(box)
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,107 @@ def test_pr_uniform_mixture_turns_nonlocal_past_one_half():
     assert not ab.is_local(mix(F(9, 16), ab.pr_box(), ab.uniform_box())).local
 
 
+# Weights and Bell coefficients pinned: the LP runs on the box's integer
+# numerators and must return exactly these rationals
+
+def lift(box, nA, nB, nX, nY):
+    """Embed a 2222 box: extra outputs never occur, extra inputs copy input 1."""
+    return ab.make_box(nA, nB, nX, nY, {
+        (a, b, x, y): box.p(a, b, min(x, 1), min(y, 1)) if a < 2 and b < 2 else F(0)
+        for a, b, x, y in product(range(nA), range(nB), range(nX), range(nY))
+    })
+
+
+def locality_answer(box):
+    verdict = ab.is_local(box)
+    if verdict.local:
+        return [
+            ("".join(map(str, alpha)) + "|" + "".join(map(str, beta)), ab.rat_str(w))
+            for (alpha, beta), w in verdict.weights
+        ]
+    cert = verdict.certificate
+    labels = row_labels(box.nA, box.nB, box.nX, box.nY)
+    coeffs = " ".join(ab.rat_str(cert.coeffs.get(k, 0)) for k in labels)
+    return coeffs, ab.rat_str(cert.local_bound), ab.rat_str(cert.box_value)
+
+
+CHSH_A = "1 -3 -3 1 -3 1 1 -3 1 -3 -3 1 1 -3 -3 1"
+CHSH_B = "1 -3 -3 1 1 -3 -3 1 -3 1 1 -3 1 -3 -3 1"
+LIFTED = ("1 -8 -8 1 -8 1 1 -8 1 1 1 1 1 -8 -8 1 1 -8 -8 1"
+          " 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1")
+
+
+@pytest.mark.parametrize("box, expected", [
+    (ab.pr_box(), (CHSH_A, "0", "4")),
+    (ab.uniform_box(), [("01|01", "1/4"), ("01|10", "1/4"),
+                        ("10|01", "1/4"), ("10|10", "1/4")]),
+    (ab.ccd_table_box(F(1, 4), 0, F(1, 4), F(1, 4)), (CHSH_B, "0", "2")),
+    (ab.sd_table_box(F(1, 4), F(1, 4), 0, F(3, 4)), (CHSH_A, "0", "2")),
+    (ab.mix_strategies([((0, 1, 1, 0), F(1, 3)), ((1, 1, 0, 0), F(1, 6)),
+                        ((0, 0, 1, 1), F(1, 2))]),
+     [("00|11", "1/2"), ("01|10", "1/3"), ("11|00", "1/6")]),
+    (lift(ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), 0), 2, 2, 3, 3),
+     (LIFTED, "0", "9/2")),
+], ids=["pr", "uniform", "ccd", "sd", "mixture", "ccd-2233"])
+def test_is_local_answers_are_pinned(box, expected):
+    assert locality_answer(box) == expected
+
+
+# SciPy's HiGHS as an independent float oracle on shapes above 2222, on
+# boxes far from the local boundary: local mixtures, and PR boxes lifted
+# to the larger shape and mixed with at most 1/4 of a local box
+
+def highs_local(box):
+    optimize = pytest.importorskip("scipy.optimize")
+    states = list(product(
+        product(range(box.nA), repeat=box.nX), product(range(box.nB), repeat=box.nY)
+    ))
+    keys = list(product(range(box.nA), range(box.nB), range(box.nX), range(box.nY)))
+    A = [[float(alpha[x] == a and beta[y] == b) for alpha, beta in states]
+         for a, b, x, y in keys]
+    rhs = [float(box.p(*key)) for key in keys]
+    res = optimize.linprog([0.0] * len(states), A_eq=A, b_eq=rhs,
+                           bounds=(0, None), method="highs")
+    assert res.status in (0, 2)  # 0 solved, 2 infeasible
+    return res.status == 0
+
+
+@st.composite
+def local_box(draw, nA, nB, nX, nY):
+    strategies = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, nA - 1)] * nX),
+                  st.tuples(*[st.integers(0, nB - 1)] * nY),
+                  st.integers(1, 6)),
+        min_size=1, max_size=5,
+    ))
+    total = sum(w for _, _, w in strategies)
+    entries = dict.fromkeys(product(range(nA), range(nB), range(nX), range(nY)), F(0))
+    for alpha, beta, w in strategies:
+        for x, y in product(range(nX), range(nY)):
+            entries[(alpha[x], beta[y], x, y)] += F(w, total)
+    return ab.make_box(nA, nB, nX, nY, entries)
+
+
+@st.composite
+def far_from_boundary(draw):
+    shape = draw(st.sampled_from(((3, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2))))
+    local = draw(local_box(*shape))
+    if draw(st.booleans()):
+        return local
+    lam = F(draw(st.integers(12, 16)), 16)
+    return ab.make_box(*shape, {
+        key: lam * p + (1 - lam) * local.p(*key)
+        for key, p in lift(ab.pr_box(), *shape).table.items()
+    })
+
+
+@settings(max_examples=40, deadline=None)
+@given(far_from_boundary())
+def test_is_local_agrees_with_highs_above_2222(box):
+    assert ab.validate(box).ok
+    assert ab.is_local(box).local == highs_local(box)
+
+
 # ---------------------------------------------------------------------------
 # Bell functionals
 

@@ -2,9 +2,10 @@
 
 import json
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import agreebox as ab
@@ -137,6 +138,127 @@ def test_hardy_on_pr_box():
 
 def test_hardy_absent_on_uniform():
     assert not ab.hardy_pattern(ab.uniform_box())
+
+
+# ---------------------------------------------------------------------------
+# exact rational two-qubit boxes: real measurement bases u_x, v_y with
+# rational (cos, sin), output 1 along the orthogonal vector (-sin, cos),
+# and p(ab|xy) = <u_x^a (x) v_y^b, psi>^2 / |psi|^2 for a rational psi
+
+def perp(u):
+    return (-u[1], u[0])
+
+
+def kron(u, v):
+    return [p * q for p in u for q in v]
+
+
+def pythagorean(t):
+    """The unit vector (cos, sin) at tan(theta / 2) = t."""
+    return ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+
+
+def det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def orthogonal(rows):
+    """A vector orthogonal to three vectors of Q^4 (signed 3x3 minors)."""
+    return [(-1) ** i * det([r[:i] + r[i + 1:] for r in rows]) for i in range(4)]
+
+
+def hardy_state(us, vs):
+    """psi with the Hardy zeros p(00|01) = p(10|10) = p(01|11) = 0."""
+    return orthogonal([
+        kron(us[0], vs[1]), kron(perp(us[1]), vs[0]), kron(us[1], perp(vs[1])),
+    ])
+
+
+def qubit_box(us, vs, psi):
+    norm = sum(c * c for c in psi)
+    entries = {}
+    for a, b, x, y in product(range(2), repeat=4):
+        ua = us[x] if a == 0 else perp(us[x])
+        vb = vs[y] if b == 0 else perp(vs[y])
+        amp = sum(p * q for p, q in zip(kron(ua, vb), psi))
+        entries[(a, b, x, y)] = F(amp * amp, norm)
+    return ab.make_box(2, 2, 2, 2, entries)
+
+
+def quantum_hardy_box():
+    us = ((F(-12, 13), F(5, 13)), (F(-5, 13), F(12, 13)))
+    vs = ((F(-15, 17), F(8, 17)), (F(-5, 13), F(12, 13)))
+    return qubit_box(us, vs, hardy_state(us, vs))
+
+
+def test_quantum_hardy_box_is_not_postquantum():
+    # Hardy's paradox has quantum realizations with p(00|00) up to
+    # (5 sqrt 5 - 11) / 2; this one is valid, nonlocal and shows the
+    # pattern, and no obstruction applies to it
+    box = quantum_hardy_box()
+    assert ab.validate(box).ok
+    assert box.p(0, 0, 0, 0) == F(202198006080, 2367226418297)
+    verdict = ab.classify(box)
+    assert not verdict.local
+    assert verdict.hardy
+    assert verdict.ccd_form is None and verdict.sd_form is None
+    assert verdict.tsirelson_gap is None
+    assert verdict.conclusion is ab.Conclusion.NO_OBSTRUCTION_FOUND
+    assert ab.classify_general(box).conclusion is ab.Conclusion.NO_OBSTRUCTION_FOUND
+
+
+@pytest.mark.parametrize("w, conclusion", [
+    (F(1, 100), ab.Conclusion.NO_OBSTRUCTION_FOUND),  # p(00|00) ~ 0.0896
+    (F(1, 50), ab.Conclusion.POSTQUANTUM),  # p(00|00) ~ 0.0937
+])
+def test_hardy_fires_only_above_the_quantum_maximum(w, conclusion):
+    # mixing in the PR box keeps the Hardy zeros and raises p(00|00)
+    # across (5 sqrt 5 - 11) / 2 ~ 0.0902; no other obstruction applies
+    verdict = ab.classify(mix(ab.pr_box(), quantum_hardy_box(), w))
+    assert verdict.hardy and not verdict.local
+    assert verdict.ccd_form is None and verdict.sd_form is None
+    assert verdict.tsirelson_gap is None
+    assert verdict.conclusion is conclusion
+
+
+@st.composite
+def qubit_boxes(draw):
+    angle = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    us = (pythagorean(draw(angle)), pythagorean(draw(angle)))
+    vs = (pythagorean(draw(angle)), pythagorean(draw(angle)))
+    coefficient = st.integers(min_value=-6, max_value=6)
+    kind = draw(st.sampled_from(("generic", "product", "correlated", "hardy")))
+    if kind == "generic":
+        psi = [draw(coefficient) for _ in range(4)]
+    elif kind == "product":
+        psi = kron([draw(coefficient) for _ in range(2)], [draw(coefficient) for _ in range(2)])
+    elif kind == "correlated":
+        # the maximally entangled state measured in equal bases is
+        # perfectly correlated at (0, 0) and (1, 1), so the gap test applies
+        psi, vs = [1, 0, 0, 1], us
+    else:
+        psi = hardy_state(us, vs)
+    assume(any(psi))
+    return qubit_box(us, vs, psi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(qubit_boxes(), st.fractions(min_value=0, max_value=1, max_denominator=5))
+def test_quantum_boxes_are_never_postquantum(box, ratio):
+    assert ab.validate(box).ok
+    for verdict in (
+        ab.classify(box),
+        ab.classify(box, relabel_search=True),
+        ab.classify_general(box),
+        # splitting an output is local post-processing: still quantum
+        ab.classify_general(ab.split_output(box, ratio=ratio)),
+    ):
+        assert verdict.conclusion is not ab.Conclusion.POSTQUANTUM
 
 
 # ---------------------------------------------------------------------------
