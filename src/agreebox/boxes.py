@@ -82,31 +82,26 @@ def make_box(nA: int, nB: int, nX: int, nY: int, entries) -> Box:
         if not (0 <= a < nA and 0 <= b < nB and 0 <= x < nX and 0 <= y < nY):
             raise StructuralError(f"index out of range: {key}")
         table[(a, b, x, y)] = rat(value)
-    missing = [
-        k
-        for k in product(range(nA), range(nB), range(nX), range(nY))
-        if k not in table
-    ]
+    missing = nA * nB * nX * nY - len(table)
     if missing:
-        raise StructuralError(f"missing {len(missing)} entries, first: {missing[0]}")
+        # every key is in range, so the first gap is within len(table) + 1 keys
+        first = next(
+            k for k in product(range(nA), range(nB), range(nX), range(nY)) if k not in table
+        )
+        raise StructuralError(f"missing {missing} entries, first: {first}")
     return Box(nA, nB, nX, nY, table)
 
 
-def box_from_rows(rows, nA: int = None, nB: int = None) -> Box:
+def box_from_rows(rows) -> Box:
     """Build a box from {(x, y): flat row} with rows laid out by a then b.
 
-    When output counts are not given they are inferred assuming nA = nB
-    (square rows).  A 2x2 row reads [p(00), p(01), p(10), p(11)].
+    Rows are square: nA = nB outputs, read off the row length.  A 2x2 row
+    reads [p(00), p(01), p(10), p(11)].
     """
     nX = 1 + max(x for x, _ in rows)
     nY = 1 + max(y for _, y in rows)
     n = len(next(iter(rows.values())))
-    if nA is None and nB is None:
-        nA = nB = int(round(n**0.5))
-    elif nA is None:
-        nA = n // nB
-    elif nB is None:
-        nB = n // nA
+    nA = nB = int(round(n**0.5))
     if nA * nB != n:
         raise StructuralError(f"row length {n} does not factor as {nA}*{nB}")
     entries = {}
@@ -335,13 +330,15 @@ def box_to_json(box: Box) -> str:
 def box_from_json(text: str) -> Box:
     try:
         doc = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     try:
         nA, nB, nX, nY = (int(doc[k]) for k in ("nA", "nB", "nX", "nY"))
         rows = doc["p"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"box document missing field: {exc}") from exc
+    if not isinstance(rows, dict):
+        raise ParseError("box document field p is not an object")
     entries = {}
     for key, grid in rows.items():
         try:
@@ -349,10 +346,10 @@ def box_from_json(text: str) -> Box:
             x, y = int(xs), int(ys)
         except ValueError as exc:
             raise ParseError(f"bad input-pair key {key!r}") from exc
-        if len(grid) != nA:
+        if not isinstance(grid, list) or len(grid) != nA:
             raise StructuralError(f"row {key}: expected {nA} output rows")
         for a, row in enumerate(grid):
-            if len(row) != nB:
+            if not isinstance(row, list) or len(row) != nB:
                 raise StructuralError(f"row {key}, a={a}: expected {nB} entries")
             for b, value in enumerate(row):
                 entries[(a, b, x, y)] = rat(value)

@@ -98,11 +98,13 @@ def box_to_model(box: Box) -> OntologicalModel:
     """
     states, labels, _ = _shape_system(box.nA, box.nB, box.nX, box.nY)
     solver = _shape_solver(box.nA, box.nB, box.nX, box.nY)
-    P = solver.solve([box.p(a, b, x, y) for (a, b, x, y) in labels])
+    # solved as M (den P) = num on ints, like is_local
+    P = solver.solve([box.num[key] for key in labels])
     if P is None:
         raise PreconditionError(
             "instruction system inconsistent: the box is not no-signaling"
         )
+    P = [pk / box.den for pk in P]
     total = sum(P, ZERO)
     if total != 1:
         raise RuntimeError("solution mass is not 1; normalization row violated")

@@ -33,6 +33,8 @@ ZERO = Fraction(0)
 # enumeration never runs beyond these, whatever the caller asks for
 HARD_OMEGA_CAP = 6
 HARD_DENOM_CAP = 4
+# every CROSS_CHECK_STRIDE-th instance is recomputed by the reference tower
+CROSS_CHECK_STRIDE = 97
 
 
 @dataclass(frozen=True)
@@ -276,9 +278,7 @@ def _cross_check(n, masses, d, blocksA, blocksB, EA, EB, qa, qb, expect_A, expec
         raise RuntimeError("fast enumeration disagrees with the reference tower")
 
 
-def verify_agreement_theorem(
-    bound_omega: int, denominator_bound: int, cross_check_stride: int = 97
-) -> AgreementCheckReport:
+def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> AgreementCheckReport:
     """Check the agreement property on every small model.
 
     Enumerates all models up to the bounds (clamped to the documented
@@ -293,6 +293,7 @@ def verify_agreement_theorem(
     dmax = min(denominator_bound, HARD_DENOM_CAP)
     complete = omega == bound_omega and dmax == denominator_bound
 
+    stride = CROSS_CHECK_STRIDE  # a local in the innermost loop
     instances = certainty = violations = 0
     max_iters = 0
     for n in range(1, omega + 1):
@@ -334,7 +335,7 @@ def verify_agreement_theorem(
                                 )
                                 max_iters = max(max_iters, iters)
                                 instances += 1
-                                if instances % cross_check_stride == 0:
+                                if instances % stride == 0:
                                     _cross_check(
                                         n, masses, d, blocksA, blocksB, EA, EB,
                                         Fraction(qa_num, mA), Fraction(qb_num, mB),
@@ -373,15 +374,18 @@ def model_to_json(model: OntologicalModel) -> str:
 def model_from_json(text: str) -> OntologicalModel:
     try:
         doc = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     try:
         measure = [rat(m) for m in doc["P"]]
-        partsA = {int(x): cells for x, cells in doc["partsA"].items()}
-        partsB = {int(y): cells for y, cells in doc["partsB"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"model document missing field: {exc}") from exc
+        partsA, partsB = (
+            {int(x): [frozenset(c) for c in cells] for x, cells in doc[side].items()}
+            for side in ("partsA", "partsB")
+        )
+        omega = int(doc.get("omega", len(measure)))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad model document: {exc}") from exc
     model = make_model(measure, partsA, partsB)
-    if len(measure) != int(doc.get("omega", len(measure))):
+    if len(measure) != omega:
         raise StructuralError("omega does not match the measure length")
     return model

@@ -18,7 +18,6 @@ from .boxes import Box, box_from_rows, make_box
 from .rationals import rat
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def pr_box() -> Box:
@@ -108,11 +107,7 @@ def caption_violations(kind: str, r, s, t, u) -> list:
 
 def strategy_box(a0: int, a1: int, b0: int, b1: int) -> Box:
     """The deterministic box answering a_x = (a0, a1)[x], b_y = (b0, b1)[y]."""
-    entries = {}
-    for a, b, x, y in product(range(2), repeat=4):
-        hit = a == (a0, a1)[x] and b == (b0, b1)[y]
-        entries[(a, b, x, y)] = ONE if hit else ZERO
-    return make_box(2, 2, 2, 2, entries)
+    return mix_strategies([((a0, a1, b0, b1), 1)])
 
 
 def deterministic_strategies():

@@ -65,28 +65,13 @@ def reduce_box(box: Box, mode: str):
     else:
         a_group, b_group = set(h.alphas[0]), set(h.betas[0])
 
-    def chi_a(eff, x, a):
-        if x == 0:
-            return (a in a_group) == (eff == 0)
-        return (a == 1) == (eff == 1)
-
-    def chi_b(eff, y, b):
-        if y == 0:
-            return (b in b_group) == (eff == 0)
-        return (b == 1) == (eff == 1)
-
-    entries = {}
-    for ea, eb, x, y in product(range(2), repeat=4):
-        entries[(ea, eb, x, y)] = sum(
-            (
-                box.p(a, b, x, y)
-                for a in range(box.nA)
-                for b in range(box.nB)
-                if chi_a(ea, x, a) and chi_b(eb, y, b)
-            ),
-            ZERO,
-        )
-    reduced = make_box(2, 2, 2, 2, entries)
+    # effective outputs eff_a[x][a] and eff_b[y][b] at the kept inputs 0 and 1
+    eff_a = ([int(a not in a_group) for a in range(box.nA)], [int(a == 1) for a in range(box.nA)])
+    eff_b = ([int(b not in b_group) for b in range(box.nB)], [int(b == 1) for b in range(box.nB)])
+    nums = dict.fromkeys(product(range(2), repeat=4), 0)
+    for a, b, x, y in product(range(box.nA), range(box.nB), range(2), range(2)):
+        nums[(eff_a[x][a], eff_b[y][b], x, y)] += box.num[(a, b, x, y)]
+    reduced = make_box(2, 2, 2, 2, {k: Fraction(n, box.den) for k, n in nums.items()})
     plan = ReductionPlan(
         ((0, 1), (0, 1)), tuple(sorted(a_group)), tuple(sorted(b_group)), mode
     )

@@ -1,43 +1,36 @@
-"""Exact rational linear algebra: affine solving and LP feasibility.
+"""Exact integer linear algebra: affine solving and LP feasibility.
 
-Both routines pivot on a fraction-free integer tableau (Edmonds, "Systems
-of distinct representatives and linear algebra", 1967; Escobedo and
-Moreno-Centeno, INFORMS J. Comput., 2015).  Denominators are cleared once:
-every rational input is multiplied by the lcm L of all input denominators,
-and the identity columns appended to the coefficients stay the identity.
-From then on the tableau T holds Python ints only and stands for the
-rational tableau T / d, where d is the last pivot element (1 before the
-first pivot).  A pivot at (r, col) with p = T[r][col] keeps row r and maps
-every other row to (p * T[i][j] - T[i][col] * T[r][j]) // d, then sets
-d = p.  The division is exact: with the identity columns in place, every
-entry is d times an entry of B^-1 [L M | I | L c] for the current basis
+Both routines take integer systems only: every entry of M and c is an
+int.  A caller with rational data clears its denominators first (a Box
+carries its common denominator den and integer numerators num for this).
+Both pivot on a fraction-free integer tableau (Edmonds, "Systems of
+distinct representatives and linear algebra", 1967; Escobedo and
+Moreno-Centeno, INFORMS J. Comput., 2015), with identity columns appended
+to the coefficients.  The tableau T holds Python ints only and stands for
+the rational tableau T / d, where d is the last pivot element (1 before
+the first pivot).  A pivot at (r, col) with p = T[r][col] keeps row r and
+maps every other row to (p * T[i][j] - T[i][col] * T[r][j]) // d, then
+sets d = p.  The division is exact: with the identity columns in place,
+every entry is d times an entry of B^-1 [M | I | c] for the current basis
 B, and d = +-det B.  No Fraction is built while pivoting; results are
 read off as Fraction(numerator, d) at the end.
 
 LinearSolver factors a fixed coefficient matrix once (Gauss-Jordan on
-[L M | I], recording the row transform) so that many right-hand sides can
+[M | I], recording the row transform) so that many right-hand sides can
 be solved cheaply; the particular solution sets every free variable to
 zero under a fixed pivot order, which makes the output deterministic.
 feasible_nonneg decides existence of a nonnegative solution of M x = c by
 a phase-one simplex with Bland's rule, comparing ratios by integer
 cross-multiplication, and returns either the solution or a Farkas
 certificate y with y M <= 0 and y c > 0.  Both certificates are rechecked
-before they are returned, against the caller's M and c cleared to integers
-(L M and L c), never against the tableau, so a bug in the pivoting cannot
-silently produce a wrong verdict.
-
-Entries of M and c are rationals: int or Fraction.
+before they are returned, against the caller's own M and c, never against
+the tableau, so a bug in the pivoting cannot silently produce a wrong
+verdict.
 """
 
 from fractions import Fraction
-from math import lcm
 
 ZERO = Fraction(0)
-
-
-def _cleared(values, scale):
-    """The integers scale * v, for rationals v whose denominators divide scale."""
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _pivot(rows, r, col, d):
@@ -64,13 +57,9 @@ class LinearSolver:
     def __init__(self, rows):
         m = len(rows)
         n = len(rows[0])
-        # Gauss-Jordan on [L M | I]; afterwards R = E L M is in reduced row
+        # Gauss-Jordan on [M | I]; afterwards R = E M is in reduced row
         # echelon form and E records the elimination, E = transform / d.
-        scale = lcm(*(v.denominator for row in rows for v in row))
-        aug = [
-            _cleared(row, scale) + [1 if j == i else 0 for j in range(m)]
-            for i, row in enumerate(rows)
-        ]
+        aug = [list(row) + [1 if j == i else 0 for j in range(m)] for i, row in enumerate(rows)]
         d = 1
         pivots = []
         r = 0
@@ -88,7 +77,6 @@ class LinearSolver:
         self.n = n
         self.rank = r
         self.pivots = pivots
-        self.scale = scale
         self.divisor = d
         self.transform = [row[n:] for row in aug]
 
@@ -96,16 +84,13 @@ class LinearSolver:
         """Particular solution with free variables zero, or None if inconsistent."""
         if len(c) != self.m:
             raise ValueError("right-hand side has the wrong length")
-        # x_pivot = E (L c) = transform (den c) * L / (d * den)
-        den = lcm(*(ci.denominator for ci in c))
-        cc = _cleared(c, den)
-        v = [sum(e * ci for e, ci in zip(erow, cc) if e) for erow in self.transform]
+        # x_pivot = E c = transform c / d
+        v = [sum(e * ci for e, ci in zip(erow, c) if e) for erow in self.transform]
         if any(v[self.rank:]):
             return None
         x = [ZERO] * self.n
-        q = self.divisor * den
         for j, col in enumerate(self.pivots):
-            x[col] = Fraction(v[j] * self.scale, q)
+            x[col] = Fraction(v[j], self.divisor)
         return x
 
 
@@ -119,19 +104,14 @@ def feasible_nonneg(rows, c):
     """
     m = len(rows)
     n = len(rows[0])
-    scale = lcm(
-        *(v.denominator for row in rows for v in row), *(ci.denominator for ci in c)
-    )
-    M = [_cleared(row, scale) for row in rows]
-    C = _cleared(c, scale)
     # phase one: minimize the sum of artificials on rows flipped to rhs >= 0
-    flipped = [ci < 0 for ci in C]
+    flipped = [ci < 0 for ci in c]
     tab = []
     for i in range(m):
         sign = -1 if flipped[i] else 1
-        row = [sign * v for v in M[i]]
+        row = [sign * v for v in rows[i]]
         row += [1 if j == i else 0 for j in range(m)]
-        row.append(sign * C[i])
+        row.append(sign * c[i])
         tab.append(row)
     basis = list(range(n, n + m))
     # objective row for min(sum of artificials), priced out for the basis;
@@ -169,9 +149,9 @@ def feasible_nonneg(rows, c):
         for i in range(m):
             if basis[i] < n:
                 X[basis[i]] = tab[i][-1]
-        # x = X / d: x >= 0 and (L M) x = L c, i.e. (L M) X = (L c) d
+        # x = X / d: x >= 0 and M x = c, i.e. M X = c d
         if any(v < 0 for v in X) or any(
-            sum(a * v for a, v in zip(row, X) if v) != ci * d for row, ci in zip(M, C)
+            sum(a * v for a, v in zip(row, X) if v) != ci * d for row, ci in zip(rows, c)
         ):
             raise RuntimeError("simplex produced an invalid feasible point")
         return True, [Fraction(v, d) for v in X], None
@@ -180,8 +160,8 @@ def feasible_nonneg(rows, c):
     # separating functional; y = Y / d with d > 0
     Y = [d - z[n + i] for i in range(m)]
     Y = [-Y[i] if flipped[i] else Y[i] for i in range(m)]
-    if sum(yi * ci for yi, ci in zip(Y, C)) <= 0 or any(
-        sum(yi * a for yi, a in zip(Y, col) if a) > 0 for col in zip(*M)
+    if sum(yi * ci for yi, ci in zip(Y, c)) <= 0 or any(
+        sum(yi * a for yi, a in zip(Y, col) if a) > 0 for col in zip(*rows)
     ):
         raise RuntimeError("Farkas certificate failed verification")
     return False, None, [Fraction(v, d) for v in Y]

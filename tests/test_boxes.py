@@ -1,5 +1,7 @@
 """Box representation, validation, conditionals, correlators, relabeling."""
 
+import json
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
@@ -76,6 +78,18 @@ def test_negative_entry_is_named():
 def test_missing_entry_is_structural():
     with pytest.raises(ab.StructuralError):
         ab.make_box(2, 2, 2, 2, {(0, 0, 0, 0): 1})
+
+
+def test_missing_entries_are_counted_without_listing_them():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ab.StructuralError) as err:
+            ab.make_box(1, 1, 1000, 1000, {(0, 0, 0, 0): 1})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "missing 999999 entries, first: (0, 0, 0, 1)"
+    assert peak < 10 * 2**20
 
 
 def test_structural_beats_constraints_in_validate():
@@ -353,6 +367,53 @@ def test_json_parse_errors():
         ab.box_from_json(
             '{"nA":2,"nB":2,"nX":2,"nY":2,"p":{"0,0":[["1/2"],["1/2"]]}}'
         )
+
+
+# any JSON value: what a malformed document may put in a field
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def with_field(doc, path, value):
+    """A deep copy of doc with the field at path replaced by value."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return doc
+
+
+BOX_FIELDS = [("nA",), ("nB",), ("nX",), ("nY",), ("p",), ("p", "0,1"), ("p", "1,0", 1),
+              ("p", "1,1", 0, 1), ("p", "7,x")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BOX_FIELDS), json_values)
+def test_any_json_value_in_a_box_field_gives_a_box_or_an_agreebox_error(path, value):
+    text = json.dumps(with_field(ab.box_doc(ab.pr_box()), path, value))
+    try:
+        assert isinstance(ab.box_from_json(text), ab.Box)
+    except ab.AgreeboxError:
+        pass
+
+
+@pytest.mark.parametrize("entry", ["1e-4001", "1e-5000", "-2E+4001", "1e-4000", "1/" + "3" * 4001])
+def test_literals_too_large_to_print_are_refused(entry):
+    doc = with_field(ab.box_doc(ab.pr_box()), ("p", "0,0", 0, 0), entry)
+    with pytest.raises(ab.ParseError):
+        ab.box_from_json(json.dumps(doc))
+
+
+def test_literals_up_to_the_limits_parse():
+    assert ab.rat("1e3999") == 10**3999
+    assert ab.rat("25e-3999") == F(25, 10**3999)
+    assert ab.rat("2.5E+3") == 2500
+    assert ab.rat("1/" + "3" * 4000) == F(1, int("3" * 4000))
 
 
 # ---------------------------------------------------------------------------

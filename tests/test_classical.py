@@ -4,9 +4,12 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agreebox as ab
 import agreebox.classical as classical
+from test_boxes import json_values, with_field
 
 
 def two_state_model():
@@ -136,9 +139,10 @@ def test_verify_clamps_and_flags_incomplete(monkeypatch):
     assert not rep.complete
 
 
-def test_verify_cross_check_runs():
+def test_verify_cross_check_runs(monkeypatch):
     # a dense stride forces many reference-tower comparisons
-    rep = classical.verify_agreement_theorem(2, 2, cross_check_stride=1)
+    monkeypatch.setattr(classical, "CROSS_CHECK_STRIDE", 1)
+    rep = classical.verify_agreement_theorem(2, 2)
     assert rep.violations == 0
 
 
@@ -150,8 +154,9 @@ def test_verify_cross_check_catches_a_wrong_fast_tower(monkeypatch):
         return A ^ 1, B, iters
 
     monkeypatch.setattr(classical, "_bit_tower", flipped)
+    monkeypatch.setattr(classical, "CROSS_CHECK_STRIDE", 1)
     with pytest.raises(RuntimeError, match="disagrees with the reference tower"):
-        classical.verify_agreement_theorem(2, 2, cross_check_stride=1)
+        classical.verify_agreement_theorem(2, 2)
 
 
 def test_subset_mass_table_matches_plain_sums():
@@ -170,6 +175,30 @@ def test_model_json_roundtrip():
     m = crosswise_model()
     again = ab.model_from_json(ab.model_to_json(m))
     assert again == m
+
+
+MODEL_FIELDS = [("omega",), ("P",), ("P", 1), ("partsA",), ("partsA", "0"), ("partsA", "0", 1),
+                ("partsB", "0", 0, 0), ("partsB", "x"), ("signed",)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODEL_FIELDS), json_values)
+def test_any_json_value_in_a_model_field_gives_a_model_or_an_agreebox_error(path, value):
+    doc = with_field(classical.model_doc(crosswise_model()), path, value)
+    try:
+        assert isinstance(ab.model_from_json(json.dumps(doc)), ab.OntologicalModel)
+    except ab.AgreeboxError:
+        pass
+
+
+@pytest.mark.parametrize("field, value", [("partsA", []), ("partsA", {"0": [5, [1]]}),
+                                          ("omega", "x"), ("partsB", {"0": [[[0]], [1]]})],
+                         ids=["parts-list", "cell-number", "omega-text", "nested-cell"])
+def test_malformed_model_documents_are_parse_errors(field, value):
+    doc = json.loads(ab.model_to_json(two_state_model()))
+    doc[field] = value
+    with pytest.raises(ab.ParseError):
+        ab.model_from_json(json.dumps(doc))
 
 
 def test_model_json_shape():

@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,46 @@ def test_classify_malformed_json(tmp_path, capsys):
 def test_classify_missing_file(capsys):
     code, out, err = run(capsys, "classify", "--input", "/nonexistent/box.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["classify", "ontology", "reduce"])
+@pytest.mark.parametrize("rows", [[], {"0,0": 5}, {"0,0": [1, 2]}],
+                         ids=["list", "number", "flat-row"])
+def test_malformed_box_documents_exit_2(tmp_path, capsys, command, rows):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"nA": 2, "nB": 2, "nX": 2, "nY": 2, "p": rows}))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+
+
+def cli_process(*argv):
+    """The CLI in a child process, so that a hang fails the test at the timeout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ab.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-m", "agreebox.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+
+
+def box_file_with_entry(tmp_path, entry):
+    doc = ab.box_doc(ab.pr_box())
+    doc["p"]["0,0"][0][0] = entry
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--family", "ccd", "--params", "r=1e99999999,s=0,t=0,u=0"),
+    ("sweep", "--family", "ccd", "--grid", "r=0:1:1e-99999999,s=0,t=0,u=0"),
+    ("classify", "--input", "1e99999999"),
+    ("classify", "--input", "1e-5000"),
+], ids=["params", "grid", "box-large", "box-small"])
+def test_huge_exponents_exit_2_at_once(tmp_path, argv):
+    if argv[0] == "classify":
+        argv = argv[:2] + (box_file_with_entry(tmp_path, argv[2]),)
+    done = cli_process(*argv)
+    assert done.returncode == 2
+    assert "exponent beyond 4000" in done.stderr and "Traceback" not in done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The exact LP and the affine solver, called directly."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,16 @@ def lp_2222(box):
 
 def fracs(text):
     return [F(v) for v in text.split()]
+
+
+def cleared(rows, c):
+    """The integer system (L M, L c), for L the lcm of every denominator.
+
+    The solvers take integer systems only; L M x = L c has the same
+    solutions and the same Farkas vectors as M x = c.
+    """
+    L = lcm(*(F(v).denominator for row in rows for v in row), *(F(v).denominator for v in c))
+    return [[int(v * L) for v in row] for row in rows], [int(v * L) for v in c]
 
 
 def assert_certificate(rows, c, ok, x, y):
@@ -63,7 +74,7 @@ PR_DUAL = fracs("1 -3 -3 1 -3 1 1 -3 1 -3 -3 1 1 -3 -3 1")
 )
 def test_pinned_answers_on_2222(box, expected):
     M, C = lp_2222(box)
-    got = feasible_nonneg(M, C)
+    got = feasible_nonneg(*cleared(M, C))
     assert got == expected
     assert all(type(v) is F for v in got[1] or got[2])
     assert_certificate(M, C, *got)
@@ -79,7 +90,6 @@ def test_pinned_answers_on_2222(box, expected):
 def test_ratio_ties_go_to_the_least_basic_index(rows, c, dual):
     # the first pivot ties between rows; breaking the tie the other way
     # ends at another, equally valid, functional
-    c = [F(v) for v in c]
     got = feasible_nonneg(rows, c)
     assert got == (False, None, dual)
     assert_certificate(rows, c, *got)
@@ -91,7 +101,8 @@ def test_ratio_ties_go_to_the_least_basic_index(rows, c, dual):
 def test_rational_rows_feasible():
     rows = [[F(1, 2), 3], [F(2, 3), -1]]
     c = [F(3, 2), F(1, 3)]
-    ok, x, y = feasible_nonneg(rows, c)
+    assert cleared(rows, c) == ([[3, 18], [4, -6]], [9, 2])
+    ok, x, y = feasible_nonneg(*cleared(rows, c))
     assert ok and x == [1, F(1, 3)]
     assert_certificate(rows, c, ok, x, y)
 
@@ -99,20 +110,20 @@ def test_rational_rows_feasible():
 def test_rational_rows_infeasible():
     rows = [[F(1, 2), F(1, 3)], [F(5, 7), -F(2, 9)]]
     c = [F(1, 5), F(-3, 4)]
-    ok, x, y = feasible_nonneg(rows, c)
+    ok, x, y = feasible_nonneg(*cleared(rows, c))
     assert not ok
     assert_certificate(rows, c, ok, x, y)
 
 
 def test_negative_rhs_rows_are_flipped():
     rows = [[1, -1], [1, 1]]
-    c = [F(-1), F(3)]
+    c = [-1, 3]
     ok, x, y = feasible_nonneg(rows, c)
     assert ok and x == [1, 2]
     assert_certificate(rows, c, ok, x, y)
 
     rows = [[1, 1], [1, -1]]
-    c = [F(-2), F(1)]
+    c = [-2, 1]
     ok, x, y = feasible_nonneg(rows, c)
     assert not ok
     assert_certificate(rows, c, ok, x, y)
@@ -134,7 +145,7 @@ def test_negative_rhs_rows_are_flipped():
 )
 def test_every_answer_carries_a_valid_certificate(system):
     rows, c = system
-    assert_certificate(rows, c, *feasible_nonneg(rows, c))
+    assert_certificate(rows, c, *feasible_nonneg(*cleared(rows, c)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +156,22 @@ def test_rank_deficient_solver():
     assert solver.rank == 2
     assert solver.pivots == [0, 1]
     # free variable x2 is zero
-    assert solver.solve([F(6), F(12), F(2)]) == [2, 2, 0]
-    assert solver.solve([F(1, 2), F(1), F(1, 3)]) == [F(1, 3), F(1, 12), 0]
+    assert solver.solve([6, 12, 2]) == [2, 2, 0]
+    # the rhs (1/2, 1, 1/3) cleared by 6; the answer is divided back
+    assert [v / 6 for v in solver.solve([3, 6, 2])] == [F(1, 3), F(1, 12), 0]
     # row 1 is twice row 0, so its rhs must be too
-    assert solver.solve([F(6), F(13), F(2)]) is None
+    assert solver.solve([6, 13, 2]) is None
 
 
 def test_rank_deficient_rational_solver():
-    solver = LinearSolver([[F(1, 2), 1], [1, 2]])
+    # M = [[1/2, 1], [1, 2]] cleared by 2 and the rhs (1/3, 2/3) and (1/3, 1)
+    # by 3, so 2 M x = 3 c; the answer is multiplied back by 2/3
+    solver = LinearSolver([[1, 2], [2, 4]])
     assert solver.rank == 1
-    assert solver.solve([F(1, 3), F(2, 3)]) == [F(2, 3), 0]
-    assert solver.solve([F(1, 3), F(1)]) is None
+    assert [v * 2 / 3 for v in solver.solve([1, 2])] == [F(2, 3), 0]
+    assert solver.solve([1, 3]) is None
     with pytest.raises(ValueError):
-        solver.solve([F(1)])
+        solver.solve([3])
 
 
 def test_solver_reproduces_boxes_on_2222():
@@ -166,7 +180,7 @@ def test_solver_reproduces_boxes_on_2222():
     assert solver.rank == 9
     for box in (ab.pr_box(), ab.uniform_box(), ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), F(0))):
         _, C = lp_2222(box)
-        P = solver.solve(C)
+        P = [v / box.den for v in solver.solve([box.num[key] for key in row_labels(2, 2, 2, 2)])]
         assert all(type(v) is F for v in P)
         for row, ci in zip(M, C):
             assert sum((a * p for a, p in zip(row, P)), F(0)) == ci
