@@ -12,7 +12,9 @@ All arithmetic is exact; there is no tolerance anywhere in this module.
 On construction a Box also stores its table in one integer form: den, the
 lcm of the entry denominators, and num[key] = den * p(key).  Validation,
 marginals and conditionals sum and compare these ints, and build a
-Fraction only for a returned value or a violation message.
+Fraction only for a returned value or a violation message.  A table whose
+den or some num reaches 10**MAX_DIGITS is refused with ParseError, so every
+such value prints.
 The conventional frame used by the analysis modules puts the observed
 event at inputs x = y = 0, outputs a = b = 0, and the events the parties
 reason about at output 1 of inputs x = 1 and y = 1.  Boxes that arrive in
@@ -28,7 +30,7 @@ from itertools import product
 from math import lcm
 
 from .errors import ParseError, ShapeError, StructuralError
-from .rationals import rat, rat_str
+from .rationals import _TOO_LONG, MAX_DIGITS, rat, rat_str
 
 ZERO = Fraction(0)
 
@@ -48,6 +50,13 @@ class Box:
     def __post_init__(self):
         den = lcm(*(v.denominator for v in self.table.values()))
         num = {k: v.numerator * (den // v.denominator) for k, v in self.table.items()}
+        # an entry's numerator and denominator are at most its num and den;
+        # under this bound every sum of entries, and every ratio of two such
+        # sums, stays below Python's 4,300-digit int-to-str limit
+        if den >= _TOO_LONG or max(map(abs, num.values()), default=0) >= _TOO_LONG:
+            raise ParseError(
+                f"box entries need more than {MAX_DIGITS} digits over a common denominator"
+            )
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)
 
@@ -84,9 +93,12 @@ def make_box(nA: int, nB: int, nX: int, nY: int, entries) -> Box:
         table[(a, b, x, y)] = rat(value)
     missing = nA * nB * nX * nY - len(table)
     if missing:
-        # every key is in range, so the first gap is within len(table) + 1 keys
+        # every key is in range, so the first gap is within len(table) + 1 keys;
+        # nested loops, as product() would first copy each range into a tuple
         first = next(
-            k for k in product(range(nA), range(nB), range(nX), range(nY)) if k not in table
+            (a, b, x, y)
+            for a in range(nA) for b in range(nB) for x in range(nX) for y in range(nY)
+            if (a, b, x, y) not in table
         )
         raise StructuralError(f"missing {missing} entries, first: {first}")
     return Box(nA, nB, nX, nY, table)
@@ -124,19 +136,25 @@ class ValidationResult:
 
 def validate(box: Box) -> ValidationResult:
     """Check every box invariant exactly and name each violated constraint."""
+    # one pass over the in-range keys finds the missing entries and sums the
+    # integer marginals; keys outside the shape are in no marginal
+    den, num = box.den, box.num
     structural = []
     violations = []
-    for key in product(
-        range(box.nA), range(box.nB), range(box.nX), range(box.nY)
-    ):
-        if key not in box.table:
+    num_a = dict.fromkeys(product(range(box.nA), range(box.nX), range(box.nY)), 0)
+    num_b = dict.fromkeys(product(range(box.nB), range(box.nX), range(box.nY)), 0)
+    for key in product(range(box.nA), range(box.nB), range(box.nX), range(box.nY)):
+        v = num.get(key)
+        if v is None:
             structural.append(f"missing entry (a,b,x,y)={key}")
+        elif v:
+            a, b, x, y = key
+            num_a[a, x, y] += v
+            num_b[b, x, y] += v
     if structural:
         return ValidationResult(False, tuple(structural), ())
 
     # integer sums against den; a Fraction is built only to name a violation
-    den, num = box.den, box.num
-
     def q(n):
         return rat_str(Fraction(n, den))
 
@@ -145,15 +163,15 @@ def validate(box: Box) -> ValidationResult:
             violations.append(f"entry out of [0,1] at (a,b,x,y)={key}: {q(num[key])}")
     for x in range(box.nX):
         for y in range(box.nY):
-            total = sum(box._num_a(a, x, y) for a in range(box.nA))
+            total = sum(num_a[a, x, y] for a in range(box.nA))
             if total != den:
                 violations.append(f"normalization at (x,y)=({x},{y}): sum={q(total)}")
     # A -> B: Bob's marginal must not depend on Alice's input
     for b in range(box.nB):
         for y in range(box.nY):
-            ref = box._num_b(b, 0, y)
+            ref = num_b[b, 0, y]
             for x in range(1, box.nX):
-                got = box._num_b(b, x, y)
+                got = num_b[b, x, y]
                 if got != ref:
                     violations.append(
                         f"no-signaling A->B at (b,y)=({b},{y}): "
@@ -162,9 +180,9 @@ def validate(box: Box) -> ValidationResult:
     # B -> A: Alice's marginal must not depend on Bob's input
     for a in range(box.nA):
         for x in range(box.nX):
-            ref = box._num_a(a, x, 0)
+            ref = num_a[a, x, 0]
             for y in range(1, box.nY):
-                got = box._num_a(a, x, y)
+                got = num_a[a, x, y]
                 if got != ref:
                     violations.append(
                         f"no-signaling B->A at (a,x)=({a},{x}): "

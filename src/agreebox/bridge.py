@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .boxes import Box, make_box
 from .classical import OntologicalModel, make_model
@@ -61,6 +62,13 @@ def _shape_system(nA, nB, nX, nY):
         for (a, b, x, y) in labels
     )
     return states, labels, M
+
+
+@lru_cache(maxsize=None)
+def _shape_columns(nA, nB, nX, nY):
+    """Per state, the rows where its column of M is 1: a strategy's score."""
+    _, _, M = _shape_system(nA, nB, nX, nY)
+    return tuple(tuple(i for i, v in enumerate(col) if v) for col in zip(*M))
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +151,11 @@ class LocalityVerdict:
 
 
 def is_local(box: Box) -> LocalityVerdict:
-    """Exact LP feasibility of nonnegative M P = C, with certificate."""
+    """Exact LP feasibility of nonnegative M P = C, with certificate.
+
+    A nonlocal verdict's Bell functional is rechecked on ints before it is
+    returned: its value on the box must exceed its best deterministic score.
+    """
     # solved as M (den P) = num on ints; its Farkas vectors are those of M P = C
     states, labels, M = _shape_system(box.nA, box.nB, box.nX, box.nY)
     ok, x, dual = feasible_nonneg(M, [box.num[key] for key in labels])
@@ -153,8 +165,16 @@ def is_local(box: Box) -> LocalityVerdict:
         )
         return LocalityVerdict(True, weights, None)
     coeffs = {labels[i]: dual[i] for i in range(len(labels)) if dual[i] != 0}
-    bound = bell_local_bound(coeffs, box.nA, box.nB, box.nX, box.nY)
-    value = bell_value(box, coeffs)
+    # the functional cleared to ints Y / L; the columns of M are exactly the
+    # deterministic strategies, so max_j Y M_j / L is bell_local_bound
+    L = lcm(*(yi.denominator for yi in dual))
+    Y = [yi.numerator * (L // yi.denominator) for yi in dual]
+    best = max(sum(Y[i] for i in col) for col in _shape_columns(box.nA, box.nB, box.nX, box.nY))
+    total = sum(yi * box.num[key] for yi, key in zip(Y, labels) if yi)
+    if total <= best * box.den:
+        raise RuntimeError("Bell certificate does not separate the box")
+    bound = Fraction(best, L)
+    value = Fraction(total, L * box.den)
     return LocalityVerdict(False, None, BellCertificate(coeffs, bound, value))
 
 

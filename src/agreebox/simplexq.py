@@ -12,8 +12,13 @@ the first pivot).  A pivot at (r, col) with p = T[r][col] keeps row r and
 maps every other row to (p * T[i][j] - T[i][col] * T[r][j]) // d, then
 sets d = p.  The division is exact: with the identity columns in place,
 every entry is d times an entry of B^-1 [M | I | c] for the current basis
-B, and d = +-det B.  No Fraction is built while pivoting; results are
-read off as Fraction(numerator, d) at the end.
+B, and d = +-det B.  When p = d the update is T[i][j] - f * T[r][j] // d
+with f = T[i][col] (exact too: the result and T[i][j] are ints, so d
+divides f * T[r][j]), so only the columns where the pivot row is nonzero
+change, in place, and no row is rescaled; any other pivot rebuilds every
+row.  The 0/1 locality LPs of 2222 boxes pivot on units only (p = d = 1).
+No Fraction is built while pivoting; results are read off as
+Fraction(numerator, d) at the end.
 
 LinearSolver factors a fixed coefficient matrix once (Gauss-Jordan on
 [M | I], recording the row transform) so that many right-hand sides can
@@ -40,13 +45,23 @@ def _pivot(rows, r, col, d):
     """
     p = rows[r][col]
     pivot_row = rows[r]
+    if p == d:
+        # (p * vi - f * vr) // d is vi - f * vr // d: only the columns where
+        # the pivot row is nonzero change, and no row is rescaled
+        nonzero = [(j, vr) for j, vr in enumerate(pivot_row) if vr]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                for j, vr in nonzero:
+                    row[j] -= f * vr // d
+        return p
     for i, row in enumerate(rows):
         if i == r:
             continue
         f = row[col]
         if f:
             rows[i] = [(p * vi - f * vr) // d for vi, vr in zip(row, pivot_row)]
-        elif p != d:
+        else:
             rows[i] = [p * vi // d for vi in row]
     return p
 

@@ -92,6 +92,18 @@ def test_missing_entries_are_counted_without_listing_them():
     assert peak < 10 * 2**20
 
 
+def test_missing_entries_of_a_huge_shape_are_found_without_copying_ranges():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ab.StructuralError) as err:
+            ab.make_box(2, 2, 10**12, 2, {(0, 0, 0, 0): 1})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "missing 7999999999999 entries, first: (0, 0, 0, 1)"
+    assert peak < 2**20
+
+
 def test_structural_beats_constraints_in_validate():
     box = ab.pr_box()
     broken = ab.Box(2, 2, 2, 2, {k: v for k, v in box.table.items() if k != (0, 0, 0, 0)})
@@ -146,6 +158,18 @@ def test_validate_violations_are_pinned():
         "no-signaling A->B at (b,y)=(1,1): x=0 gives 1/2, x=1 gives 1/6",
         "no-signaling B->A at (a,x)=(0,1): y=0 gives 4/3, y=1 gives 1/3",
         "no-signaling B->A at (a,x)=(2,1): y=0 gives 1/3, y=1 gives 0",
+    )
+
+
+def test_validate_sums_only_keys_inside_the_shape():
+    # a directly built Box may carry a key outside its shape: it is range
+    # checked like any entry, but no marginal or normalization sums it
+    table = dict(ab.pr_box().table)
+    table[(2, 0, 0, 0)] = F(1, 2)
+    assert ab.validate(ab.Box(2, 2, 2, 2, table)) == ab.ValidationResult(True, (), ())
+    table[(2, 0, 0, 0)] = F(3, 2)
+    assert ab.validate(ab.Box(2, 2, 2, 2, table)).violations == (
+        "entry out of [0,1] at (a,b,x,y)=(2, 0, 0, 0): 3/2",
     )
 
 
@@ -414,6 +438,25 @@ def test_literals_up_to_the_limits_parse():
     assert ab.rat("25e-3999") == F(25, 10**3999)
     assert ab.rat("2.5E+3") == 2500
     assert ab.rat("1/" + "3" * 4000) == F(1, int("3" * 4000))
+
+
+def test_boxes_too_long_to_print_are_refused():
+    def box(p, q):
+        return ab.make_box(1, 2, 1, 1, {(0, 0, 0, 0): p, (0, 1, 0, 0): q})
+
+    # 10**4000 - 1 has 4,000 digits and prints; any sum of entries does too
+    limit = 10**4000
+    assert ab.validate(box(F(1, limit - 1), 1)).violations == (
+        f"normalization at (x,y)=(0,0): sum={limit}/{limit - 1}",
+    )
+    # each denominator has 3,990 digits and their lcm about 7,980; and
+    # 10**3999 + 1/(10**3999 + 1) has a numerator of 7,999 digits: den or a
+    # numerator over den reaches the bound although every entry alone prints
+    d1, d2 = 10**3989 + 1, 10**3989 + 3
+    for p, q in [(F(1, d1), F(1, d2)), (10**3999, F(1, 10**3999 + 1)),
+                 (F(1, limit), 0), (limit, 0), (-limit, 0)]:
+        with pytest.raises(ab.ParseError, match="more than 4000 digits"):
+            box(p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agreebox as ab
+from agreebox import bridge
 from agreebox.bridge import (
     _shape_system,
     instruction_states,
@@ -361,17 +362,27 @@ def local_box(draw, nA, nB, nX, nY):
     return ab.make_box(nA, nB, nX, nY, entries)
 
 
+SHAPES_ABOVE_2222 = ((3, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2))
+
+
 @st.composite
-def far_from_boundary(draw):
-    shape = draw(st.sampled_from(((3, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2))))
+def lifted_pr_mixture(draw, shape):
+    """A PR box lifted to shape, mixed with at most 1/4 of a local box:
+    CHSH at least 3 - 1/2 on inputs 0, 1, so always nonlocal."""
     local = draw(local_box(*shape))
-    if draw(st.booleans()):
-        return local
     lam = F(draw(st.integers(12, 16)), 16)
     return ab.make_box(*shape, {
         key: lam * p + (1 - lam) * local.p(*key)
         for key, p in lift(ab.pr_box(), *shape).table.items()
     })
+
+
+@st.composite
+def far_from_boundary(draw):
+    shape = draw(st.sampled_from(SHAPES_ABOVE_2222))
+    if draw(st.booleans()):
+        return draw(local_box(*shape))
+    return draw(lifted_pr_mixture(shape))
 
 
 @settings(max_examples=40, deadline=None)
@@ -398,3 +409,44 @@ def test_locality_json_doc():
     assert doc["local"] is False
     assert "weights" not in doc
     assert doc["box_value"] != doc["local_bound"]
+
+
+# ---------------------------------------------------------------------------
+# the certificate is computed on ints: it must equal the Fraction functions
+
+def assert_certificate_matches_bell_functions(box):
+    cert = ab.is_local(box).certificate
+    assert cert.local_bound == ab.bell_local_bound(cert.coeffs, box.nA, box.nB, box.nX, box.nY)
+    assert cert.box_value == ab.bell_value(box, cert.coeffs)
+    assert cert.box_value > cert.local_bound
+
+
+def test_certificates_on_the_k8_grid_match_the_bell_functions():
+    nonlocal_boxes = [
+        box
+        for maker in (ab.ccd_table_box, ab.sd_table_box)
+        for params in product(range(9), repeat=4)
+        for box in [maker(*(F(k, 8) for k in params))]
+        if ab.validate(box).ok and not ab.is_local(box).local
+    ]
+    assert len(nonlocal_boxes) == 390
+    for box in nonlocal_boxes:
+        assert_certificate_matches_bell_functions(box)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SHAPES_ABOVE_2222).flatmap(lifted_pr_mixture))
+def test_certificates_above_2222_match_the_bell_functions(box):
+    assert_certificate_matches_bell_functions(box)
+
+
+def test_a_certificate_that_does_not_separate_is_refused(monkeypatch):
+    solve = bridge.feasible_nonneg
+
+    def corrupted(rows, c):
+        ok, x, y = solve(rows, c)
+        return ok, x, [-v for v in y]
+
+    monkeypatch.setattr(bridge, "feasible_nonneg", corrupted)
+    with pytest.raises(RuntimeError, match="does not separate"):
+        ab.is_local(ab.pr_box())

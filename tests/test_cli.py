@@ -157,6 +157,16 @@ def test_huge_exponents_exit_2_at_once(tmp_path, argv):
     assert "exponent beyond 4000" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_derived_entries_too_long_to_print_exit_2():
+    # both denominators have 3,990 digits, under the input limit, but entries
+    # like t + s - r need about 7,980 over their common denominator
+    zeros = "0" * 3988
+    done = cli_process("generate", "--family", "ccd",
+                       "--params", f"r=1/1{zeros}1,s=0,t=1/1{zeros}3,u=0")
+    assert done.returncode == 2
+    assert "more than 4000 digits" in done.stderr and "Traceback" not in done.stderr
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -1,6 +1,8 @@
 """The exact LP and the affine solver, called directly."""
 
+from contextlib import contextmanager
 from fractions import Fraction as F
+from itertools import product
 from math import lcm
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agreebox as ab
+from agreebox import simplexq
 from agreebox.bridge import _shape_system, row_labels
 from agreebox.simplexq import LinearSolver, feasible_nonneg
 
@@ -184,3 +187,103 @@ def test_solver_reproduces_boxes_on_2222():
         assert all(type(v) is F for v in P)
         for row, ci in zip(M, C):
             assert sum((a * p for a, p in zip(row, P)), F(0)) == ci
+
+
+# ---------------------------------------------------------------------------
+# the pivot kernel: a unit pivot (p = d) updates only the columns where the
+# pivot row is nonzero; answers must equal those of the dense update
+
+def dense_pivot(rows, r, col, d):
+    """Every row rebuilt in full: (p * T[i][j] - T[i][col] * T[r][j]) // d."""
+    p = rows[r][col]
+    pivot_row = rows[r]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[col]
+        if f:
+            rows[i] = [(p * vi - f * vr) // d for vi, vr in zip(row, pivot_row)]
+        elif p != d:
+            rows[i] = [p * vi // d for vi in row]
+    return p
+
+
+def answers(rows, c):
+    """feasible_nonneg and the affine solver on one system."""
+    solver = LinearSolver(rows)
+    return (feasible_nonneg(rows, c), solver.rank, solver.pivots, solver.divisor,
+            solver.transform, solver.solve(c))
+
+
+@contextmanager
+def kernel(pivot):
+    """Run with simplexq._pivot replaced by a spy on pivot; yields the
+    (pivot element, divisor) pairs it sees."""
+    seen = []
+
+    def spy(tab, r, col, d):
+        seen.append((tab[r][col], d))
+        return pivot(tab, r, col, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplexq, "_pivot", spy)
+        yield seen
+
+
+def answers_with_both_kernels(rows, c):
+    """The answers with the kernel as shipped and with dense_pivot, and the
+    kinds of pivot the shipped kernel saw ("unit" for p = d, else "scaled")."""
+    with kernel(simplexq._pivot) as seen:
+        got = answers(rows, c)
+    with kernel(dense_pivot):
+        want = answers(rows, c)
+    return got, want, {"unit" if p == d else "scaled" for p, d in seen}
+
+
+KERNEL_SYSTEMS = [
+    ([[2, 1], [1, 3]], [3, 4]),  # first pivot 2: scaled, then d = 2
+    ([[2, 2], [1, 0], [1, 1]], [0, 1, 0]),
+    ([[0, 0, 2], [2, 1, 2], [1, 0, 1]], [2, 2, 2]),
+    ([[3, -1, 2], [1, 2, -1], [-2, 1, 3]], [4, -1, 5]),
+    ([[1, -1], [1, 1]], [-1, 3]),
+    cleared(*lp_2222(ab.pr_box())),
+    cleared(*lp_2222(ab.uniform_box())),
+]
+
+
+def test_unit_and_scaled_pivots_give_the_dense_answers():
+    seen = set()
+    for rows, c in KERNEL_SYSTEMS:
+        got, want, kinds = answers_with_both_kernels(rows, c)
+        assert got == want
+        seen |= kinds
+    assert seen == {"unit", "scaled"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                     min_size=m, max_size=m),
+            st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+        )
+    ).filter(lambda system: any(any(row) for row in system[0]))
+)
+def test_sparse_kernel_matches_the_dense_kernel(system):
+    got, want, _ = answers_with_both_kernels(*system)
+    assert got == want
+
+
+def test_2222_lps_pivot_on_units_only():
+    # the 0/1 matrix and integer right-hand side of every valid k/8 CCD- or
+    # SD-form box: each pivot element equals the divisor, which stays 1;
+    # Bland's rule fixes the pivot sequence, and so the count
+    M, _ = lp_2222(ab.uniform_box())
+    with kernel(simplexq._pivot) as seen:
+        for maker in (ab.ccd_table_box, ab.sd_table_box):
+            for params in product(range(9), repeat=4):
+                box = maker(*(F(k, 8) for k in params))
+                if ab.validate(box).ok:
+                    feasible_nonneg(M, [box.num[key] for key in row_labels(2, 2, 2, 2)])
+    assert len(seen) == 6581 and set(seen) == {(1, 1)}
