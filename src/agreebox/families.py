@@ -13,8 +13,9 @@ can be studied too.
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from .boxes import Box, box_from_rows, make_box
+from .boxes import Box, make_box
 from .rationals import rat
 
 ZERO = Fraction(0)
@@ -44,37 +45,58 @@ def uniform_box(nA: int = 2, nB: int = 2, nX: int = 2, nY: int = 2) -> Box:
     return make_box(nA, nB, nX, nY, entries)
 
 
+# the keys (a, b, x, y) of a 2222 box in box_from_rows' order: one line per
+# input pair (x, y), outputs (a, b) within it
+_KEYS_2222 = (
+    (0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0),
+    (0, 0, 0, 1), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1),
+    (0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 1, 0),
+    (0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1),
+)
+
+
+def _integer_params(*params):
+    """Coerce each parameter with rat once; return D, the lcm of their
+    denominators, and each parameter times D as an int."""
+    qs = [rat(v) for v in params]
+    D = lcm(*(q.denominator for q in qs))
+    return D, [q.numerator * (D // q.denominator) for q in qs]
+
+
+def _box_2222(D, nums) -> Box:
+    """The 2222 box with entries nums / D, listed in _KEYS_2222 order."""
+    value = {v: Fraction(v, D) for v in set(nums)}
+    return Box(2, 2, 2, 2, {k: value[v] for k, v in zip(_KEYS_2222, nums)})
+
+
 def ccd_table_box(r, s, t, u) -> Box:
     """Instantiate the CCD form.  Rows are [p(00), p(01), p(10), p(11)].
 
     The free entries are r = p(00|00), s = p(01|01), t = p(00|11) and
     u = p(01|10); everything else is forced by normalization, no-signaling
     and the zero pattern of the form.  Out-of-range parameters produce a
-    box that fails validate(), not an exception.
+    box that fails validate(), not an exception.  The entries are worked
+    out as ints over D, the lcm of the parameter denominators.
     """
-    r, s, t, u = rat(r), rat(s), rat(t), rat(u)
-    return box_from_rows(
-        {
-            (0, 0): [r, ZERO, ZERO, 1 - r],
-            (0, 1): [r - s, s, t + s - r, 1 - t - s],
-            (1, 0): [t - u, u, r - t + u, 1 - r - u],
-            (1, 1): [t, ZERO, ZERO, 1 - t],
-        }
-    )
+    D, (r, s, t, u) = _integer_params(r, s, t, u)
+    return _box_2222(D, [
+        r, 0, 0, D - r,                    # (x, y) = (0, 0)
+        r - s, s, t + s - r, D - t - s,    # (0, 1)
+        t - u, u, r - t + u, D - r - u,    # (1, 0)
+        t, 0, 0, D - t,                    # (1, 1)
+    ])
 
 
 def sd_table_box(r, s, t, u) -> Box:
     """Instantiate the SD form.  Here s = p(00|00), t = p(01|00),
     u = p(11|00) and r = p(00|11)."""
-    r, s, t, u = rat(r), rat(s), rat(t), rat(u)
-    return box_from_rows(
-        {
-            (0, 0): [s, t, 1 - s - u - t, u],
-            (0, 1): [ZERO, s + t, r, 1 - s - t - r],
-            (1, 0): [1 - u - t, u + t + r - 1, ZERO, 1 - r],
-            (1, 1): [r, ZERO, ZERO, 1 - r],
-        }
-    )
+    D, (r, s, t, u) = _integer_params(r, s, t, u)
+    return _box_2222(D, [
+        s, t, D - s - u - t, u,            # (x, y) = (0, 0)
+        0, s + t, r, D - s - t - r,        # (0, 1)
+        D - u - t, u + t + r - D, 0, D - r,  # (1, 0)
+        r, 0, 0, D - r,                    # (1, 1)
+    ])
 
 
 def caption_violations(kind: str, r, s, t, u) -> list:

@@ -6,6 +6,7 @@ a float-producing pipeline still analyses exactly.
 """
 
 from fractions import Fraction
+from math import isfinite
 
 from .errors import ParseError
 
@@ -22,9 +23,12 @@ def rat(value) -> Fraction:
     """Coerce a number or string ("1/2", "0.25", "3") to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    # bool is an int subclass, but JSON true is no probability: refused below
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
+        if not isfinite(value):  # JSON NaN and Infinity parse to floats
+            raise ParseError(f"not a rational: {value!r}")
         # treat a float as the decimal literal it prints as, not its binary value
         return Fraction(repr(value))
     if isinstance(value, str):

@@ -119,21 +119,22 @@ def feasible_nonneg(rows, c):
     """
     m = len(rows)
     n = len(rows[0])
-    # phase one: minimize the sum of artificials on rows flipped to rhs >= 0
-    flipped = [ci < 0 for ci in c]
-    tab = []
-    for i in range(m):
-        sign = -1 if flipped[i] else 1
-        row = [sign * v for v in rows[i]]
-        row += [1 if j == i else 0 for j in range(m)]
-        row.append(sign * c[i])
-        tab.append(row)
+    # phase one: minimize the sum of artificials on rows flipped to rhs >= 0;
+    # each row is [M_i | e_i | c_i], its unit column cut from one zero block
+    signed = [[-v for v in row] if ci < 0 else row for row, ci in zip(rows, c)]
+    rhs = [abs(ci) for ci in c]
+    zeros = (0,) * m
+    tab = [
+        [*row, *zeros[:i], 1, *zeros[i + 1:], ci]
+        for i, (row, ci) in enumerate(zip(signed, rhs))
+    ]
     basis = list(range(n, n + m))
-    # objective row for min(sum of artificials), priced out for the basis;
-    # it is the last tableau row, so every pivot updates it too
-    z = [-sum(col) for col in zip(*tab)]
-    for i in range(m):
-        z[n + i] += 1
+    # objective row for min(sum of artificials), priced out for the basis:
+    # minus the column sums, 0 under the artificials; it is the last tableau
+    # row, so every pivot updates it too
+    z = [-sum(col) for col in zip(*signed)]
+    z += zeros
+    z.append(-sum(rhs))
     tab.append(z)
 
     d = 1
@@ -160,23 +161,29 @@ def feasible_nonneg(rows, c):
 
     z = tab[m]
     if z[-1] == 0:  # the artificial sum reached zero
-        X = [0] * n
-        for i in range(m):
-            if basis[i] < n:
-                X[basis[i]] = tab[i][-1]
-        # x = X / d: x >= 0 and M x = c, i.e. M X = c d
-        if any(v < 0 for v in X) or any(
-            sum(a * v for a, v in zip(row, X) if v) != ci * d for row, ci in zip(rows, c)
+        # x = X / d with X read off the basic rows; x >= 0 and M x = c, i.e.
+        # M X = c d, checked over the support of X
+        support = [(basis[i], tab[i][-1]) for i in range(m) if basis[i] < n and tab[i][-1]]
+        if any(v < 0 for _, v in support) or any(
+            sum(row[j] * v for j, v in support) != ci * d for row, ci in zip(rows, c)
         ):
             raise RuntimeError("simplex produced an invalid feasible point")
-        return True, [Fraction(v, d) for v in X], None
+        x = [ZERO] * n
+        for j, v in support:
+            x[j] = Fraction(v, d)
+        return True, x, None
 
     # infeasible: simplex multipliers y = 1 - z[artificial] give the
     # separating functional; y = Y / d with d > 0
     Y = [d - z[n + i] for i in range(m)]
-    Y = [-Y[i] if flipped[i] else Y[i] for i in range(m)]
-    if sum(yi * ci for yi, ci in zip(Y, c)) <= 0 or any(
-        sum(yi * a for yi, a in zip(Y, col) if a) > 0 for col in zip(*rows)
-    ):
+    Y = [-yi if ci < 0 else yi for yi, ci in zip(Y, c)]
+    # Y M, accumulated over the rows where Y is nonzero
+    YM = [0] * n
+    for yi, row in zip(Y, rows):
+        if yi:
+            for j, a in enumerate(row):
+                if a:
+                    YM[j] += yi * a
+    if sum(yi * ci for yi, ci in zip(Y, c)) <= 0 or any(v > 0 for v in YM):
         raise RuntimeError("Farkas certificate failed verification")
-    return False, None, [Fraction(v, d) for v in Y]
+    return False, None, [Fraction(v, d) if v else ZERO for v in Y]

@@ -426,6 +426,17 @@ def test_any_json_value_in_a_box_field_gives_a_box_or_an_agreebox_error(path, va
         pass
 
 
+# JSON values the fuzz above does not draw: json.loads reads NaN and Infinity
+# as floats, and true is an int to Python
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, False])
+def test_non_finite_and_boolean_entries_are_refused(value):
+    text = json.dumps(with_field(ab.box_doc(ab.pr_box()), ("p", "0,0", 0, 0), value))
+    with pytest.raises(ab.ParseError, match="not a rational"):
+        ab.box_from_json(text)
+    with pytest.raises(ab.ParseError, match="not a rational"):
+        ab.rat(value)
+
+
 @pytest.mark.parametrize("entry", ["1e-4001", "1e-5000", "-2E+4001", "1e-4000", "1/" + "3" * 4001])
 def test_literals_too_large_to_print_are_refused(entry):
     doc = with_field(ab.box_doc(ab.pr_box()), ("p", "0,0", 0, 0), entry)
@@ -492,3 +503,58 @@ def test_strategy_boxes_are_deterministic_and_local():
                 assert sorted(
                     box.p(a, b, x, y) for a in range(2) for b in range(2)
                 ) == [0, 0, 0, 1]
+
+
+def reference_table_box(kind, r, s, t, u):
+    """The family boxes in Fraction arithmetic through box_from_rows, as
+    they were built before the constructors worked on integer numerators."""
+    r, s, t, u = ab.rat(r), ab.rat(s), ab.rat(t), ab.rat(u)
+    zero = F(0)
+    if kind == "ccd":
+        rows = {
+            (0, 0): [r, zero, zero, 1 - r],
+            (0, 1): [r - s, s, t + s - r, 1 - t - s],
+            (1, 0): [t - u, u, r - t + u, 1 - r - u],
+            (1, 1): [t, zero, zero, 1 - t],
+        }
+    else:
+        rows = {
+            (0, 0): [s, t, 1 - s - u - t, u],
+            (0, 1): [zero, s + t, r, 1 - s - t - r],
+            (1, 0): [1 - u - t, u + t + r - 1, zero, 1 - r],
+            (1, 1): [r, zero, zero, 1 - r],
+        }
+    return ab.box_from_rows(rows)
+
+
+MAKERS = {"ccd": ab.ccd_table_box, "sd": ab.sd_table_box}
+
+
+def assert_same_box(got, want, check_validate=True):
+    assert (got.nA, got.nB, got.nX, got.nY) == (want.nA, want.nB, want.nX, want.nY)
+    assert list(got.table.items()) == list(want.table.items())  # values and key order
+    assert got.den == want.den
+    assert list(got.num.items()) == list(want.num.items())
+    if check_validate:
+        assert ab.validate(got) == ab.validate(want)
+
+
+@pytest.mark.parametrize("kind", ["ccd", "sd"])
+def test_family_constructors_match_the_fraction_construction_on_the_eighths_grid(kind):
+    for ks in product(range(9), repeat=4):
+        params = [F(k, 8) for k in ks]
+        assert_same_box(MAKERS[kind](*params), reference_table_box(kind, *params),
+                        check_validate=False)
+
+
+# rationals of unequal denominators, negative and above 1, as every type rat
+# takes (a float stands for the decimal it prints as)
+family_params = st.fractions(min_value=-3, max_value=3, max_denominator=60).flatmap(
+    lambda q: st.sampled_from([q, str(q), float(q)] + ([int(q)] if q.denominator == 1 else []))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["ccd", "sd"]), st.lists(family_params, min_size=4, max_size=4))
+def test_family_constructors_match_the_fraction_construction(kind, params):
+    assert_same_box(MAKERS[kind](*params), reference_table_box(kind, *params))

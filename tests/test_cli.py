@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface through main(argv)."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -157,6 +158,25 @@ def test_huge_exponents_exit_2_at_once(tmp_path, argv):
     assert "exponent beyond 4000" in done.stderr and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("command", ["classify", "reduce", "ontology"])
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_non_finite_box_entries_exit_2(tmp_path, command, entry):
+    done = cli_process(command, "--input", box_file_with_entry(tmp_path, entry))
+    assert done.returncode == 2
+    assert "not a rational" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_boolean_box_entries_exit_2(tmp_path):
+    # true is no probability, though Python's bool is an int
+    doc = ab.box_doc(ab.pr_box())
+    doc["p"] = {key: [[True, 0], [0, 0]] for key in doc["p"]}
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(doc))
+    done = cli_process("classify", "--input", str(path))
+    assert done.returncode == 2
+    assert "not a rational: True" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_derived_entries_too_long_to_print_exit_2():
     # both denominators have 3,990 digits, under the input limit, but entries
     # like t + s - r need about 7,980 over their common denominator
@@ -281,6 +301,24 @@ def test_sweep_grid_beyond_the_point_budget_exits_at_once(capsys):
     assert code == 4
     assert "100000001" in err
     assert out == ""
+
+
+# sha256 of the stdout of the sweep over the full k/8 grid: every row, in
+# order, byte for byte (the csv module ends lines with \r\n)
+EIGHTHS_SWEEP_SHA256 = {
+    "ccd": (425, "a9540b3c2b03709b501003c80840242ced141078aa0473abb0dd7e5df391cf6d"),
+    "sd": (295, "9796d00c549b037a5dd07b3486649fc27d0c1ac77f319071f17959bf0b365450"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(EIGHTHS_SWEEP_SHA256))
+def test_sweep_over_the_eighths_grid_is_pinned(capsys, family):
+    grid = "r=0:1:1/8,s=0:1:1/8,t=0:1:1/8,u=0:1:1/8"
+    code, out, err = run(capsys, "sweep", "--family", family, "--grid", grid)
+    assert code == 0
+    rows, digest = EIGHTHS_SWEEP_SHA256[family]
+    assert out.count("\r\n") == rows + 1  # the header and one line per valid box
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sweep_grid_at_eighths_is_within_the_point_budget():

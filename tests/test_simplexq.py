@@ -287,3 +287,61 @@ def test_2222_lps_pivot_on_units_only():
                 if ab.validate(box).ok:
                     feasible_nonneg(M, [box.num[key] for key in row_labels(2, 2, 2, 2)])
     assert len(seen) == 6581 and set(seen) == {(1, 1)}
+
+
+# ---------------------------------------------------------------------------
+# both certificates are rechecked against the caller's M and c, so a pivoting
+# bug that corrupts the final tableau raises instead of giving a wrong verdict
+
+def corrupting(corrupt):
+    """simplexq._pivot, then corrupt(tab, d) on the final tableau: the one
+    whose objective row has no negative entry left, so the loop stops."""
+    pivot = simplexq._pivot
+
+    def wrapped(tab, r, col, d):
+        d = pivot(tab, r, col, d)
+        if min(tab[-1][:-1]) >= 0:
+            corrupt(tab, d)
+        return d
+
+    return wrapped
+
+
+def shift_rhs(tab, d):
+    for row in tab[:-1]:
+        row[-1] += d  # every basic variable one larger
+
+
+@pytest.mark.parametrize("rows, c", [
+    ([[1, 1], [1, -1]], [2, 0]),
+    cleared(*lp_2222(ab.uniform_box())),
+], ids=["2x2", "uniform-2222"])
+def test_a_corrupted_feasible_point_is_refused(monkeypatch, rows, c):
+    assert feasible_nonneg(rows, c)[0]
+    monkeypatch.setattr(simplexq, "_pivot", corrupting(shift_rhs))
+    with pytest.raises(RuntimeError, match="invalid feasible point"):
+        feasible_nonneg(rows, c)
+
+
+def multipliers(*Y):
+    """Overwrite the objective row under the artificials with d - Y_i d, so
+    that the simplex multipliers read off it are Y (all 0 if none given)."""
+    def corrupt(tab, d):
+        m = len(tab) - 1
+        z = tab[m]
+        n = len(z) - m - 1
+        for i in range(m):
+            z[n + i] = d - (Y[i] if Y else 0) * d
+    return corrupt
+
+
+@pytest.mark.parametrize("rows, c, corrupt", [
+    ([[1, 0], [1, 0]], [1, 2], multipliers()),  # y c = 0
+    ([[1, 0], [1, 0]], [1, 2], multipliers(0, 1)),  # y c > 0 but y M > 0
+    (*cleared(*lp_2222(ab.pr_box())), multipliers()),
+], ids=["2x2-yc", "2x2-yM", "pr-2222"])
+def test_a_corrupted_farkas_vector_is_refused(monkeypatch, rows, c, corrupt):
+    assert not feasible_nonneg(rows, c)[0]
+    monkeypatch.setattr(simplexq, "_pivot", corrupting(corrupt))
+    with pytest.raises(RuntimeError, match="Farkas certificate failed verification"):
+        feasible_nonneg(rows, c)
