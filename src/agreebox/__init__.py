@@ -35,7 +35,6 @@ from .bridge import (
     box_to_model,
     correlator_functional,
     is_local,
-    locality_to_json_doc,
     model_to_box,
 )
 from .classical import (

@@ -9,12 +9,13 @@ input pair, and both no-signaling conditions:
     sum_b p(ab|xy) independent of y   (Bob cannot signal to Alice).
 
 All arithmetic is exact; there is no tolerance anywhere in this module.
-On construction a Box also stores its table in one integer form: den, the
-lcm of the entry denominators, and num[key] = den * p(key).  Validation,
-marginals and conditionals sum and compare these ints, and build a
-Fraction only for a returned value or a violation message.  A table whose
-den or some num reaches 10**MAX_DIGITS is refused with ParseError, so every
-such value prints.
+A Box stores its entries in one integer form, num[key] = den * p(key),
+reduced by the gcd of den and every num, so den is the least common
+denominator and equal boxes compare equal.  make_box turns rational
+entries into this form.  Validation, marginals and conditionals sum and
+compare the ints, and build a Fraction only for a returned value or a
+violation message.  A box whose den or some num reaches 10**MAX_DIGITS is
+refused with ParseError, so every such value prints.
 The conventional frame used by the analysis modules puts the observed
 event at inputs x = y = 0, outputs a = b = 0, and the events the parties
 reason about at output 1 of inputs x = 1 and y = 1.  Boxes that arrive in
@@ -24,10 +25,10 @@ a different frame can be moved into this one with relabel().
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ParseError, ShapeError, StructuralError
 from .rationals import _TOO_LONG, MAX_DIGITS, rat, rat_str
@@ -35,33 +36,41 @@ from .rationals import _TOO_LONG, MAX_DIGITS, rat, rat_str
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Box:
-    """Immutable box. table maps (a, b, x, y) to an exact probability."""
+    """Immutable box: p(a, b | x, y) = num[(a, b, x, y)] / den, in lowest terms."""
 
     nA: int
     nB: int
     nX: int
     nY: int
-    table: dict = field(compare=True)
-    den: int = field(init=False, compare=False, repr=False)  # lcm of denominators
-    num: dict = field(init=False, compare=False, repr=False)  # key -> den * p, an int
+    den: int
+    num: dict  # (a, b, x, y) -> int
 
     def __post_init__(self):
-        den = lcm(*(v.denominator for v in self.table.values()))
-        num = {k: v.numerator * (den // v.denominator) for k, v in self.table.items()}
+        g = gcd(self.den, *self.num.values())
+        if g != 1:
+            object.__setattr__(self, "den", self.den // g)
+            object.__setattr__(self, "num", {k: v // g for k, v in self.num.items()})
         # an entry's numerator and denominator are at most its num and den;
         # under this bound every sum of entries, and every ratio of two such
         # sums, stays below Python's 4,300-digit int-to-str limit
-        if den >= _TOO_LONG or max(map(abs, num.values()), default=0) >= _TOO_LONG:
+        if self.den >= _TOO_LONG or max(map(abs, self.num.values()), default=0) >= _TOO_LONG:
             raise ParseError(
                 f"box entries need more than {MAX_DIGITS} digits over a common denominator"
             )
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "num", num)
+
+    @property
+    def table(self) -> dict:
+        """(a, b, x, y) -> the exact probability, as a Fraction."""
+        return {k: Fraction(v, self.den) for k, v in self.num.items()}
+
+    def __repr__(self):
+        shape = f"nA={self.nA!r}, nB={self.nB!r}, nX={self.nX!r}, nY={self.nY!r}"
+        return f"Box({shape}, table={self.table!r})"
 
     def p(self, a: int, b: int, x: int, y: int) -> Fraction:
-        return self.table[(a, b, x, y)]
+        return Fraction(self.num[(a, b, x, y)], self.den)
 
     def _num_a(self, a: int, x: int, y: int) -> int:
         return sum(self.num[(a, b, x, y)] for b in range(self.nB))
@@ -81,6 +90,7 @@ class Box:
 def make_box(nA: int, nB: int, nX: int, nY: int, entries) -> Box:
     """Build a Box from any mapping (a,b,x,y) -> rational-like value.
 
+    The one place where rational entries become a Box's integer form.
     Raises StructuralError if an entry is missing or an index is out of range.
     """
     if min(nA, nB, nX, nY) < 1:
@@ -101,7 +111,9 @@ def make_box(nA: int, nB: int, nX: int, nY: int, entries) -> Box:
             if (a, b, x, y) not in table
         )
         raise StructuralError(f"missing {missing} entries, first: {first}")
-    return Box(nA, nB, nX, nY, table)
+    den = lcm(*(v.denominator for v in table.values()))
+    num = {k: v.numerator * (den // v.denominator) for k, v in table.items()}
+    return Box(nA, nB, nX, nY, den, num)
 
 
 def box_from_rows(rows) -> Box:
@@ -255,7 +267,7 @@ def cond_event_a(box: Box, as_, b: int, x: int, y: int) -> Conditional:
 def is_perfectly_correlated(box: Box, x: int, y: int) -> bool:
     """True iff p(a,b|x,y) = 0 whenever a != b."""
     return all(
-        box.p(a, b, x, y) == 0
+        box.num[(a, b, x, y)] == 0
         for a in range(box.nA)
         for b in range(box.nB)
         if a != b
@@ -266,12 +278,13 @@ def correlators(box: Box) -> dict:
     """c[x, y] = p(a=b|xy) - p(a!=b|xy) for a binary-output box."""
     if box.nA != 2 or box.nB != 2:
         raise ShapeError("correlators are defined for binary outputs only")
+    n = box.num
     c = {}
     for x in range(box.nX):
         for y in range(box.nY):
-            agree = box.p(0, 0, x, y) + box.p(1, 1, x, y)
-            differ = box.p(0, 1, x, y) + box.p(1, 0, x, y)
-            c[(x, y)] = agree - differ
+            agree = n[0, 0, x, y] + n[1, 1, x, y]
+            differ = n[0, 1, x, y] + n[1, 0, x, y]
+            c[(x, y)] = Fraction(agree - differ, box.den)
     return c
 
 
@@ -302,10 +315,10 @@ class RelabelFrame:
 
 
 def relabel(box: Box, frame: RelabelFrame) -> Box:
-    table = {}
-    for (a, b, x, y), v in box.table.items():
-        table[(frame.pi_a[x][a], frame.pi_b[y][b], frame.sigma_x[x], frame.sigma_y[y])] = v
-    return Box(box.nA, box.nB, box.nX, box.nY, table)
+    num = {}
+    for (a, b, x, y), v in box.num.items():
+        num[(frame.pi_a[x][a], frame.pi_b[y][b], frame.sigma_x[x], frame.sigma_y[y])] = v
+    return Box(box.nA, box.nB, box.nX, box.nY, box.den, num)
 
 
 def all_frames(box: Box):
@@ -331,11 +344,13 @@ def all_frames(box: Box):
 # JSON round trip
 
 def box_doc(box: Box) -> dict:
+    # a box has few distinct entries: format each once
+    text = {n: rat_str(Fraction(n, box.den)) for n in set(box.num.values())}
     rows = {}
     for x in range(box.nX):
         for y in range(box.nY):
             rows[f"{x},{y}"] = [
-                [rat_str(box.p(a, b, x, y)) for b in range(box.nB)]
+                [text[box.num[(a, b, x, y)]] for b in range(box.nB)]
                 for a in range(box.nA)
             ]
     return {"nA": box.nA, "nB": box.nB, "nX": box.nX, "nY": box.nY, "p": rows}

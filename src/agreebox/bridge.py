@@ -23,7 +23,6 @@ from math import lcm
 from .boxes import Box, make_box
 from .classical import OntologicalModel, make_model
 from .errors import BudgetError, PreconditionError, ShapeError
-from .rationals import rat_str
 from .simplexq import LinearSolver, feasible_nonneg
 
 ZERO = Fraction(0)
@@ -209,23 +208,3 @@ def correlator_functional(weights) -> dict:
                 coeffs[(a, b, x, y)] = Fraction(w) * (1 if a == b else -1)
     return coeffs
 
-
-def locality_to_json_doc(verdict: LocalityVerdict) -> dict:
-    if verdict.local:
-        return {
-            "local": True,
-            "weights": [
-                {"alice": list(alpha), "bob": list(beta), "weight": rat_str(w)}
-                for (alpha, beta), w in verdict.weights
-            ],
-        }
-    cert = verdict.certificate
-    return {
-        "local": False,
-        "dual": [
-            {"a": a, "b": b, "x": x, "y": y, "coeff": rat_str(w)}
-            for (a, b, x, y), w in sorted(cert.coeffs.items())
-        ],
-        "local_bound": rat_str(cert.local_bound),
-        "box_value": rat_str(cert.box_value),
-    }

@@ -22,7 +22,6 @@ verify_agreement_theorem() checks that exhaustively over all small models.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from .errors import ParseError, PreconditionError, StructuralError

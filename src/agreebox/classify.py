@@ -84,7 +84,7 @@ def match_ccd_form(box: Box):
     s = box.p(0, 1, 0, 1)
     t = box.p(0, 0, 1, 1)
     u = box.p(0, 1, 1, 0)
-    if ccd_table_box(r, s, t, u).table != box.table:
+    if ccd_table_box(r, s, t, u) != box:
         return None
     ok = (
         not caption_violations("ccd", r, s, t, u)
@@ -102,7 +102,7 @@ def match_sd_form(box: Box):
     t = box.p(0, 1, 0, 0)
     u = box.p(1, 1, 0, 0)
     r = box.p(0, 0, 1, 1)
-    if sd_table_box(r, s, t, u).table != box.table:
+    if sd_table_box(r, s, t, u) != box:
         return None
     ok = not caption_violations("sd", r, s, t, u)
     return TableForm("sd", (r, s, t, u), ok)

@@ -8,8 +8,9 @@ Subcommands:
     ontology          box JSON -> instruction-set model JSON (flags signed)
     verify-classical  exhaustive small-model agreement check -> report JSON
 
-Exit codes: 0 success, 2 parse error, 3 validation or precondition error,
-4 size limit exceeded, 1 anything unexpected.
+Exit codes: 0 success, 2 parse error or a file that cannot be read or
+written (missing, a directory, not UTF-8 text), 3 validation or
+precondition error, 4 size limit exceeded, 1 anything unexpected.
 """
 
 import argparse
@@ -66,10 +67,9 @@ def _write_text(path, text):
 
 
 def _load_box(path):
+    # box_from_json refuses a missing or out-of-range entry with StructuralError
     box = box_from_json(_read_text(path))
     result = validate(box)
-    if result.structural:
-        raise StructuralError("; ".join(result.structural))
     if not result.ok:
         raise PreconditionError(
             "box is not a valid no-signaling box: " + "; ".join(result.violations)
@@ -152,27 +152,25 @@ def _cmd_classify(args):
 
 
 def _family_box(family, params):
+    """The family's box; ccd and sd read r, s, t and u from params."""
     if family == "pr":
-        return pr_box(), []
+        return pr_box()
     if family == "uniform":
-        return uniform_box(), []
+        return uniform_box()
     missing = set(TABLE_PARAMS) - set(params)
     if missing:
         raise ParseError(f"family {family!r} needs parameters {sorted(missing)}")
-    r, s, t, u = params["r"], params["s"], params["t"], params["u"]
     maker = ccd_table_box if family == "ccd" else sd_table_box
-    return maker(r, s, t, u), caption_violations(family, r, s, t, u)
+    return maker(*(params[name] for name in TABLE_PARAMS))
 
 
 def _cmd_generate(args):
     names = TABLE_PARAMS if args.family in ("ccd", "sd") else ()
-    box, warnings = _family_box(args.family, _parse_params(args.params, names))
-    for w in warnings:
+    params = _parse_params(args.params, names)
+    box = _family_box(args.family, params)
+    captions = caption_violations(args.family, *map(params.get, names)) if names else []
+    for w in [*captions, *validate(box).violations]:
         print(f"warning: {w}", file=sys.stderr)
-    result = validate(box)
-    if not result.ok:
-        for v in result.violations:
-            print(f"warning: {v}", file=sys.stderr)
     _write_text(args.output, box_to_json(box))
     return EXIT_OK
 
@@ -187,14 +185,8 @@ SWEEP_COLUMNS = [
 
 def _sweep_rows(family, tuples):
     skipped = 0
-    for r, s, t, u in tuples:
-        # built directly: a sweep row has no place for _family_box's caption warnings
-        if family == "ccd":
-            box = ccd_table_box(r, s, t, u)
-        elif family == "sd":
-            box = sd_table_box(r, s, t, u)
-        else:
-            box, _ = _family_box(family, {})
+    for values in tuples:
+        box = _family_box(family, dict(zip(TABLE_PARAMS, values)))
         if not validate(box).ok:
             skipped += 1
             continue
@@ -207,15 +199,15 @@ def _sweep_rows(family, tuples):
             "sd": str(report.sd).lower(),
             "local": str(is_local(box).local).lower(),
         }
-        for name, value in (("r", r), ("s", s), ("t", t), ("u", u)):
+        cells = (
+            *zip(TABLE_PARAMS, values),
+            ("qA", h.qA.value if h.qA.defined else None),
+            ("qB", h.qB.value if h.qB.defined else None),
+            ("gap", gap),
+        )
+        for name, value in cells:
             row[name] = rat_str(value) if value is not None else ""
             row[name + "_dec"] = rat_dec(value) if value is not None else ""
-        row["qA"] = rat_str(h.qA.value) if h.qA.defined else ""
-        row["qA_dec"] = rat_dec(h.qA.value) if h.qA.defined else ""
-        row["qB"] = rat_str(h.qB.value) if h.qB.defined else ""
-        row["qB_dec"] = rat_dec(h.qB.value) if h.qB.defined else ""
-        row["gap"] = rat_str(gap) if gap is not None else ""
-        row["gap_dec"] = rat_dec(gap) if gap is not None else ""
         yield row
     if skipped:
         print(f"note: skipped {skipped} grid points with invalid boxes", file=sys.stderr)
@@ -362,7 +354,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps(report_doc(exc.report), indent=2), file=sys.stderr)
         return EXIT_VALIDATION
-    except (ParseError, StructuralError, FileNotFoundError) as exc:
+    except (ParseError, StructuralError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (PreconditionError, ShapeError) as exc:

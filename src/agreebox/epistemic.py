@@ -126,7 +126,7 @@ def detect_ccd(box: Box) -> DisagreementReport:
     qB = conditional(box, ("A", 1), (0, 1, 0))
     h = hierarchy(box, qA, qB)
     corr = is_perfectly_correlated(box, 1, 1)
-    witness_mass = box.p(0, 0, 0, 0)
+    witness_mass = box.num[(0, 0, 0, 0)]
 
     reason = ""
     if not (qA.defined and qB.defined):

@@ -63,12 +63,6 @@ def _integer_params(*params):
     return D, [q.numerator * (D // q.denominator) for q in qs]
 
 
-def _box_2222(D, nums) -> Box:
-    """The 2222 box with entries nums / D, listed in _KEYS_2222 order."""
-    value = {v: Fraction(v, D) for v in set(nums)}
-    return Box(2, 2, 2, 2, {k: value[v] for k, v in zip(_KEYS_2222, nums)})
-
-
 def ccd_table_box(r, s, t, u) -> Box:
     """Instantiate the CCD form.  Rows are [p(00), p(01), p(10), p(11)].
 
@@ -76,27 +70,28 @@ def ccd_table_box(r, s, t, u) -> Box:
     u = p(01|10); everything else is forced by normalization, no-signaling
     and the zero pattern of the form.  Out-of-range parameters produce a
     box that fails validate(), not an exception.  The entries are worked
-    out as ints over D, the lcm of the parameter denominators.
+    out as ints over D, the lcm of the parameter denominators, and handed
+    to Box as they are.
     """
     D, (r, s, t, u) = _integer_params(r, s, t, u)
-    return _box_2222(D, [
+    return Box(2, 2, 2, 2, D, dict(zip(_KEYS_2222, (
         r, 0, 0, D - r,                    # (x, y) = (0, 0)
         r - s, s, t + s - r, D - t - s,    # (0, 1)
         t - u, u, r - t + u, D - r - u,    # (1, 0)
         t, 0, 0, D - t,                    # (1, 1)
-    ])
+    ))))
 
 
 def sd_table_box(r, s, t, u) -> Box:
     """Instantiate the SD form.  Here s = p(00|00), t = p(01|00),
     u = p(11|00) and r = p(00|11)."""
     D, (r, s, t, u) = _integer_params(r, s, t, u)
-    return _box_2222(D, [
+    return Box(2, 2, 2, 2, D, dict(zip(_KEYS_2222, (
         s, t, D - s - u - t, u,            # (x, y) = (0, 0)
         0, s + t, r, D - s - t - r,        # (0, 1)
         D - u - t, u + t + r - D, 0, D - r,  # (1, 0)
         r, 0, 0, D - r,                    # (1, 1)
-    ])
+    ))))
 
 
 def caption_violations(kind: str, r, s, t, u) -> list:

@@ -71,7 +71,7 @@ def reduce_box(box: Box, mode: str):
     nums = dict.fromkeys(product(range(2), repeat=4), 0)
     for a, b, x, y in product(range(box.nA), range(box.nB), range(2), range(2)):
         nums[(eff_a[x][a], eff_b[y][b], x, y)] += box.num[(a, b, x, y)]
-    reduced = make_box(2, 2, 2, 2, {k: Fraction(n, box.den) for k, n in nums.items()})
+    reduced = Box(2, 2, 2, 2, box.den, nums)
     plan = ReductionPlan(
         ((0, 1), (0, 1)), tuple(sorted(a_group)), tuple(sorted(b_group)), mode
     )

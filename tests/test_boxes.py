@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
@@ -106,7 +107,7 @@ def test_missing_entries_of_a_huge_shape_are_found_without_copying_ranges():
 
 def test_structural_beats_constraints_in_validate():
     box = ab.pr_box()
-    broken = ab.Box(2, 2, 2, 2, {k: v for k, v in box.table.items() if k != (0, 0, 0, 0)})
+    broken = ab.Box(2, 2, 2, 2, box.den, {k: v for k, v in box.num.items() if k != (0, 0, 0, 0)})
     result = ab.validate(broken)
     assert not result.ok and result.structural and not result.violations
 
@@ -164,11 +165,11 @@ def test_validate_violations_are_pinned():
 def test_validate_sums_only_keys_inside_the_shape():
     # a directly built Box may carry a key outside its shape: it is range
     # checked like any entry, but no marginal or normalization sums it
-    table = dict(ab.pr_box().table)
-    table[(2, 0, 0, 0)] = F(1, 2)
-    assert ab.validate(ab.Box(2, 2, 2, 2, table)) == ab.ValidationResult(True, (), ())
-    table[(2, 0, 0, 0)] = F(3, 2)
-    assert ab.validate(ab.Box(2, 2, 2, 2, table)).violations == (
+    num = dict(ab.pr_box().num)  # over den 2
+    num[(2, 0, 0, 0)] = 1
+    assert ab.validate(ab.Box(2, 2, 2, 2, 2, num)) == ab.ValidationResult(True, (), ())
+    num[(2, 0, 0, 0)] = 3
+    assert ab.validate(ab.Box(2, 2, 2, 2, 2, num)).violations == (
         "entry out of [0,1] at (a,b,x,y)=(2, 0, 0, 0): 3/2",
     )
 
@@ -192,12 +193,18 @@ def assert_integer_form(box):
 
 
 small_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=30)
+inner_ratio = st.integers(1, 11).map(lambda k: F(k, 12))
+disagreement_boxes = (
+    ab.pr_box(),
+    ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), 0),
+    ab.sd_table_box(F(1, 4), F(1, 4), 0, F(3, 4)),
+)
 
 
 @st.composite
 def any_box(draw):
     kind = draw(st.sampled_from(
-        ("make_box", "relabel", "json", "ccd", "sd", "mixture", "fixed")
+        ("make_box", "relabel", "json", "ccd", "sd", "mixture", "fixed", "split", "reduce")
     ))
     if kind == "make_box":
         nA, nB, nX, nY = (draw(st.integers(1, 3)) for _ in range(4))
@@ -212,7 +219,15 @@ def any_box(draw):
             ab.pr_box(), ab.uniform_box(), ab.uniform_box(3, 2, 2, 3),
             ab.strategy_box(0, 1, 1, 0),
         )))
+    if kind == "reduce":
+        # splitting keeps the disagreement, so the split box reduces
+        source = draw(st.sampled_from(disagreement_boxes))
+        split = ab.split_output(source, draw(st.integers(0, 1)), 0, draw(inner_ratio))
+        return ab.reduce_box(split, "auto")[0]
     box = local_box_from(draw(weights_strategy()))
+    if kind == "split":
+        output, at_input = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        return ab.split_output(box, output, at_input, draw(small_fraction))
     if kind == "relabel":
         return ab.relabel(box, draw(st.sampled_from(list(ab.all_frames(box)))))
     if kind == "json":
@@ -234,6 +249,28 @@ def test_integer_form_of_fixed_boxes():
     # the integer form is derived data: it takes no part in equality or repr
     assert box == ab.make_box(2, 2, 2, 2, box.table)
     assert "num" not in repr(box) and "den" not in repr(box)
+
+
+def test_box_stores_den_and_num_in_lowest_terms():
+    assert [f.name for f in fields(ab.Box)] == ["nA", "nB", "nX", "nY", "den", "num"]
+    box = ab.Box(2, 2, 2, 2, 8, {k: 4 * n for k, n in ab.pr_box().num.items()})
+    assert box.den == 2 and box.num == ab.pr_box().num and box == ab.pr_box()
+    # repr prints the Fraction table, as the earlier table-holding Box did
+    box = ab.make_box(1, 2, 1, 1, {(0, 0, 0, 0): F(1, 3), (0, 1, 0, 0): "2/3"})
+    assert repr(box) == (
+        "Box(nA=1, nB=2, nX=1, nY=1, "
+        "table={(0, 0, 0, 0): Fraction(1, 3), (0, 1, 0, 0): Fraction(2, 3)})"
+    )
+
+
+def test_reduction_of_a_split_box_is_in_lowest_terms():
+    # the split PR box has quarters; the reduction sums them back to halves
+    split = ab.split_output(ab.pr_box())
+    assert split.den == 4
+    reduced, _ = ab.reduce_box(split, "auto")
+    assert reduced.den == 2
+    assert reduced == ab.pr_box()
+    assert_integer_form(reduced)
 
 
 # ---------------------------------------------------------------------------

@@ -401,16 +401,6 @@ def test_chsh_functional_on_pr():
     assert ab.bell_local_bound(coeffs, 2, 2, 2, 2) == 2
 
 
-def test_locality_json_doc():
-    doc = ab.locality_to_json_doc(ab.is_local(ab.uniform_box()))
-    assert doc["local"] is True
-    assert all(entry["weight"] != "0" for entry in doc["weights"])
-    doc = ab.locality_to_json_doc(ab.is_local(ab.pr_box()))
-    assert doc["local"] is False
-    assert "weights" not in doc
-    assert doc["box_value"] != doc["local_bound"]
-
-
 # ---------------------------------------------------------------------------
 # the certificate is computed on ints: it must equal the Fraction functions
 

@@ -187,6 +187,31 @@ def test_derived_entries_too_long_to_print_exit_2():
     assert "more than 4000 digits" in done.stderr and "Traceback" not in done.stderr
 
 
+# a file that cannot be read or written is a parse error, not a traceback
+
+@pytest.mark.parametrize("command", ["classify", "reduce", "ontology"])
+def test_a_directory_as_input_exits_2(tmp_path, command):
+    done = cli_process(command, "--input", str(tmp_path))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_a_directory_as_output_exits_2(tmp_path, command):
+    done = cli_process(command, "--family", "pr", "--output", str(tmp_path))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["classify", "reduce", "ontology"])
+def test_non_utf8_input_exits_2(tmp_path, command):
+    path = tmp_path / "box.json"
+    path.write_bytes(ab.box_to_json(ab.pr_box()).encode("utf-16"))
+    done = cli_process(command, "--input", str(path))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
