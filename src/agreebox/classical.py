@@ -22,7 +22,7 @@ verify_agreement_theorem() checks that exhaustively over all small models.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from .errors import ParseError, PreconditionError, StructuralError
 from .rationals import rat, rat_str
@@ -175,8 +175,10 @@ def common_certainty_at(model, events, qA, qB, omega_star: int) -> bool:
 # Each measure gets a table of the mass of all 2^n state sets, built once,
 # so every mass in the loop is one list lookup; the nonempty join cells and
 # their masses are listed once per partition pair, before the event loops.
-# A deterministic subsample of instances is re-run through the public
-# tower() above as a self-check of the fast path.
+# Only nondecreasing mass vectors are enumerated, each instance counted
+# once per rearrangement of the masses (see verify_agreement_theorem).  A
+# deterministic subsample of the enumerated instances is re-run through the
+# public tower() above as a self-check of the fast path.
 
 @dataclass(frozen=True)
 class AgreementCheckReport:
@@ -223,6 +225,14 @@ def _measures(n, dmax):
         for ks in _compositions(d, n):
             if gcd(*ks, d) == 1:
                 yield ks, d
+
+
+def _arrangements(masses):
+    """Number of distinct orderings of the masses: n!/prod(multiplicity!)."""
+    count = factorial(len(masses))
+    for k in set(masses):
+        count //= factorial(masses.count(k))
+    return count
 
 
 def _subset_masses(masses):
@@ -287,17 +297,29 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
     qA = P(E_B | cell_A), qB = P(E_A | cell_B) and runs the tower.  Every
     instance with common certainty must have qA = qB; the count of
     violations is returned (and must be zero).
+
+    Only measures with nondecreasing masses are enumerated.  Permuting the
+    states maps the instances of a measure one-to-one onto those of the
+    permuted measure with the same outcome (partitions, events and join
+    cells move with the states, and the tower commutes with the move), so
+    the instance, certainty and violation counts of a sorted measure are
+    multiplied by its number of distinct arrangements, n!/prod(multiplicity!);
+    max_iterations is a maximum over them and takes no weight.
     """
     omega = min(bound_omega, HARD_OMEGA_CAP)
     dmax = min(denominator_bound, HARD_DENOM_CAP)
     complete = omega == bound_omega and dmax == denominator_bound
 
     stride = CROSS_CHECK_STRIDE  # a local in the innermost loop
+    enumerated = 0  # unweighted; the cross-check stride counts these
     instances = certainty = violations = 0
     max_iters = 0
     for n in range(1, omega + 1):
         partitions = list(_set_partitions(n))
         for masses, d in _measures(n, dmax):
+            if masses != tuple(sorted(masses)):
+                continue  # counted through its sorted rearrangement
+            weight = _arrangements(masses)
             M = _subset_masses(masses)
             zero = 0
             for w in range(n):
@@ -333,17 +355,18 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
                                     EA, EB, qa_num, mA, qb_num, mB,
                                 )
                                 max_iters = max(max_iters, iters)
-                                instances += 1
-                                if instances % stride == 0:
+                                enumerated += 1
+                                instances += weight
+                                if enumerated % stride == 0:
                                     _cross_check(
                                         n, masses, d, blocksA, blocksB, EA, EB,
                                         Fraction(qa_num, mA), Fraction(qb_num, mB),
                                         A, B,
                                     )
                                 if A & B & ca & cb:
-                                    certainty += 1
+                                    certainty += weight
                                     if qa_num * mB != qb_num * mA:
-                                        violations += 1
+                                        violations += weight
     return AgreementCheckReport(
         omega, dmax, instances, certainty, violations, complete, max_iters
     )

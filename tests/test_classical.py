@@ -131,6 +131,66 @@ def test_verify_full_report_at_four_states():
     ) == (10878, 7606, 0, True, 3)
 
 
+def test_verify_full_report_at_five_states_denominator_three():
+    rep = ab.verify_agreement_theorem(5, 3)
+    assert (
+        rep.instances, rep.certainty_instances, rep.violations,
+        rep.complete, rep.max_iterations,
+    ) == (1044630, 577590, 0, True, 3)
+
+
+def plain_report(omega, dmax):
+    """verify_agreement_theorem over every measure, with no orbit weights.
+
+    Perfectly correlated event pairs are found by the mass of EA ^ EB
+    rather than by listing subsets of the zero-mass states.
+    """
+    instances = certainty = violations = max_iters = 0
+    for n in range(1, omega + 1):
+        partitions = list(classical._set_partitions(n))
+        for masses, _ in classical._measures(n, dmax):
+            M = classical._subset_masses(masses)
+            null_sets = [T for T in range(1 << n) if M[T] == 0]
+            for blocksA in partitions:
+                for blocksB in partitions:
+                    joins = [(ca, cb) for ca in blocksA for cb in blocksB if ca & cb]
+                    if any(M[ca & cb] == 0 for ca, cb in joins):
+                        continue
+                    for EA in range(1 << n):
+                        for EB in (EA ^ T for T in null_sets):
+                            for ca, cb in joins:
+                                qa, qb = F(M[EB & ca], M[ca]), F(M[EA & cb], M[cb])
+                                A, B, iters = classical._bit_tower(
+                                    M, blocksA, blocksB, EA, EB,
+                                    M[EB & ca], M[ca], M[EA & cb], M[cb],
+                                )
+                                instances += 1
+                                max_iters = max(max_iters, iters)
+                                if A & B & ca & cb:
+                                    certainty += 1
+                                    violations += qa != qb
+    return ab.AgreementCheckReport(
+        omega, dmax, instances, certainty, violations, True, max_iters
+    )
+
+
+@pytest.mark.parametrize("omega, dmax", [(4, 3), (5, 2)])
+def test_weighted_sorted_measures_match_the_plain_enumeration(omega, dmax):
+    assert ab.verify_agreement_theorem(omega, dmax) == plain_report(omega, dmax)
+
+
+def test_orbit_weights_of_sorted_measures_count_every_measure():
+    for n in range(1, classical.HARD_OMEGA_CAP + 1):
+        for d in range(1, classical.HARD_DENOM_CAP + 1):
+            measures = list(classical._measures(n, d))
+            weights = [
+                classical._arrangements(masses)
+                for masses, _ in measures
+                if list(masses) == sorted(masses)
+            ]
+            assert sum(weights) == len(measures)
+
+
 def test_verify_clamps_and_flags_incomplete(monkeypatch):
     monkeypatch.setattr(classical, "HARD_OMEGA_CAP", 2)
     monkeypatch.setattr(classical, "HARD_DENOM_CAP", 2)

@@ -251,14 +251,18 @@ def qubit_boxes(draw):
 @given(qubit_boxes(), st.fractions(min_value=0, max_value=1, max_denominator=5))
 def test_quantum_boxes_are_never_postquantum(box, ratio):
     assert ab.validate(box).ok
+    # splitting an output is local post-processing: still quantum
+    split = ab.split_output(box, ratio=ratio)
     for verdict in (
         ab.classify(box),
         ab.classify(box, relabel_search=True),
         ab.classify_general(box),
-        # splitting an output is local post-processing: still quantum
-        ab.classify_general(ab.split_output(box, ratio=ratio)),
+        ab.classify_general(split),
     ):
         assert verdict.conclusion is not ab.Conclusion.POSTQUANTUM
+    # the agreement theorem for quantum observers
+    assert ab.detect_ccd(box).ccd is False
+    assert ab.detect_ccd(split).ccd is False
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import json
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import agreebox as ab
+from agreebox.bridge import instruction_states
 
 rational01 = st.fractions(min_value=0, max_value=1, max_denominator=6)
 
@@ -203,6 +205,57 @@ def test_sd_iff_form_constraints_small_sweep():
                     expected = s > 0 and s + t != 0 and u + t != 1
                     assert ab.detect_ccd(box).sd == expected, (r, s, t, u)
     assert count > 40
+
+
+# ---------------------------------------------------------------------------
+# the box hierarchy against the classical tower: a local box is a partition
+# model on the support of its convex weights, so the two must coincide there,
+# and the classical agreement theorem then rules out CCD
+
+@st.composite
+def local_boxes(draw):
+    """Mixtures of deterministic strategies in 2222, 3322 and 2233, half of
+    them perfectly correlated at (1, 1), where the agreement check bites;
+    independently, half have one of Alice's outputs split at x = 0."""
+    n, m = draw(st.sampled_from(((2, 2), (3, 2), (2, 3))))  # outputs, inputs
+    states = instruction_states(n, n, m, m)
+    if draw(st.booleans()):
+        states = [(alpha, beta) for alpha, beta in states if alpha[1] == beta[1]]
+    chosen = draw(st.lists(st.sampled_from(states), min_size=1, max_size=5))
+    ws = draw(st.lists(st.integers(1, 6), min_size=len(chosen), max_size=len(chosen)))
+    entries = dict.fromkeys(product(range(n), range(n), range(m), range(m)), F(0))
+    for (alpha, beta), w in zip(chosen, ws):
+        for x, y in product(range(m), repeat=2):
+            entries[alpha[x], beta[y], x, y] += F(w, sum(ws))
+    box = ab.make_box(n, n, m, m, entries)
+    if draw(st.booleans()):
+        box = ab.split_output(box, draw(st.integers(0, n - 1)), 0, F(1, draw(st.integers(2, 3))))
+    return box
+
+
+@given(local_boxes())
+@settings(max_examples=100, deadline=None)
+def test_box_hierarchy_is_the_tower_of_its_local_model(box):
+    report = ab.detect_ccd(box)
+    h = report.hierarchy
+    assume(h.qA.defined and h.qB.defined)
+    support = ab.is_local(box).weights
+    alphas = [alpha for (alpha, _), _ in support]
+    betas = [beta for (_, beta), _ in support]
+    states = range(len(support))
+    model = ab.make_model(
+        [w for _, w in support],
+        {0: [{k for k in states if alphas[k][0] == a} for a in range(box.nA)]},
+        {0: [{k for k in states if betas[k][0] == b} for b in range(box.nB)]},
+    )
+    events = ab.EventPair(
+        frozenset(k for k in states if alphas[k][1] == 1),
+        frozenset(k for k in states if betas[k][1] == 1),
+    )
+    result = ab.tower(model, events, h.qA.value, h.qB.value)
+    assert result.A_N == {k for k in states if alphas[k][0] in h.alpha_N}
+    assert result.B_N == {k for k in states if betas[k][0] in h.beta_N}
+    assert report.ccd is False
 
 
 # ---------------------------------------------------------------------------
