@@ -22,6 +22,7 @@ verify_agreement_theorem() checks that exhaustively over all small models.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, permutations, product
 from math import factorial, gcd
 
 from .errors import ParseError, PreconditionError, StructuralError
@@ -175,10 +176,12 @@ def common_certainty_at(model, events, qA, qB, omega_star: int) -> bool:
 # Each measure gets a table of the mass of all 2^n state sets, built once,
 # so every mass in the loop is one list lookup; the nonempty join cells and
 # their masses are listed once per partition pair, before the event loops.
-# Only nondecreasing mass vectors are enumerated, each instance counted
-# once per rearrangement of the masses (see verify_agreement_theorem).  A
-# deterministic subsample of the enumerated instances is re-run through the
-# public tower() above as a self-check of the fast path.
+# Only nondecreasing mass vectors are enumerated, and for each only one
+# partition pair per orbit of the permutations that fix the masses; each
+# instance is counted once per rearrangement of the masses times the size
+# of its pair's orbit (see verify_agreement_theorem).  A deterministic
+# subsample of the enumerated instances is re-run through the public
+# tower() above as a self-check of the fast path.
 
 @dataclass(frozen=True)
 class AgreementCheckReport:
@@ -225,6 +228,61 @@ def _measures(n, dmax):
         for ks in _compositions(d, n):
             if gcd(*ks, d) == 1:
                 yield ks, d
+
+
+def _stabilizer(masses):
+    """The state permutations that fix the masses, identity first.
+
+    Each is given as its action on state sets: a list mapping every bitmask
+    to the bitmask of its image.  With the masses sorted, these are the
+    permutations within each run of equal masses.
+    """
+    runs, start = [], 0
+    for w in range(1, len(masses) + 1):
+        if w == len(masses) or masses[w] != masses[start]:
+            runs.append(range(start, w))
+            start = w
+    group = []
+    for choice in product(*(permutations(run) for run in runs)):
+        table = [0]
+        for image in chain.from_iterable(choice):
+            table += [t | 1 << image for t in table]
+        group.append(table)
+    return group
+
+
+def _pair_orbits(partitions, group):
+    """One (blocksA, blocksB, orbit size) per orbit of group on partition pairs.
+
+    blocksA runs over one partition per orbit of group; blocksB then runs
+    over one partition per orbit of the stabilizer H of blocksA, since two
+    pairs with first entry blocksA share a group orbit exactly when H maps
+    one second entry to the other.  The pair orbit has |orbit of blocksA| *
+    |H-orbit of blocksB| members.  Representatives are the members listed
+    first in partitions.
+    """
+    index = {frozenset(p): i for i, p in enumerate(partitions)}
+    # each non-identity element as a permutation of partition indices
+    moves = [
+        [index[frozenset([g[c] for c in p])] for p in partitions]
+        for g in group[1:]
+    ]
+    seen_a = set()
+    for ia, blocksA in enumerate(partitions):
+        if ia in seen_a:
+            continue
+        orbit_a = {move[ia] for move in moves}
+        orbit_a.add(ia)
+        seen_a |= orbit_a
+        fixing = [move for move in moves if move[ia] == ia]
+        seen_b = set()
+        for ib, blocksB in enumerate(partitions):
+            if ib in seen_b:
+                continue
+            orbit_b = {move[ib] for move in fixing}
+            orbit_b.add(ib)
+            seen_b |= orbit_b
+            yield blocksA, blocksB, len(orbit_a) * len(orbit_b)
 
 
 def _arrangements(masses):
@@ -298,13 +356,18 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
     instance with common certainty must have qA = qB; the count of
     violations is returned (and must be zero).
 
-    Only measures with nondecreasing masses are enumerated.  Permuting the
-    states maps the instances of a measure one-to-one onto those of the
-    permuted measure with the same outcome (partitions, events and join
-    cells move with the states, and the tower commutes with the move), so
-    the instance, certainty and violation counts of a sorted measure are
-    multiplied by its number of distinct arrangements, n!/prod(multiplicity!);
-    max_iterations is a maximum over them and takes no weight.
+    Permuting the states maps the instances of a model one-to-one onto
+    those of the permuted model with the same outcome (partitions, events,
+    join cells and the null-join test move with the states, and the tower
+    commutes with the move).  So only measures with nondecreasing masses
+    are enumerated, and for each only one partition pair per orbit of G,
+    the group of state permutations that fix the sorted masses (those
+    within runs of equal masses).  Every instance of a representative pair
+    counts n!/prod(multiplicity!) times, once per distinct arrangement of
+    the masses, times the size of the pair's orbit under G; this weight
+    multiplies the instance, certainty and violation counts.
+    max_iterations is a maximum over the enumerated instances and takes no
+    weight.
     """
     omega = min(bound_omega, HARD_OMEGA_CAP)
     dmax = min(denominator_bound, HARD_DENOM_CAP)
@@ -334,39 +397,39 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
                 if sub == 0:
                     break
                 sub = (sub - 1) & zero
-            for blocksA in partitions:
-                for blocksB in partitions:
-                    joins = [
-                        (ca, cb, M[ca], M[cb])
-                        for ca in blocksA
-                        for cb in blocksB
-                        if ca & cb
-                    ]
-                    if any(M[ca & cb] == 0 for ca, cb, _, _ in joins):
-                        continue  # null join, outside the framework
-                    for EA in range(1 << n):
-                        for T in zero_subsets:
-                            EB = EA ^ T
-                            for ca, cb, mA, mB in joins:
-                                qa_num = M[EB & ca]
-                                qb_num = M[EA & cb]
-                                A, B, iters = _bit_tower(
-                                    M, blocksA, blocksB,
-                                    EA, EB, qa_num, mA, qb_num, mB,
+            for blocksA, blocksB, orbit_size in _pair_orbits(partitions, _stabilizer(masses)):
+                joins = [
+                    (ca, cb, M[ca], M[cb])
+                    for ca in blocksA
+                    for cb in blocksB
+                    if ca & cb
+                ]
+                if any(M[ca & cb] == 0 for ca, cb, _, _ in joins):
+                    continue  # null join, outside the framework
+                pair_weight = weight * orbit_size
+                for EA in range(1 << n):
+                    for T in zero_subsets:
+                        EB = EA ^ T
+                        for ca, cb, mA, mB in joins:
+                            qa_num = M[EB & ca]
+                            qb_num = M[EA & cb]
+                            A, B, iters = _bit_tower(
+                                M, blocksA, blocksB,
+                                EA, EB, qa_num, mA, qb_num, mB,
+                            )
+                            max_iters = max(max_iters, iters)
+                            enumerated += 1
+                            instances += pair_weight
+                            if enumerated % stride == 0:
+                                _cross_check(
+                                    n, masses, d, blocksA, blocksB, EA, EB,
+                                    Fraction(qa_num, mA), Fraction(qb_num, mB),
+                                    A, B,
                                 )
-                                max_iters = max(max_iters, iters)
-                                enumerated += 1
-                                instances += weight
-                                if enumerated % stride == 0:
-                                    _cross_check(
-                                        n, masses, d, blocksA, blocksB, EA, EB,
-                                        Fraction(qa_num, mA), Fraction(qb_num, mB),
-                                        A, B,
-                                    )
-                                if A & B & ca & cb:
-                                    certainty += weight
-                                    if qa_num * mB != qb_num * mA:
-                                        violations += weight
+                            if A & B & ca & cb:
+                                certainty += pair_weight
+                                if qa_num * mB != qb_num * mA:
+                                    violations += pair_weight
     return AgreementCheckReport(
         omega, dmax, instances, certainty, violations, complete, max_iters
     )

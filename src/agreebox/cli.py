@@ -20,7 +20,7 @@ import random
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from math import floor, prod
+from math import lcm, prod
 
 from . import __version__
 from .boxes import box_doc, box_from_json, box_to_json, validate
@@ -119,7 +119,7 @@ def _parse_grid(text):
     if unknown:
         known = ", ".join(TABLE_PARAMS)
         raise ParseError(f"unknown grid axes {sorted(unknown)} (known: {known})")
-    axes = {}  # name -> (start, step, count)
+    axes = {}  # name -> (start, step, count, den): point k is (start + k*step)/den
     for name, axis in items.items():
         if ":" in axis:
             pieces = axis.split(":")
@@ -128,16 +128,18 @@ def _parse_grid(text):
             start, stop, step = (rat(p) for p in pieces)
             if step <= 0:
                 raise ParseError("grid step must be positive")
-            count = floor((stop - start) / step) + 1 if stop >= start else 0
-            axes[name] = (start, step, count)
+            den = lcm(start.denominator, stop.denominator, step.denominator)
+            lo, hi, inc = (q.numerator * (den // q.denominator) for q in (start, stop, step))
+            axes[name] = (lo, inc, (hi - lo) // inc + 1 if hi >= lo else 0, den)
         else:
-            axes[name] = (rat(axis), 0, 1)
-    points = prod(count for _, _, count in axes.values())
+            value = rat(axis)
+            axes[name] = (value.numerator, 0, 1, value.denominator)
+    points = prod(count for _, _, count, _ in axes.values())
     if points > MAX_GRID_POINTS:
         raise BudgetError(f"grid has {points} points, more than {MAX_GRID_POINTS}")
     return {
-        name: [start + k * step for k in range(count)]
-        for name, (start, step, count) in axes.items()
+        name: [Fraction(start + k * step, den) for k in range(count)]
+        for name, (start, step, count, den) in axes.items()
     }
 
 

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,14 @@ def test_verify_full_report_at_five_states_denominator_three():
     ) == (1044630, 577590, 0, True, 3)
 
 
+def test_verify_full_report_at_five_states_denominator_four():
+    rep = ab.verify_agreement_theorem(5, 4)
+    assert (
+        rep.instances, rep.certainty_instances, rep.violations,
+        rep.complete, rep.max_iterations,
+    ) == (4096318, 1963758, 0, True, 4)
+
+
 def plain_report(omega, dmax):
     """verify_agreement_theorem over every measure, with no orbit weights.
 
@@ -189,6 +198,39 @@ def test_orbit_weights_of_sorted_measures_count_every_measure():
                 if list(masses) == sorted(masses)
             ]
             assert sum(weights) == len(measures)
+
+
+def test_pair_orbits_partition_the_partition_pairs():
+    # G, the state permutations that fix a sorted measure, moves each
+    # representative pair onto every member of its orbit: the orbits
+    # together reach each pair exactly once, and each size divides |G|
+    for n in range(1, 6):
+        partitions = list(classical._set_partitions(n))
+        index = {frozenset(p): i for i, p in enumerate(partitions)}
+        for masses in {masses for masses, _ in classical._measures(n, 4)}:
+            if list(masses) != sorted(masses):
+                continue
+            M = classical._subset_masses(masses)
+            group = classical._stabilizer(masses)
+            assert len({tuple(g) for g in group}) == len(group) == prod(
+                factorial(masses.count(k)) for k in set(masses)
+            )
+            assert all(M[g[bits]] == M[bits] for g in group for bits in range(1 << n))
+            reached, sizes = [], []
+            for blocksA, blocksB, size in classical._pair_orbits(partitions, group):
+                assert len(group) % size == 0
+                orbit = {
+                    (index[frozenset(g[c] for c in blocksA)],
+                     index[frozenset(g[c] for c in blocksB)])
+                    for g in group
+                }
+                assert len(orbit) == size
+                reached += orbit
+                sizes.append(size)
+            assert sum(sizes) == len(partitions) ** 2
+            assert sorted(reached) == [
+                (i, j) for i in range(len(partitions)) for j in range(len(partitions))
+            ]
 
 
 def test_verify_clamps_and_flags_incomplete(monkeypatch):

@@ -352,6 +352,27 @@ def test_sweep_grid_at_eighths_is_within_the_point_budget():
     assert _parse_grid("r=1/2:1/4:1/8,s=1/3")["r"] == []
 
 
+@pytest.mark.parametrize("text", [
+    "r=0.1:0.9:0.05,s=1/3:2/3:1/12,t=0,u=1",
+    "r=-1/2:1/2:1/3,s=2/4,t=0.25:1:1/3,u=1/3:1/3:1/2",
+    "r=0:1:3/10,s=1e-1:0.35:1/20,t=7,u=1/2:1/4:1/8",
+])
+def test_grid_points_are_the_exact_steps_of_each_axis(text):
+    # the points are built from integer numerators; they must equal
+    # start + k * step in Fraction arithmetic, k = 0 .. floor((stop - start)/step)
+    grid = _parse_grid(text)
+    for item in text.split(","):
+        name, _, axis = item.partition("=")
+        if ":" in axis:
+            start, stop, step = (F(p) for p in axis.split(":"))
+            count = (stop - start) // step + 1 if stop >= start else 0
+            expected = [start + k * step for k in range(count)]
+        else:
+            expected = [F(axis)]
+        assert grid[name] == expected
+        assert all(type(q) is F for q in grid[name])
+
+
 # ---------------------------------------------------------------------------
 # reduce and ontology
 
