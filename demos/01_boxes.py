@@ -33,8 +33,8 @@ print(f"perfectly correlated at (1,1): {ab.is_perfectly_correlated(pr, 1, 1)}")
 # Alice's belief about Bob's output-1 and Bob's belief about Alice's.
 qA = ab.conditional(pr, ("B", 1), (0, 0, 1))
 qB = ab.conditional(pr, ("A", 1), (0, 1, 0))
-print(f"qA = p(b=1 | a=0, x=0, y=1) = {qA.value}")
-print(f"qB = p(a=1 | b=0, x=1, y=0) = {qB.value}")
+print(f"qA = p(b=1 | a=0, x=0, y=1) = {qA}")
+print(f"qB = p(a=1 | b=0, x=1, y=0) = {qB}")
 
 # A signaling table fails validation with a pinpointed reason.
 bad = ab.box_from_rows({

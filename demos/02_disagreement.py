@@ -23,7 +23,7 @@ import agreebox as ab
 report = ab.detect_ccd(ab.pr_box())
 h = report.hierarchy
 print("PR box:")
-print(f"  qA = {h.qA.value}, qB = {h.qB.value}")
+print(f"  qA = {h.qA}, qB = {h.qB}")
 print(f"  certainty levels (alpha): {h.alphas}")
 print(f"  certainty levels (beta):  {h.betas}")
 print(f"  stabilizes at N = {h.N}")
@@ -40,8 +40,8 @@ for k in range(5):
     rep = ab.detect_ccd(box)
     gap = ab.tsirelson_obstruction(box)
     print(
-        f"  {str(s):5}  {str(rep.hierarchy.qA.value):5}  "
-        f"{str(rep.hierarchy.qB.value):5}  {str(rep.ccd):5}  {gap}"
+        f"  {str(s):5}  {str(rep.hierarchy.qA):5}  "
+        f"{str(rep.hierarchy.qB):5}  {str(rep.ccd):5}  {gap}"
     )
 
 # s = 0 makes the beliefs coincide: certainty without disagreement.
@@ -51,8 +51,8 @@ print(f"\nat s = 0 the conditionals agree, ccd = {ab.detect_ccd(agreeing).ccd}")
 # A local mixture never produces common certainty of disagreement.
 local = ab.mix_strategies([((0, 0, 0, 0), F(1, 2)), ((1, 1, 1, 1), F(1, 2))])
 rep = ab.detect_ccd(local)
-print(f"agreeing local mixture: qA = {rep.hierarchy.qA.value}, "
-      f"qB = {rep.hierarchy.qB.value}, ccd = {rep.ccd}")
+print(f"agreeing local mixture: qA = {rep.hierarchy.qA}, "
+      f"qB = {rep.hierarchy.qB}, ccd = {rep.ccd}")
 
 # Reports serialize for downstream tooling.
 print("\nreport JSON for the PR box:")

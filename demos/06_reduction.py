@@ -22,7 +22,7 @@ print(f"split box shape: {split.nA}x{split.nB} outputs, "
 
 report = ab.detect_ccd(split)
 print(f"disagreement survives the split: ccd = {report.ccd}, "
-      f"qA = {report.hierarchy.qA.value}, qB = {report.hierarchy.qB.value}")
+      f"qA = {report.hierarchy.qA}, qB = {report.hierarchy.qB}")
 print(f"Alice's stabilized certainty set: {report.hierarchy.alpha_N}")
 
 reduced, plan = ab.reduce_box(split, "ccd")

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .boxes import (
     Box,
-    Conditional,
     RelabelFrame,
     ValidationResult,
     all_frames,

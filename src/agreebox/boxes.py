@@ -33,8 +33,6 @@ from math import gcd, lcm
 from .errors import ParseError, ShapeError, StructuralError
 from .rationals import _TOO_LONG, MAX_DIGITS, rat, rat_str
 
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True, repr=False)
 class Box:
@@ -206,31 +204,13 @@ def validate(box: Box) -> ValidationResult:
 # ---------------------------------------------------------------------------
 # conditionals
 
-@dataclass(frozen=True)
-class Conditional:
-    """An exact conditional probability, or a marker that it is undefined.
-
-    defined is False exactly when the conditioning event has probability
-    zero; the value field then carries no meaning and must not be compared.
-    """
-
-    value: Fraction
-    defined: bool
-
-    def equals(self, q) -> bool:
-        return self.defined and self.value == q
-
-
-UNDEFINED = Conditional(ZERO, False)
-
-
-def conditional(box: Box, target, given) -> Conditional:
+def conditional(box: Box, target, given) -> Fraction | None:
     """Conditional probability of one party's output given the other's.
 
     target is (party, output) with party "A" or "B"; given is
     (other party's output, x, y).  For target ("B", b) this is
     p(b | a, x, y) = p(ab|xy) / p(a|x); conditioning on a null event
-    returns an undefined Conditional rather than raising.
+    returns None rather than raising.
     """
     party, out = target
     other, x, y = given
@@ -245,20 +225,20 @@ def conditional(box: Box, target, given) -> Conditional:
     raise ShapeError(f"party must be 'A' or 'B', got {party!r}")
 
 
-def cond_event_b(box: Box, bs, a: int, x: int, y: int) -> Conditional:
+def cond_event_b(box: Box, bs, a: int, x: int, y: int) -> Fraction | None:
     """p(b in bs | a, x, y), the certainty probe used by the hierarchy."""
     marg = box._num_a(a, x, y)
     if marg == 0:
-        return UNDEFINED
-    return Conditional(Fraction(sum(box.num[(a, b, x, y)] for b in bs), marg), True)
+        return None
+    return Fraction(sum(box.num[(a, b, x, y)] for b in bs), marg)
 
 
-def cond_event_a(box: Box, as_, b: int, x: int, y: int) -> Conditional:
+def cond_event_a(box: Box, as_, b: int, x: int, y: int) -> Fraction | None:
     """p(a in as_ | b, x, y)."""
     marg = box._num_b(b, x, y)
     if marg == 0:
-        return UNDEFINED
-    return Conditional(Fraction(sum(box.num[(a, b, x, y)] for a in as_), marg), True)
+        return None
+    return Fraction(sum(box.num[(a, b, x, y)] for a in as_), marg)
 
 
 # ---------------------------------------------------------------------------

@@ -285,14 +285,6 @@ def _pair_orbits(partitions, group):
             yield blocksA, blocksB, len(orbit_a) * len(orbit_b)
 
 
-def _arrangements(masses):
-    """Number of distinct orderings of the masses: n!/prod(multiplicity!)."""
-    count = factorial(len(masses))
-    for k in set(masses):
-        count //= factorial(masses.count(k))
-    return count
-
-
 def _subset_masses(masses):
     """Integer mass of every state set, indexed by its bitmask (2^n entries)."""
     table = [0]
@@ -382,22 +374,14 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
         for masses, d in _measures(n, dmax):
             if masses != tuple(sorted(masses)):
                 continue  # counted through its sorted rearrangement
-            weight = _arrangements(masses)
+            group = _stabilizer(masses)
+            # n!/prod(multiplicity!) distinct arrangements of the masses
+            weight = factorial(n) // len(group)
             M = _subset_masses(masses)
-            zero = 0
-            for w in range(n):
-                if masses[w] == 0:
-                    zero |= 1 << w
-            # all subsets of the zero-mass states: the ways EB may differ
-            # from EA while staying perfectly correlated
-            zero_subsets = []
-            sub = zero
-            while True:
-                zero_subsets.append(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & zero
-            for blocksA, blocksB, orbit_size in _pair_orbits(partitions, _stabilizer(masses)):
+            # the zero-mass states come first, so the sets below them are
+            # the ways EB may differ from EA while staying perfectly correlated
+            zero_subsets = range(1 << masses.count(0))
+            for blocksA, blocksB, orbit_size in _pair_orbits(partitions, group):
                 joins = [
                     (ca, cb, M[ca], M[cb])
                     for ca in blocksA

@@ -203,8 +203,8 @@ def _sweep_rows(family, tuples):
         }
         cells = (
             *zip(TABLE_PARAMS, values),
-            ("qA", h.qA.value if h.qA.defined else None),
-            ("qB", h.qB.value if h.qB.defined else None),
+            ("qA", h.qA),
+            ("qB", h.qB),
             ("gap", gap),
         )
         for name, value in cells:

@@ -28,14 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boxes import (
-    Box,
-    Conditional,
-    cond_event_a,
-    cond_event_b,
-    conditional,
-    is_perfectly_correlated,
-)
+from .boxes import Box, cond_event_a, cond_event_b, conditional, is_perfectly_correlated
 from .errors import ShapeError
 from .rationals import rat_str
 
@@ -49,8 +42,8 @@ class CertaintyHierarchy:
     alphas: tuple
     betas: tuple
     N: int
-    qA: Conditional
-    qB: Conditional
+    qA: Fraction | None  # None when the conditioning event is null
+    qB: Fraction | None
 
     @property
     def alpha_N(self):
@@ -74,43 +67,30 @@ class DisagreementReport:
 def hierarchy(box: Box, qA, qB) -> CertaintyHierarchy:
     """Compute the certainty hierarchy for externally supplied qA, qB.
 
-    qA and qB may be rationals or Conditional values; an undefined
-    Conditional yields empty level-0 sets (no output can be certain of an
-    undefined value).  Outputs whose own marginal at the observation input
-    is zero are excluded from level 0 rather than treated as vacuously
-    certain.
+    qA and qB may be rationals or None; None (an undefined value) yields
+    an empty level-0 set, as no output can be certain of it.  Outputs
+    whose own marginal at the observation input is zero are excluded from
+    level 0 rather than treated as vacuously certain.
     """
-    qa = qA if isinstance(qA, Conditional) else Conditional(Fraction(qA), True)
-    qb = qB if isinstance(qB, Conditional) else Conditional(Fraction(qB), True)
+    alpha = beta = ()
+    if qA is not None:
+        qA = Fraction(qA)
+        alpha = tuple(a for a in range(box.nA) if conditional(box, ("B", 1), (a, 0, 1)) == qA)
+    if qB is not None:
+        qB = Fraction(qB)
+        beta = tuple(b for b in range(box.nB) if conditional(box, ("A", 1), (b, 1, 0)) == qB)
 
-    alpha = []
-    beta = []
-    if qa.defined:
-        for a in range(box.nA):
-            c = conditional(box, ("B", 1), (a, 0, 1))
-            if c.defined and c.value == qa.value:
-                alpha.append(a)
-    if qb.defined:
-        for b in range(box.nB):
-            c = conditional(box, ("A", 1), (b, 1, 0))
-            if c.defined and c.value == qb.value:
-                beta.append(b)
-
-    alphas = [tuple(alpha)]
-    betas = [tuple(beta)]
+    alphas = [alpha]
+    betas = [beta]
     while True:
         cur_a, cur_b = alphas[-1], betas[-1]
-        next_a = tuple(
-            a for a in cur_a if cond_event_b(box, cur_b, a, 0, 0).equals(1)
-        )
-        next_b = tuple(
-            b for b in cur_b if cond_event_a(box, cur_a, b, 0, 0).equals(1)
-        )
+        next_a = tuple(a for a in cur_a if cond_event_b(box, cur_b, a, 0, 0) == 1)
+        next_b = tuple(b for b in cur_b if cond_event_a(box, cur_a, b, 0, 0) == 1)
         alphas.append(next_a)
         betas.append(next_b)
         if next_a == cur_a and next_b == cur_b:
             break
-    return CertaintyHierarchy(tuple(alphas), tuple(betas), len(alphas) - 2, qa, qb)
+    return CertaintyHierarchy(tuple(alphas), tuple(betas), len(alphas) - 2, qA, qB)
 
 
 def detect_ccd(box: Box) -> DisagreementReport:
@@ -129,26 +109,26 @@ def detect_ccd(box: Box) -> DisagreementReport:
     witness_mass = box.num[(0, 0, 0, 0)]
 
     reason = ""
-    if not (qA.defined and qB.defined):
+    if qA is None or qB is None:
         reason = NULL_CONDITIONING
         return DisagreementReport(h, False, False, (0, 0, 0, 0), corr, reason)
 
     ccd = (
         corr
-        and qA.value != qB.value
+        and qA != qB
         and witness_mass > 0
         and 0 in h.alpha_N
         and 0 in h.beta_N
     )
-    sd = corr and qA.value == 1 and qB.value == 0 and witness_mass > 0
+    sd = corr and qA == 1 and qB == 0 and witness_mass > 0
     return DisagreementReport(h, ccd, sd, (0, 0, 0, 0), corr, reason)
 
 
 def report_doc(report: DisagreementReport) -> dict:
     h = report.hierarchy
     return {
-        "qA": rat_str(h.qA.value) if h.qA.defined else None,
-        "qB": rat_str(h.qB.value) if h.qB.defined else None,
+        "qA": rat_str(h.qA) if h.qA is not None else None,
+        "qB": rat_str(h.qB) if h.qB is not None else None,
         "ccd": report.ccd,
         "sd": report.sd,
         "depth": h.N,

@@ -109,7 +109,8 @@ def classify_general(box: Box, relabel_search: bool = False) -> ClassificationVe
     along whichever disagreement they carry and the effective box's
     verdict is returned; local post-processing preserves quantum
     realizability, so a POSTQUANTUM verdict transfers to the source.
-    Without disagreement there is no obstruction to report, and the
+    Without disagreement (always so for a box with one input or one
+    output on some side) there is no obstruction to report, and the
     locality field is filled in informatively when the shape has at most
     bridge.MAX_STATES instruction states (None otherwise).
     """
@@ -117,7 +118,7 @@ def classify_general(box: Box, relabel_search: bool = False) -> ClassificationVe
         return classify(box, relabel_search=relabel_search)
     try:
         reduced, _ = reduce_box(box, "auto")
-    except ReductionRefused:
+    except (ReductionRefused, ShapeError):
         pass
     else:
         return classify(reduced)

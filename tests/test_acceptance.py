@@ -180,8 +180,8 @@ def test_check_5_local_sampling_never_disagrees(capfd, sampled_boxes):
         h = report.hierarchy
         premise = (
             ab.is_perfectly_correlated(box, 1, 1)
-            and h.qA.defined
-            and h.qB.defined
+            and h.qA is not None
+            and h.qB is not None
             and box.p(0, 0, 0, 0) > 0
             and 0 in h.alpha_N
             and 0 in h.beta_N
@@ -189,7 +189,7 @@ def test_check_5_local_sampling_never_disagrees(capfd, sampled_boxes):
         if not premise:
             continue
         hits += 1
-        if h.qA.value != h.qB.value:
+        if h.qA != h.qB:
             violations += 1
             problems.append(f"certain disagreement on a local mixture #{i}")
         if i % 50 == 0 and not ab.is_local(box).local:
@@ -312,9 +312,9 @@ def test_check_9_pr_extremal_profile(capfd):
     problems = []
     box = ab.pr_box()
     report = ab.detect_ccd(box)
-    if not report.hierarchy.qA.equals(1):
+    if report.hierarchy.qA != 1:
         problems.append("qA is not 1")
-    if not report.hierarchy.qB.equals(0):
+    if report.hierarchy.qB != 0:
         problems.append("qB is not 0")
     if not report.ccd:
         problems.append("no common certainty of disagreement")

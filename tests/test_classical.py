@@ -193,7 +193,7 @@ def test_orbit_weights_of_sorted_measures_count_every_measure():
         for d in range(1, classical.HARD_DENOM_CAP + 1):
             measures = list(classical._measures(n, d))
             weights = [
-                classical._arrangements(masses)
+                factorial(n) // len(classical._stabilizer(masses))
                 for masses, _ in measures
                 if list(masses) == sorted(masses)
             ]

@@ -434,6 +434,16 @@ def test_classify_beyond_the_state_limit_leaves_local_null(tmp_path, capsys):
     assert doc["conclusion"] == "NO_OBSTRUCTION_FOUND"
 
 
+def test_classify_accepts_a_one_input_box(tmp_path, capsys):
+    path = tmp_path / "u2212.json"
+    path.write_text(ab.box_to_json(ab.uniform_box(2, 2, 1, 2)))
+    code, out, err = run(capsys, "classify", "--input", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["local"] is True
+    assert doc["conclusion"] == "NO_OBSTRUCTION_FOUND"
+
+
 @pytest.mark.parametrize("command", ["classify", "ontology"])
 def test_budget_flag_is_gone(tmp_path, capsys, command):
     path = tmp_path / "pr.json"

@@ -64,12 +64,12 @@ def test_hierarchy_excludes_null_marginal_outputs():
     # Alice never outputs 0 at x = 0, so 0 cannot enter level 0
     box = ab.mix_strategies([((1, 0, 0, 1), F(1, 2)), ((1, 1, 1, 1), F(1, 2))])
     q = ab.conditional(box, ("B", 1), (1, 0, 1))
-    h = ab.hierarchy(box, q.value, F(0))
+    h = ab.hierarchy(box, q, F(0))
     assert 0 not in h.alphas[0]
 
 
 def test_hierarchy_accepts_undefined_values():
-    h = ab.hierarchy(ab.uniform_box(), ab.Conditional(F(0), False), F(1, 2))
+    h = ab.hierarchy(ab.uniform_box(), None, F(1, 2))
     assert h.alphas[0] == ()
 
 
@@ -79,8 +79,8 @@ def test_hierarchy_accepts_undefined_values():
 def test_ccd_form_example_detects():
     rep = ab.detect_ccd(ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), 0))
     assert rep.ccd
-    assert rep.hierarchy.qA.value == F(1, 2)
-    assert rep.hierarchy.qB.value == 0
+    assert rep.hierarchy.qA == F(1, 2)
+    assert rep.hierarchy.qB == 0
     assert rep.perfectly_correlated
     assert rep.witness == (0, 0, 0, 0)
 
@@ -88,13 +88,13 @@ def test_ccd_form_example_detects():
 def test_ccd_false_when_values_coincide():
     rep = ab.detect_ccd(ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), F(1, 4)))
     assert not rep.ccd
-    assert rep.hierarchy.qA.value == rep.hierarchy.qB.value == F(1, 2)
+    assert rep.hierarchy.qA == rep.hierarchy.qB == F(1, 2)
 
 
 def test_pr_box_has_extremal_ccd():
     rep = ab.detect_ccd(ab.pr_box())
     assert rep.ccd and rep.sd
-    assert rep.hierarchy.qA.value == 1 and rep.hierarchy.qB.value == 0
+    assert rep.hierarchy.qA == 1 and rep.hierarchy.qB == 0
     assert rep.hierarchy.N == 0
 
 
@@ -116,7 +116,7 @@ def test_sd_form_at_pr_parameters_detects():
 def test_uniform_box_has_no_sd():
     rep = ab.detect_ccd(ab.uniform_box())
     assert not rep.sd
-    assert rep.hierarchy.qA.value == F(1, 2)
+    assert rep.hierarchy.qA == F(1, 2)
 
 
 def test_ccd_without_sd():
@@ -129,7 +129,7 @@ def test_sd_needs_positive_witness_mass():
     box = ab.sd_table_box(F(1, 2), 0, F(1, 2), F(1, 2))
     rep = ab.detect_ccd(box)
     assert ab.validate(box).ok
-    assert rep.hierarchy.qA.defined and rep.hierarchy.qA.value == 1
+    assert rep.hierarchy.qA == 1
     assert not rep.sd
 
 
@@ -215,9 +215,13 @@ def test_sd_iff_form_constraints_small_sweep():
 @st.composite
 def local_boxes(draw):
     """Mixtures of deterministic strategies in 2222, 3322 and 2233, half of
-    them perfectly correlated at (1, 1), where the agreement check bites;
-    independently, half have one of Alice's outputs split at x = 0."""
-    n, m = draw(st.sampled_from(((2, 2), (3, 2), (2, 3))))  # outputs, inputs
+    them perfectly correlated at (1, 1), where the agreement check bites.
+    Some are 2222 mixtures lifted to 3322 through a third output that never
+    occurs, or to 2233 through a third input that repeats input 0.
+    Independently, half have one of Alice's outputs split at x = 0."""
+    n, m, lift = draw(st.sampled_from(  # outputs, inputs, lift
+        ((2, 2, None), (3, 2, None), (2, 3, None), (2, 2, "output"), (2, 2, "input"))
+    ))
     states = instruction_states(n, n, m, m)
     if draw(st.booleans()):
         states = [(alpha, beta) for alpha, beta in states if alpha[1] == beta[1]]
@@ -227,6 +231,18 @@ def local_boxes(draw):
     for (alpha, beta), w in zip(chosen, ws):
         for x, y in product(range(m), repeat=2):
             entries[alpha[x], beta[y], x, y] += F(w, sum(ws))
+    if lift == "output":
+        n = 3
+        entries = {
+            (a, b, x, y): entries.get((a, b, x, y), F(0))
+            for a, b, x, y in product(range(n), range(n), range(m), range(m))
+        }
+    elif lift == "input":
+        m = 3
+        entries = {
+            (a, b, x, y): entries[a, b, x % 2, y % 2]
+            for a, b, x, y in product(range(n), range(n), range(m), range(m))
+        }
     box = ab.make_box(n, n, m, m, entries)
     if draw(st.booleans()):
         box = ab.split_output(box, draw(st.integers(0, n - 1)), 0, F(1, draw(st.integers(2, 3))))
@@ -238,7 +254,7 @@ def local_boxes(draw):
 def test_box_hierarchy_is_the_tower_of_its_local_model(box):
     report = ab.detect_ccd(box)
     h = report.hierarchy
-    assume(h.qA.defined and h.qB.defined)
+    assume(h.qA is not None and h.qB is not None)
     support = ab.is_local(box).weights
     alphas = [alpha for (alpha, _), _ in support]
     betas = [beta for (_, beta), _ in support]
@@ -252,7 +268,7 @@ def test_box_hierarchy_is_the_tower_of_its_local_model(box):
         frozenset(k for k in states if alphas[k][1] == 1),
         frozenset(k for k in states if betas[k][1] == 1),
     )
-    result = ab.tower(model, events, h.qA.value, h.qB.value)
+    result = ab.tower(model, events, h.qA, h.qB)
     assert result.A_N == {k for k in states if alphas[k][0] in h.alpha_N}
     assert result.B_N == {k for k in states if betas[k][0] in h.beta_N}
     assert report.ccd is False

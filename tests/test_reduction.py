@@ -26,8 +26,8 @@ def test_split_preserves_disagreement():
     report = ab.detect_ccd(split_pr())
     assert report.ccd
     assert report.sd
-    assert report.hierarchy.qA.equals(1)
-    assert report.hierarchy.qB.equals(0)
+    assert report.hierarchy.qA == 1
+    assert report.hierarchy.qB == 0
     assert report.hierarchy.alpha_N == (0, 2)
     assert report.hierarchy.beta_N == (0,)
 
@@ -142,6 +142,14 @@ def test_classify_general_without_disagreement():
     verdict = ab.classify_general(box)
     assert verdict.conclusion is ab.Conclusion.NO_OBSTRUCTION_FOUND
     assert verdict.local is True
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1, 2), (1, 2, 2, 2), (2, 2, 2, 1), (3, 1, 2, 2)])
+def test_classify_general_on_one_input_or_one_output_boxes(shape):
+    # too small to carry disagreement, so there is nothing to reduce
+    verdict = ab.classify_general(ab.uniform_box(*shape))
+    assert verdict.local is True
+    assert verdict.conclusion is ab.Conclusion.NO_OBSTRUCTION_FOUND
 
 
 def test_classify_general_beyond_budget_leaves_local_unknown():
