@@ -7,8 +7,8 @@ in my stabilized certainty set"; on input 1, "was it output 1".  That is
 local post-processing, so locality and quantum realizability survive it.
 
 Here a three-output box built by splitting one PR output is reduced
-straight back, and classify_general() routes arbitrary shapes through
-the same path.
+straight back, and classify() routes every box that is not 2x2x2x2
+through the same path.
 """
 
 from fractions import Fraction as F
@@ -29,15 +29,15 @@ reduced, plan = ab.reduce_box(split, "ccd")
 print(f"\nreduction merges Alice's outputs {plan.alpha_group} -> 0")
 print(f"reduced box equals the PR box exactly: {reduced == ab.pr_box()}")
 
-# classify_general: any shape in, 2x2 verdict out.
-verdict = ab.classify_general(split)
-print(f"classify_general on the split box: {verdict.conclusion.value}, "
+# classify: any shape in, 2x2 verdict out.
+verdict = ab.classify(split)
+print(f"classify on the split box: {verdict.conclusion.value}, "
       f"local = {verdict.local}")
 
 # Without disagreement there is nothing to reduce along; the verdict
 # reports no obstruction and settles locality when the shape is small.
 noise = ab.uniform_box(3, 3, 2, 2)
-verdict = ab.classify_general(noise)
+verdict = ab.classify(noise)
 print(f"3-output uniform noise: {verdict.conclusion.value}, local = {verdict.local}")
 
 # Asking for a reduction the box does not support is refused, with the

@@ -89,7 +89,6 @@ from .families import (
 from .rationals import rat, rat_dec, rat_str
 from .reduction import (
     ReductionPlan,
-    classify_general,
     plan_doc,
     reduce_box,
     split_output,

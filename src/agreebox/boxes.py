@@ -214,6 +214,8 @@ def conditional(box: Box, target, given) -> Fraction | None:
     """
     party, out = target
     other, x, y = given
+    if not (0 <= x < box.nX and 0 <= y < box.nY):
+        raise ShapeError(f"input out of range: given={given}")
     if party == "B":
         if not (0 <= out < box.nB and 0 <= other < box.nA):
             raise ShapeError(f"output out of range: target={target} given={given}")

@@ -178,8 +178,9 @@ def common_certainty_at(model, events, qA, qB, omega_star: int) -> bool:
 # their masses are listed once per partition pair, before the event loops.
 # Only nondecreasing mass vectors are enumerated, and for each only one
 # partition pair per orbit of the permutations that fix the masses; each
-# instance is counted once per rearrangement of the masses times the size
-# of its pair's orbit (see verify_agreement_theorem).  A deterministic
+# instance is counted once per rearrangement of the masses, times the size
+# of its pair's orbit, times the 2^z events that differ from E_A only on
+# zero-mass states (see verify_agreement_theorem).  A deterministic
 # subsample of the enumerated instances is re-run through the public
 # tower() above as a self-check of the fast path.
 
@@ -356,8 +357,10 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
     the group of state permutations that fix the sorted masses (those
     within runs of equal masses).  Every instance of a representative pair
     counts n!/prod(multiplicity!) times, once per distinct arrangement of
-    the masses, times the size of the pair's orbit under G; this weight
-    multiplies the instance, certainty and violation counts.
+    the masses, times the size of the pair's orbit under G, times 2^z: the
+    tower reads only masses, so (E, E) stands for all 2^z perfectly
+    correlated pairs (E, E ^ T), T a set of the z zero-mass states.  The
+    weight multiplies the instance, certainty and violation counts.
     max_iterations is a maximum over the enumerated instances and takes no
     weight.
     """
@@ -378,9 +381,8 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
             # n!/prod(multiplicity!) distinct arrangements of the masses
             weight = factorial(n) // len(group)
             M = _subset_masses(masses)
-            # the zero-mass states come first, so the sets below them are
-            # the ways EB may differ from EA while staying perfectly correlated
-            zero_subsets = range(1 << masses.count(0))
+            # (E, E ^ T) for each of the 2^z sets T of zero-mass states
+            null_sets = 1 << masses.count(0)
             for blocksA, blocksB, orbit_size in _pair_orbits(partitions, group):
                 joins = [
                     (ca, cb, M[ca], M[cb])
@@ -390,30 +392,27 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
                 ]
                 if any(M[ca & cb] == 0 for ca, cb, _, _ in joins):
                     continue  # null join, outside the framework
-                pair_weight = weight * orbit_size
-                for EA in range(1 << n):
-                    for T in zero_subsets:
-                        EB = EA ^ T
-                        for ca, cb, mA, mB in joins:
-                            qa_num = M[EB & ca]
-                            qb_num = M[EA & cb]
-                            A, B, iters = _bit_tower(
-                                M, blocksA, blocksB,
-                                EA, EB, qa_num, mA, qb_num, mB,
+                pair_weight = weight * orbit_size * null_sets
+                for E in range(1 << n):
+                    for ca, cb, mA, mB in joins:
+                        qa_num = M[E & ca]
+                        qb_num = M[E & cb]
+                        A, B, iters = _bit_tower(
+                            M, blocksA, blocksB, E, E, qa_num, mA, qb_num, mB
+                        )
+                        max_iters = max(max_iters, iters)
+                        enumerated += 1
+                        instances += pair_weight
+                        if enumerated % stride == 0:
+                            _cross_check(
+                                n, masses, d, blocksA, blocksB, E, E,
+                                Fraction(qa_num, mA), Fraction(qb_num, mB),
+                                A, B,
                             )
-                            max_iters = max(max_iters, iters)
-                            enumerated += 1
-                            instances += pair_weight
-                            if enumerated % stride == 0:
-                                _cross_check(
-                                    n, masses, d, blocksA, blocksB, EA, EB,
-                                    Fraction(qa_num, mA), Fraction(qb_num, mB),
-                                    A, B,
-                                )
-                            if A & B & ca & cb:
-                                certainty += pair_weight
-                                if qa_num * mB != qb_num * mA:
-                                    violations += pair_weight
+                        if A & B & ca & cb:
+                            certainty += pair_weight
+                            if qa_num * mB != qb_num * mA:
+                                violations += pair_weight
     return AgreementCheckReport(
         omega, dmax, instances, certainty, violations, complete, max_iters
     )

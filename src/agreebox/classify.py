@@ -20,7 +20,8 @@ Three independent obstructions to quantum realizability are implemented.
 classify() combines these with the exact locality LP.  The verdict is
 LOCAL when the LP finds a convex decomposition, POSTQUANTUM when an
 obstruction fires, and otherwise NO_OBSTRUCTION_FOUND, which deliberately
-does not claim quantum realizability.
+does not claim quantum realizability.  It takes any finite shape and
+reduces a larger box to 2x2x2x2 first (see reduction).
 """
 
 import json
@@ -37,9 +38,10 @@ from .boxes import (
     relabel,
 )
 from .bridge import LocalityVerdict, is_local
-from .errors import ShapeError
+from .errors import BudgetError, ReductionRefused, ShapeError
 from .families import caption_violations, ccd_table_box, sd_table_box
 from .rationals import rat_str
+from .reduction import reduce_box
 
 
 class Conclusion(Enum):
@@ -75,9 +77,8 @@ def match_ccd_form(box: Box):
     """Match against the CCD form; None unless all 16 entries agree.
 
     Reads r = p(00|00), s = p(01|01), t = p(00|11), u = p(01|10) and
-    rebuilds the form; constraints_ok additionally requires r > 0,
-    s - u != r - t, and the row-00 zero pattern that keeps qA and qB
-    conditioned on positive-probability outputs.
+    rebuilds the form; constraints_ok additionally requires the caption
+    constraints, among them r > 0 and s - u != r - t.
     """
     _require_2222(box)
     r = box.p(0, 0, 0, 0)
@@ -86,11 +87,7 @@ def match_ccd_form(box: Box):
     u = box.p(0, 1, 1, 0)
     if ccd_table_box(r, s, t, u) != box:
         return None
-    ok = (
-        not caption_violations("ccd", r, s, t, u)
-        and box.p(0, 1, 0, 0) == 0
-        and box.p(1, 0, 0, 0) == 0
-    )
+    ok = not caption_violations("ccd", r, s, t, u)
     return TableForm("ccd", (r, s, t, u), ok)
 
 
@@ -115,8 +112,8 @@ def tsirelson_obstruction(box: Box):
     quantum box force c01 = c10, so the gap is only evidence when it
     applies.  For a matched CCD form the gap equals 4((r-t) - (s-u)).
     """
-    if box.nA != 2 or box.nB != 2:
-        raise ShapeError("gap test is defined for binary outputs only")
+    if (box.nA, box.nB) != (2, 2) or box.nX < 2 or box.nY < 2:
+        raise ShapeError("gap test needs binary outputs and two inputs per party")
     if not (is_perfectly_correlated(box, 0, 0) and is_perfectly_correlated(box, 1, 1)):
         return None
     c = correlators(box)
@@ -134,14 +131,30 @@ def hardy_pattern(box: Box) -> bool:
 
 
 def classify(box: Box, relabel_search: bool = False) -> ClassificationVerdict:
-    """Run every obstruction and the locality LP on a 2x2x2x2 box.
+    """Run every obstruction and the locality LP on a box of any shape.
 
-    With relabel_search=True the box is first moved through input/output
-    relabelings until one of the forms matches (if any does); the frame
-    used is recorded on the verdict.  Locality is relabeling-invariant,
-    the other evidences are reported in the chosen frame.
+    A box that is not 2x2x2x2 is replaced by reduce_box(box, "auto"), a
+    local post-processing that keeps quantum realizability, so a
+    POSTQUANTUM verdict transfers.  A box with no disagreement to reduce
+    along gets NO_OBSTRUCTION_FOUND, and local None past bridge.MAX_STATES.
+
+    With relabel_search=True the 2x2x2x2 box is then moved through
+    input/output relabelings, identity first, until one of the forms
+    matches (if any does); the frame used is recorded on the verdict.
+    Locality is relabeling-invariant, the other evidences are reported in
+    the chosen frame.
     """
-    _require_2222(box)
+    if (box.nA, box.nB, box.nX, box.nY) != (2, 2, 2, 2):
+        try:
+            box, _ = reduce_box(box, "auto")
+        except (ReductionRefused, ShapeError):
+            try:
+                local = is_local(box).local
+            except BudgetError:
+                local = None
+            return ClassificationVerdict(
+                local, None, None, None, False, Conclusion.NO_OBSTRUCTION_FOUND
+            )
     working = box
     frame = None
     if relabel_search:

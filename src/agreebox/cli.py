@@ -26,7 +26,7 @@ from . import __version__
 from .boxes import box_doc, box_from_json, box_to_json, validate
 from .bridge import box_to_model, is_local
 from .classical import model_to_json, verify_agreement_theorem
-from .classify import tsirelson_obstruction, verdict_to_json
+from .classify import classify, tsirelson_obstruction, verdict_to_json
 from .epistemic import detect_ccd, report_doc
 from .errors import (
     AgreeboxError,
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .families import caption_violations, ccd_table_box, pr_box, sd_table_box, uniform_box
 from .rationals import rat, rat_dec, rat_str
-from .reduction import classify_general, plan_doc, reduce_box
+from .reduction import plan_doc, reduce_box
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -148,7 +148,7 @@ def _parse_grid(text):
 
 def _cmd_classify(args):
     box = _load_box(args.input)
-    verdict = classify_general(box, relabel_search=args.relabel_search)
+    verdict = classify(box, relabel_search=args.relabel_search)
     _write_text(args.output, verdict_to_json(verdict))
     return EXIT_OK
 

@@ -12,8 +12,8 @@ source output 1 itself and everything else maps to 0:
 
 This is local post-processing, so it cannot create nonlocality that was
 not already present, and it provably preserves the detected disagreement.
-classify_general() routes an arbitrary finite box through this reduction
-and classifies the effective box with the 2x2 machinery.
+classify.classify() routes every box that is not 2x2x2x2 through this
+reduction and classifies the effective box with the 2x2 machinery.
 """
 
 from dataclasses import dataclass
@@ -21,10 +21,8 @@ from fractions import Fraction
 from itertools import product
 
 from .boxes import Box, make_box
-from .bridge import is_local
-from .classify import ClassificationVerdict, Conclusion, classify
 from .epistemic import detect_ccd
-from .errors import BudgetError, ReductionRefused, ShapeError
+from .errors import ReductionRefused
 from .rationals import rat
 
 ZERO = Fraction(0)
@@ -44,12 +42,11 @@ def reduce_box(box: Box, mode: str):
     The corresponding disagreement must hold on the source: the groups are
     read off its certainty hierarchy, and the theorem being exercised has
     the detection as hypothesis.  Mode "auto" picks ccd when the box
-    carries it, else sd.  Refusal carries the failed report.
+    carries it, else sd.  Refusal carries the failed report; a box with
+    one input or one output on some side raises ShapeError from detect_ccd.
     """
     if mode not in ("ccd", "sd", "auto"):
         raise ValueError(f"mode must be 'ccd', 'sd' or 'auto', got {mode!r}")
-    if box.nX < 2 or box.nY < 2:
-        raise ShapeError("reduction needs at least two inputs per party")
     report = detect_ccd(box)
     if mode == "auto":
         if not (report.ccd or report.sd):
@@ -100,35 +97,6 @@ def split_output(box: Box, output: int = 0, at_input: int = 0, ratio=Fraction(1,
             v = box.p(a, b, x, y)
         entries[(a, b, x, y)] = v
     return make_box(box.nA + 1, box.nB, box.nX, box.nY, entries)
-
-
-def classify_general(box: Box, relabel_search: bool = False) -> ClassificationVerdict:
-    """Classify a box of any finite shape.
-
-    2x2x2x2 boxes go straight to classify().  Larger boxes are reduced
-    along whichever disagreement they carry and the effective box's
-    verdict is returned; local post-processing preserves quantum
-    realizability, so a POSTQUANTUM verdict transfers to the source.
-    Without disagreement (always so for a box with one input or one
-    output on some side) there is no obstruction to report, and the
-    locality field is filled in informatively when the shape has at most
-    bridge.MAX_STATES instruction states (None otherwise).
-    """
-    if (box.nA, box.nB, box.nX, box.nY) == (2, 2, 2, 2):
-        return classify(box, relabel_search=relabel_search)
-    try:
-        reduced, _ = reduce_box(box, "auto")
-    except (ReductionRefused, ShapeError):
-        pass
-    else:
-        return classify(reduced)
-    try:
-        local = is_local(box).local
-    except BudgetError:
-        local = None
-    return ClassificationVerdict(
-        local, None, None, None, False, Conclusion.NO_OBSTRUCTION_FOUND
-    )
 
 
 def plan_doc(plan: ReductionPlan) -> dict:

@@ -307,6 +307,13 @@ def test_conditional_rejects_bad_indices():
         ab.conditional(ab.pr_box(), ("C", 1), (0, 0, 1))
 
 
+@pytest.mark.parametrize("given", [(0, 5, 0), (0, 0, 2), (0, -1, 0), (0, 0, -1)])
+def test_conditional_rejects_out_of_range_inputs(given):
+    for target in (("A", 0), ("B", 0)):
+        with pytest.raises(ab.ShapeError, match="input out of range"):
+            ab.conditional(ab.pr_box(), target, given)
+
+
 # ---------------------------------------------------------------------------
 # perfect correlation and correlators
 

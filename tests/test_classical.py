@@ -261,6 +261,53 @@ def test_verify_cross_check_catches_a_wrong_fast_tower(monkeypatch):
         classical.verify_agreement_theorem(2, 2)
 
 
+@st.composite
+def models_with_null_states(draw):
+    """An unsigned model with a zero-mass state and no null join cell.
+
+    A join cell is null exactly when all its states have zero mass, so each
+    zero-mass state takes both cell labels of some positive state.
+    """
+    masses = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    labels_a = [draw(st.integers(0, 2)) for _ in masses]
+    labels_b = [draw(st.integers(0, 2)) for _ in masses]
+    for _ in range(draw(st.integers(1, 3))):
+        partner = draw(st.integers(0, len(masses) - 1))
+        labels_a.append(labels_a[partner])
+        labels_b.append(labels_b[partner])
+    masses += [0] * (len(labels_a) - len(masses))
+    # state w of the model is state order[w] above
+    order = draw(st.permutations(range(len(masses))))
+    states = range(len(order))
+
+    def cells(labels):
+        return [{w for w in states if labels[order[w]] == k} for k in set(labels)]
+
+    total = sum(masses)
+    return ab.make_model(
+        [F(masses[order[w]], total) for w in states],
+        {0: cells(labels_a)},
+        {0: cells(labels_b)},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(models_with_null_states(), st.data())
+def test_a_null_difference_between_the_events_leaves_the_tower_unchanged(model, data):
+    # verify_agreement_theorem runs (E, E) once for every (E, E ^ T) with T
+    # null; the reference tower must agree that they are one instance
+    n = model.omega_count
+    null_states = [w for w in range(n) if model.measure[w] == 0]
+    E = frozenset(data.draw(st.sets(st.sampled_from(range(n)))))
+    T = frozenset(data.draw(st.sets(st.sampled_from(null_states), min_size=1)))
+    qA = classical.conditional_mass(model, E, data.draw(st.sampled_from(model.partsA[0])))
+    qB = classical.conditional_mass(model, E, data.draw(st.sampled_from(model.partsB[0])))
+    levels = ab.tower(model, ab.EventPair(E, E), qA, qB).levels
+    for events in (ab.EventPair(E, E ^ T), ab.EventPair(E ^ T, E)):
+        assert ab.perfectly_correlated(model, events)
+        assert ab.tower(model, events, qA, qB).levels == levels
+
+
 def test_subset_mass_table_matches_plain_sums():
     for n in range(1, 5):
         for masses, _ in classical._measures(n, 3):

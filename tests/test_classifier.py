@@ -99,6 +99,22 @@ def test_sd_matcher_inverts_the_generator(p):
     assert form.params == (r, s, t, u)
 
 
+def test_ccd_constraints_are_the_caption_constraints_on_every_k4_box():
+    # the form already has p(01|00) = p(10|00) = 0, so the caption
+    # constraints alone decide constraints_ok
+    quarters = [F(k, 4) for k in range(5)]
+    matched = 0
+    for r, s, t, u in product(quarters, repeat=4):
+        box = ab.ccd_table_box(r, s, t, u)
+        if not ab.validate(box).ok:
+            continue
+        form = ab.match_ccd_form(box)
+        assert form.params == (r, s, t, u)
+        assert form.constraints_ok == (not ab.caption_violations("ccd", r, s, t, u))
+        matched += 1
+    assert matched == 57
+
+
 # ---------------------------------------------------------------------------
 # correlator gap
 
@@ -121,6 +137,16 @@ def test_gap_zero_on_perfectly_correlated_local_boxes():
         [((0, 0, 0, 0), F(1, 2)), ((1, 1, 1, 1), F(1, 2))]
     )
     assert ab.tsirelson_obstruction(box) == 0
+
+
+def test_gap_refuses_a_one_input_box():
+    # perfectly correlated at its only input pair (0, 0); (1, 1) is missing
+    box = ab.make_box(2, 2, 1, 1, {
+        (0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 0, (1, 0, 0, 0): 0, (1, 1, 0, 0): F(1, 2),
+    })
+    assert ab.validate(box).ok
+    with pytest.raises(ab.ShapeError):
+        ab.tsirelson_obstruction(box)
 
 
 def test_gap_formula_on_ccd_form():
@@ -209,7 +235,7 @@ def test_quantum_hardy_box_is_not_postquantum():
     assert verdict.ccd_form is None and verdict.sd_form is None
     assert verdict.tsirelson_gap is None
     assert verdict.conclusion is ab.Conclusion.NO_OBSTRUCTION_FOUND
-    assert ab.classify_general(box).conclusion is ab.Conclusion.NO_OBSTRUCTION_FOUND
+    assert ab.classify(box).conclusion is ab.Conclusion.NO_OBSTRUCTION_FOUND
 
 
 @pytest.mark.parametrize("w, conclusion", [
@@ -256,8 +282,8 @@ def test_quantum_boxes_are_never_postquantum(box, ratio):
     for verdict in (
         ab.classify(box),
         ab.classify(box, relabel_search=True),
-        ab.classify_general(box),
-        ab.classify_general(split),
+        ab.classify(split),
+        ab.classify(split, relabel_search=True),
     ):
         assert verdict.conclusion is not ab.Conclusion.POSTQUANTUM
     # the agreement theorem for quantum observers
@@ -304,9 +330,13 @@ def test_classify_three_quarter_pr_mix_finds_no_obstruction():
 
 
 def test_classify_shape_guard():
+    # the 2x2x2x2 tests refuse a 3-output box; classify reduces it first
     three = ab.split_output(ab.pr_box())
-    with pytest.raises(ab.ShapeError):
-        ab.classify(three)
+    for check in (ab.match_ccd_form, ab.match_sd_form, ab.hardy_pattern):
+        with pytest.raises(ab.ShapeError):
+            check(three)
+    reduced, _ = ab.reduce_box(three, "auto")
+    assert ab.classify(three) == ab.classify(reduced)
 
 
 def test_relabel_search_recovers_a_scrambled_box():

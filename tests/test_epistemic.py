@@ -73,6 +73,12 @@ def test_hierarchy_accepts_undefined_values():
     assert h.alphas[0] == ()
 
 
+def test_hierarchy_refuses_a_box_without_the_probed_inputs():
+    # qA is read at y = 1, which a one-input Bob does not have
+    with pytest.raises(ab.ShapeError):
+        ab.hierarchy(ab.uniform_box(2, 2, 2, 1), 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # detect_ccd
 

@@ -1,12 +1,15 @@
-"""Every name a package module imports is used in that module, and every
-name it binds at module level is used somewhere in the package."""
+"""Every name a package module imports is used in that module, every
+name it binds at module level is used somewhere in the package, and every
+name the benchmark tracer patches exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "agreebox"
+TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 SOURCES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -78,3 +81,18 @@ def test_a_dead_module_level_name_is_found():
         "b": "from .a import f\nfrom . import a\n\nprint(a.C)\n",
     }
     assert dead_names(sources) == [("a", 1, "ZERO")]
+
+
+def test_every_traced_name_resolves():
+    # a traced benchmark run looks each of these up by name and fails on a
+    # renamed or deleted one; this finds it before any benchmark runs
+    tracer = {"__name__": "tracer"}
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), tracer)
+    names = [(mod, attr) for mod, attr, _ in tracer["SPANNED"] + tracer["COUNTED"]]
+    assert names
+    for mod, attr in names:
+        obj = importlib.import_module(f"agreebox.{mod}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+            assert obj is not None, f"{mod}.{attr}"
+        assert callable(obj), f"{mod}.{attr}"

@@ -126,12 +126,12 @@ def test_reduction_of_local_splits_stays_local(ratio):
 # general classification
 
 def test_classify_general_on_the_2x2_shape_delegates():
-    verdict = ab.classify_general(ab.pr_box())
+    verdict = ab.classify(ab.pr_box())
     assert verdict.conclusion is ab.Conclusion.POSTQUANTUM
 
 
 def test_classify_general_reduces_and_condemns_split_pr():
-    verdict = ab.classify_general(split_pr())
+    verdict = ab.classify(split_pr())
     assert verdict.local is False
     assert verdict.conclusion is ab.Conclusion.POSTQUANTUM
     assert verdict.ccd_form is not None
@@ -139,7 +139,7 @@ def test_classify_general_reduces_and_condemns_split_pr():
 
 def test_classify_general_without_disagreement():
     box = ab.uniform_box(3, 3, 2, 2)
-    verdict = ab.classify_general(box)
+    verdict = ab.classify(box)
     assert verdict.conclusion is ab.Conclusion.NO_OBSTRUCTION_FOUND
     assert verdict.local is True
 
@@ -147,14 +147,14 @@ def test_classify_general_without_disagreement():
 @pytest.mark.parametrize("shape", [(2, 2, 1, 2), (1, 2, 2, 2), (2, 2, 2, 1), (3, 1, 2, 2)])
 def test_classify_general_on_one_input_or_one_output_boxes(shape):
     # too small to carry disagreement, so there is nothing to reduce
-    verdict = ab.classify_general(ab.uniform_box(*shape))
+    verdict = ab.classify(ab.uniform_box(*shape))
     assert verdict.local is True
     assert verdict.conclusion is ab.Conclusion.NO_OBSTRUCTION_FOUND
 
 
 def test_classify_general_beyond_budget_leaves_local_unknown():
     box = ab.uniform_box(2, 2, 6, 7)  # 8192 instruction states
-    verdict = ab.classify_general(box)
+    verdict = ab.classify(box)
     assert verdict.local is None
     assert verdict.conclusion is ab.Conclusion.NO_OBSTRUCTION_FOUND
 
