@@ -33,7 +33,8 @@ ZERO = Fraction(0)
 # enumeration never runs beyond these, whatever the caller asks for
 HARD_OMEGA_CAP = 6
 HARD_DENOM_CAP = 4
-# every CROSS_CHECK_STRIDE-th instance is recomputed by the reference tower
+# the first enumerated instance and every CROSS_CHECK_STRIDE-th one after it
+# are recomputed by the reference tower
 CROSS_CHECK_STRIDE = 97
 
 
@@ -177,12 +178,15 @@ def common_certainty_at(model, events, qA, qB, omega_star: int) -> bool:
 # so every mass in the loop is one list lookup; the nonempty join cells and
 # their masses are listed once per partition pair, before the event loops.
 # Only nondecreasing mass vectors are enumerated, and for each only one
-# partition pair per orbit of the permutations that fix the masses; each
-# instance is counted once per rearrangement of the masses, times the size
-# of its pair's orbit, times the 2^z events that differ from E_A only on
-# zero-mass states (see verify_agreement_theorem).  A deterministic
-# subsample of the enumerated instances is re-run through the public
-# tower() above as a self-check of the fast path.
+# pair of partitions with no zero-mass cell per orbit of the permutations
+# that fix the masses.  The event E skips its zero-mass bits and runs over
+# one of each complementary pair; each instance is counted once per
+# rearrangement of the masses, times the size of its pair's orbit, times
+# the 4^z pairs (E_A, E_B) that differ from (E, E) only on the z zero-mass
+# states, times 2 for the complement (see verify_agreement_theorem).  A
+# deterministic subsample of the enumerated instances, the first included,
+# is re-run through the public tower() above as a self-check of the fast
+# path.
 
 @dataclass(frozen=True)
 class AgreementCheckReport:
@@ -355,15 +359,26 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
     commutes with the move).  So only measures with nondecreasing masses
     are enumerated, and for each only one partition pair per orbit of G,
     the group of state permutations that fix the sorted masses (those
-    within runs of equal masses).  Every instance of a representative pair
-    counts n!/prod(multiplicity!) times, once per distinct arrangement of
-    the masses, times the size of the pair's orbit under G, times 2^z: the
-    tower reads only masses, so (E, E) stands for all 2^z perfectly
-    correlated pairs (E, E ^ T), T a set of the z zero-mass states.  The
-    weight multiplies the instance, certainty and violation counts.
-    max_iterations is a maximum over the enumerated instances and takes no
-    weight.
+    within runs of equal masses).  A partition with a zero-mass cell makes
+    a null join with every partition, so only partitions without one take
+    part; G preserves masses, so it keeps them among themselves.  Every
+    instance of a representative pair counts n!/prod(multiplicity!) times,
+    once per distinct arrangement of the masses, times the size of the
+    pair's orbit under G, times 4^z * 2.  The tower reads only masses, so
+    with the z zero-mass states in the low bits, E runs over multiples of
+    2^z and (E, E) stands for all 4^z pairs (E ^ S, E ^ T), S and T sets of
+    zero-mass states.  The complement of E in the positive-mass states
+    gives the same level-0 sets at 1 - qA, 1 - qB, hence the same tower,
+    certainty and violation test; it holds state n - 1, the heaviest, when
+    E does not, so E runs below 2^(n-1).  The weight multiplies the
+    instance, certainty and violation counts.  max_iterations is a maximum
+    over the enumerated instances and takes no weight, since a folded
+    instance has the same tower.  Bounds below 1 raise ValueError.
     """
+    if bound_omega < 1 or denominator_bound < 1:
+        raise ValueError(
+            f"bounds must be at least 1, got {bound_omega} and {denominator_bound}"
+        )
     omega = min(bound_omega, HARD_OMEGA_CAP)
     dmax = min(denominator_bound, HARD_DENOM_CAP)
     complete = omega == bound_omega and dmax == denominator_bound
@@ -381,9 +396,11 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
             # n!/prod(multiplicity!) distinct arrangements of the masses
             weight = factorial(n) // len(group)
             M = _subset_masses(masses)
-            # (E, E ^ T) for each of the 2^z sets T of zero-mass states
-            null_sets = 1 << masses.count(0)
-            for blocksA, blocksB, orbit_size in _pair_orbits(partitions, group):
+            # a zero-mass cell makes a null join with any partition
+            live = [p for p in partitions if all(M[c] for c in p)]
+            # the z zero-mass states are the low bits of E
+            z = masses.count(0)
+            for blocksA, blocksB, orbit_size in _pair_orbits(live, group):
                 joins = [
                     (ca, cb, M[ca], M[cb])
                     for ca in blocksA
@@ -392,8 +409,11 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
                 ]
                 if any(M[ca & cb] == 0 for ca, cb, _, _ in joins):
                     continue  # null join, outside the framework
-                pair_weight = weight * orbit_size * null_sets
-                for E in range(1 << n):
+                # (E ^ S, E ^ T) for S, T sets of zero-mass states, and the
+                # complement of E in the positive-mass states, which holds
+                # state n - 1
+                pair_weight = weight * orbit_size << (2 * z + 1)
+                for E in range(0, 1 << (n - 1), 1 << z):
                     for ca, cb, mA, mB in joins:
                         qa_num = M[E & ca]
                         qb_num = M[E & cb]
@@ -403,7 +423,7 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
                         max_iters = max(max_iters, iters)
                         enumerated += 1
                         instances += pair_weight
-                        if enumerated % stride == 0:
+                        if (enumerated - 1) % stride == 0:
                             _cross_check(
                                 n, masses, d, blocksA, blocksB, E, E,
                                 Fraction(qa_num, mA), Fraction(qb_num, mB),

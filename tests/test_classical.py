@@ -183,7 +183,7 @@ def plain_report(omega, dmax):
     )
 
 
-@pytest.mark.parametrize("omega, dmax", [(4, 3), (5, 2)])
+@pytest.mark.parametrize("omega, dmax", [(4, 3), (4, 4), (5, 2)])
 def test_weighted_sorted_measures_match_the_plain_enumeration(omega, dmax):
     assert ab.verify_agreement_theorem(omega, dmax) == plain_report(omega, dmax)
 
@@ -203,10 +203,12 @@ def test_orbit_weights_of_sorted_measures_count_every_measure():
 def test_pair_orbits_partition_the_partition_pairs():
     # G, the state permutations that fix a sorted measure, moves each
     # representative pair onto every member of its orbit: the orbits
-    # together reach each pair exactly once, and each size divides |G|
+    # together reach each pair exactly once, and each size divides |G|.
+    # This holds on all partitions and on those with no zero-mass cell,
+    # the only ones verify_agreement_theorem passes: a zero-mass cell
+    # makes a null join with every partition.
     for n in range(1, 6):
         partitions = list(classical._set_partitions(n))
-        index = {frozenset(p): i for i, p in enumerate(partitions)}
         for masses in {masses for masses, _ in classical._measures(n, 4)}:
             if list(masses) != sorted(masses):
                 continue
@@ -216,21 +218,30 @@ def test_pair_orbits_partition_the_partition_pairs():
                 factorial(masses.count(k)) for k in set(masses)
             )
             assert all(M[g[bits]] == M[bits] for g in group for bits in range(1 << n))
-            reached, sizes = [], []
-            for blocksA, blocksB, size in classical._pair_orbits(partitions, group):
-                assert len(group) % size == 0
-                orbit = {
-                    (index[frozenset(g[c] for c in blocksA)],
-                     index[frozenset(g[c] for c in blocksB)])
-                    for g in group
-                }
-                assert len(orbit) == size
-                reached += orbit
-                sizes.append(size)
-            assert sum(sizes) == len(partitions) ** 2
-            assert sorted(reached) == [
-                (i, j) for i in range(len(partitions)) for j in range(len(partitions))
-            ]
+            live = [p for p in partitions if all(M[c] for c in p)]
+            for p in partitions:
+                if p not in live:
+                    assert all(
+                        any(M[c & c2] == 0 for c in p for c2 in q if c & c2)
+                        for q in partitions
+                    )
+            for chosen in (partitions, live):
+                index = {frozenset(p): i for i, p in enumerate(chosen)}
+                reached, sizes = [], []
+                for blocksA, blocksB, size in classical._pair_orbits(chosen, group):
+                    assert len(group) % size == 0
+                    orbit = {
+                        (index[frozenset(g[c] for c in blocksA)],
+                         index[frozenset(g[c] for c in blocksB)])
+                        for g in group
+                    }
+                    assert len(orbit) == size
+                    reached += orbit
+                    sizes.append(size)
+                assert sum(sizes) == len(chosen) ** 2
+                assert sorted(reached) == [
+                    (i, j) for i in range(len(chosen)) for j in range(len(chosen))
+                ]
 
 
 def test_verify_clamps_and_flags_incomplete(monkeypatch):
@@ -248,6 +259,27 @@ def test_verify_cross_check_runs(monkeypatch):
     assert rep.violations == 0
 
 
+def test_verify_cross_check_runs_at_the_default_stride(monkeypatch):
+    # however few instances a fold leaves, the first one is rechecked
+    calls = []
+    reference = classical._cross_check
+
+    def counted(*args):
+        calls.append(args)
+        return reference(*args)
+
+    monkeypatch.setattr(classical, "_cross_check", counted)
+    classical.verify_agreement_theorem(4, 2)
+    assert calls
+
+
+@pytest.mark.parametrize("omega, dmax", [(-3, 2), (4, 0), (0, -1)])
+def test_verify_refuses_bounds_below_one(omega, dmax):
+    # an empty enumeration would report complete with no instance
+    with pytest.raises(ValueError, match="at least 1"):
+        classical.verify_agreement_theorem(omega, dmax)
+
+
 def test_verify_cross_check_catches_a_wrong_fast_tower(monkeypatch):
     fast_tower = classical._bit_tower
 
@@ -262,8 +294,9 @@ def test_verify_cross_check_catches_a_wrong_fast_tower(monkeypatch):
 
 
 @st.composite
-def models_with_null_states(draw):
-    """An unsigned model with a zero-mass state and no null join cell.
+def models_with_null_states(draw, min_null=1):
+    """An unsigned model with min_null or more zero-mass states and no null
+    join cell.
 
     A join cell is null exactly when all its states have zero mass, so each
     zero-mass state takes both cell labels of some positive state.
@@ -271,7 +304,7 @@ def models_with_null_states(draw):
     masses = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     labels_a = [draw(st.integers(0, 2)) for _ in masses]
     labels_b = [draw(st.integers(0, 2)) for _ in masses]
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(min_null, 3))):
         partner = draw(st.integers(0, len(masses) - 1))
         labels_a.append(labels_a[partner])
         labels_b.append(labels_b[partner])
@@ -306,6 +339,20 @@ def test_a_null_difference_between_the_events_leaves_the_tower_unchanged(model, 
     for events in (ab.EventPair(E, E ^ T), ab.EventPair(E ^ T, E)):
         assert ab.perfectly_correlated(model, events)
         assert ab.tower(model, events, qA, qB).levels == levels
+
+
+@settings(max_examples=150, deadline=None)
+@given(models_with_null_states(min_null=0), st.data())
+def test_complementary_events_give_the_same_tower(model, data):
+    # verify_agreement_theorem runs one of E and its complement, since
+    # P(~E | cell) = 1 - P(E | cell) picks the same level-0 cells
+    states = frozenset(range(model.omega_count))
+    E = frozenset(data.draw(st.sets(st.sampled_from(sorted(states)))))
+    qA = classical.conditional_mass(model, E, data.draw(st.sampled_from(model.partsA[0])))
+    qB = classical.conditional_mass(model, E, data.draw(st.sampled_from(model.partsB[0])))
+    levels = ab.tower(model, ab.EventPair(E, E), qA, qB).levels
+    complement = ab.EventPair(states - E, states - E)
+    assert ab.tower(model, complement, 1 - qA, 1 - qB).levels == levels
 
 
 def test_subset_mass_table_matches_plain_sums():
