@@ -120,12 +120,15 @@ def box_from_rows(rows) -> Box:
     Rows are square: nA = nB outputs, read off the row length.  A 2x2 row
     reads [p(00), p(01), p(10), p(11)].
     """
+    if not rows:
+        raise StructuralError("no rows")
     nX = 1 + max(x for x, _ in rows)
     nY = 1 + max(y for _, y in rows)
-    n = len(next(iter(rows.values())))
+    lengths = {len(row) for row in rows.values()}
+    n = max(lengths)
     nA = nB = int(round(n**0.5))
-    if nA * nB != n:
-        raise StructuralError(f"row length {n} does not factor as {nA}*{nB}")
+    if len(lengths) != 1 or nA * nB != n:
+        raise StructuralError(f"rows need one square length, got lengths {sorted(lengths)}")
     entries = {}
     for (x, y), row in rows.items():
         for a in range(nA):

@@ -12,6 +12,8 @@ weights may be negative; nonnegative solvability is exactly locality.
 box_to_model returns the deterministic free-variables-zero solution,
 is_local settles nonnegativity by exact LP and returns either the convex
 decomposition or a separating (Bell-type) functional as certificate.
+Both refuse a box with a row not summing to 1.  is_local prices its
+functional through bell_local_bound, a best response, and bell_value.
 """
 
 from dataclasses import dataclass
@@ -19,13 +21,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
+from operator import getitem
 
 from .boxes import Box, make_box
 from .classical import OntologicalModel, make_model
 from .errors import BudgetError, PreconditionError, ShapeError
 from .simplexq import LinearSolver, feasible_nonneg
 
-ZERO = Fraction(0)
 # the largest instruction system built; checked before any state is enumerated
 MAX_STATES = 4096
 
@@ -64,16 +66,19 @@ def _shape_system(nA, nB, nX, nY):
 
 
 @lru_cache(maxsize=None)
-def _shape_columns(nA, nB, nX, nY):
-    """Per state, the rows where its column of M is 1: a strategy's score."""
-    _, _, M = _shape_system(nA, nB, nX, nY)
-    return tuple(tuple(i for i, v in enumerate(col) if v) for col in zip(*M))
-
-
-@lru_cache(maxsize=None)
 def _shape_solver(nA, nB, nX, nY):
     _, _, M = _shape_system(nA, nB, nX, nY)
     return LinearSolver(M)
+
+
+def _numerators(box: Box, labels):
+    """The box's nums in label order; PreconditionError names a row not summing to 1."""
+    c = [box.num[key] for key in labels]
+    k = box.nA * box.nB
+    for i in range(0, len(c), k):
+        if (total := sum(c[i:i + k])) != box.den:
+            raise PreconditionError(f"row (x, y) = {labels[i][2:]} sums to {Fraction(total, box.den)}")
+    return c
 
 
 def model_to_box(model: OntologicalModel) -> Box:
@@ -88,10 +93,9 @@ def model_to_box(model: OntologicalModel) -> Box:
         raise ShapeError("every input must have the same number of output cells")
     nA, nB = sizes_a.pop(), sizes_b.pop()
     entries = {}
-    for x, y in product(range(nX), range(nY)):
-        for a, b in product(range(nA), range(nB)):
-            cell = model.partsA[x][a] & model.partsB[y][b]
-            entries[(a, b, x, y)] = sum((model.measure[w] for w in cell), ZERO)
+    for x, y, a, b in product(range(nX), range(nY), range(nA), range(nB)):
+        cell = model.partsA[x][a] & model.partsB[y][b]
+        entries[(a, b, x, y)] = sum(model.measure[w] for w in cell)
     return make_box(nA, nB, nX, nY, entries)
 
 
@@ -106,14 +110,11 @@ def box_to_model(box: Box) -> OntologicalModel:
     states, labels, _ = _shape_system(box.nA, box.nB, box.nX, box.nY)
     solver = _shape_solver(box.nA, box.nB, box.nX, box.nY)
     # solved as M (den P) = num on ints, like is_local
-    P = solver.solve([box.num[key] for key in labels])
+    P = solver.solve(_numerators(box, labels))
     if P is None:
-        raise PreconditionError(
-            "instruction system inconsistent: the box is not no-signaling"
-        )
+        raise PreconditionError("instruction system inconsistent: the box is not no-signaling")
     P = [pk / box.den for pk in P]
-    total = sum(P, ZERO)
-    if total != 1:
+    if sum(P) != 1:
         raise RuntimeError("solution mass is not 1; normalization row violated")
     partsA = {
         x: [frozenset(k for k, (alpha, _) in enumerate(states) if alpha[x] == a)
@@ -152,51 +153,49 @@ class LocalityVerdict:
 def is_local(box: Box) -> LocalityVerdict:
     """Exact LP feasibility of nonnegative M P = C, with certificate.
 
-    A nonlocal verdict's Bell functional is rechecked on ints before it is
-    returned: its value on the box must exceed its best deterministic score.
+    A nonlocal verdict's Bell functional is cleared to ints Y / L and
+    rechecked before it is returned: bell_value(box, Y) must exceed
+    bell_local_bound(Y), the best deterministic score.
     """
     # solved as M (den P) = num on ints; its Farkas vectors are those of M P = C
     states, labels, M = _shape_system(box.nA, box.nB, box.nX, box.nY)
-    ok, x, dual = feasible_nonneg(M, [box.num[key] for key in labels])
+    ok, x, dual = feasible_nonneg(M, _numerators(box, labels))
     if ok:
-        weights = tuple(
-            (states[k], xk / box.den) for k, xk in enumerate(x) if xk != 0
-        )
+        weights = tuple((states[k], xk / box.den) for k, xk in enumerate(x) if xk != 0)
         return LocalityVerdict(True, weights, None)
-    coeffs = {labels[i]: dual[i] for i in range(len(labels)) if dual[i] != 0}
-    # the functional cleared to ints Y / L; the columns of M are exactly the
-    # deterministic strategies, so max_j Y M_j / L is bell_local_bound
-    L = lcm(*(yi.denominator for yi in dual))
-    Y = [yi.numerator * (L // yi.denominator) for yi in dual]
-    best = max(sum(Y[i] for i in col) for col in _shape_columns(box.nA, box.nB, box.nX, box.nY))
-    total = sum(yi * box.num[key] for yi, key in zip(Y, labels) if yi)
-    if total <= best * box.den:
+    coeffs = {key: yi for key, yi in zip(labels, dual) if yi}
+    # priced and evaluated on ints, which is faster than on the Fractions
+    L = lcm(*(yi.denominator for yi in coeffs.values()))
+    Y = {key: yi.numerator * (L // yi.denominator) for key, yi in coeffs.items()}
+    best = bell_local_bound(Y, box.nA, box.nB, box.nX, box.nY)
+    value = bell_value(box, Y)
+    if value <= best:
         raise RuntimeError("Bell certificate does not separate the box")
-    bound = Fraction(best, L)
-    value = Fraction(total, L * box.den)
-    return LocalityVerdict(False, None, BellCertificate(coeffs, bound, value))
+    return LocalityVerdict(False, None, BellCertificate(coeffs, Fraction(best, L), value / L))
 
 
 # ---------------------------------------------------------------------------
 # Bell functionals on boxes
 
 def bell_value(box: Box, coeffs) -> Fraction:
-    return sum((w * box.p(*key) for key, w in coeffs.items()), ZERO)
+    """sum_k c_k p(k) for coeffs {(a, b, x, y): int or Fraction}, missing keys 0."""
+    try:
+        total = sum(w * box.num[key] for key, w in coeffs.items())
+    except KeyError as exc:
+        raise ShapeError(f"coefficient key outside the box's shape: {exc.args[0]}") from None
+    return Fraction(total, box.den)
 
 
-def bell_local_bound(coeffs, nA, nB, nX, nY) -> Fraction:
-    """Maximum of the functional over all deterministic strategies."""
-    best = None
-    for alpha in product(range(nA), repeat=nX):
-        for beta in product(range(nB), repeat=nY):
-            v = sum(
-                (coeffs.get((alpha[x], beta[y], x, y), ZERO)
-                 for x in range(nX) for y in range(nY)),
-                ZERO,
-            )
-            if best is None or v > best:
-                best = v
-    return best
+def bell_local_bound(coeffs, nA, nB, nX, nY):
+    """Maximum of the functional over all deterministic strategies: for each
+    of Alice's alpha, Bob's best response b maximizes sum_x c(alpha[x], b, x, y)."""
+    cols = [[[[0] * nA for _ in range(nX)] for _ in range(nB)] for _ in range(nY)]
+    for (a, b, x, y), w in coeffs.items():
+        if not (0 <= a < nA and 0 <= b < nB and 0 <= x < nX and 0 <= y < nY):
+            raise ShapeError(f"coefficient key outside the shape: {(a, b, x, y)}")
+        cols[y][b][x][a] = w  # Bob's column (y, b), indexed by x then alpha[x]
+    return max(sum(max([sum(map(getitem, col, alpha)) for col in by]) for by in cols)
+               for alpha in product(range(nA), repeat=nX))
 
 
 def correlator_functional(weights) -> dict:

@@ -76,6 +76,17 @@ def test_negative_entry_is_named():
     assert any("out of [0,1]" in v for v in result.violations)
 
 
+@pytest.mark.parametrize("rows", [
+    {},
+    {(0, 0): [F(1, 2), 0, 0, F(1, 2)], (0, 1): [1, 0, 0]},
+    {(0, 0): [F(1, 2), 0, 0, F(1, 2)], (0, 1): [1, 0, 0, 0, 0]},
+    {(0, 0): [1, 0, 0]},
+], ids=["empty", "short", "long", "not-square"])
+def test_rows_without_one_square_length_are_structural(rows):
+    with pytest.raises(ab.StructuralError):
+        ab.box_from_rows(rows)
+
+
 def test_missing_entry_is_structural():
     with pytest.raises(ab.StructuralError):
         ab.make_box(2, 2, 2, 2, {(0, 0, 0, 0): 1})

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,26 @@ def test_signaling_box_is_rejected():
     assert not ab.validate(box).ok
     with pytest.raises(ab.PreconditionError):
         ab.box_to_model(box)
+
+
+def eighths_box():
+    """No-signaling, but every row sums to 1/2."""
+    return ab.make_box(2, 2, 2, 2, dict.fromkeys(product(range(2), repeat=4), F(1, 8)))
+
+
+def half_rows_from_x1():
+    """Rows (0, 0) and (0, 1) sum to 1, rows (1, 0) and (1, 1) to 1/2."""
+    return ab.make_box(2, 2, 2, 2, {
+        (a, b, x, y): F(1, 4) if x == 0 else F(1, 8) for a, b, x, y in product(range(2), repeat=4)
+    })
+
+
+@pytest.mark.parametrize("fn", [ab.box_to_model, ab.is_local], ids=["box_to_model", "is_local"])
+def test_a_row_not_summing_to_one_is_a_precondition_error(fn):
+    with pytest.raises(ab.PreconditionError, match=r"row \(x, y\) = \(0, 0\) sums to 1/2"):
+        fn(eighths_box())
+    with pytest.raises(ab.PreconditionError, match=r"row \(x, y\) = \(1, 0\) sums to 1/2"):
+        fn(half_rows_from_x1())
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +422,65 @@ def test_chsh_functional_on_pr():
     assert ab.bell_local_bound(coeffs, 2, 2, 2, 2) == 2
 
 
+@pytest.mark.parametrize("key", [(5, 0, 0, 0), (0, 0, 0, 2), (-1, 0, 0, 0)])
+def test_a_coefficient_outside_the_shape_is_a_shape_error(key):
+    coeffs = {(0, 0, 0, 0): 1, key: 1}
+    with pytest.raises(ab.ShapeError, match="outside"):
+        ab.bell_value(ab.pr_box(), coeffs)
+    with pytest.raises(ab.ShapeError, match="outside"):
+        ab.bell_local_bound(coeffs, 2, 2, 2, 2)
+
+
+def all_pairs_local_bound(coeffs, nA, nB, nX, nY):
+    """Reference: the functional's maximum over every strategy pair (alpha, beta)."""
+    return max(
+        sum(coeffs.get((alpha[x], beta[y], x, y), 0) for x in range(nX) for y in range(nY))
+        for alpha in product(range(nA), repeat=nX)
+        for beta in product(range(nB), repeat=nY)
+    )
+
+
+BOUND_SHAPES = ((2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2), (2, 2, 4, 4), (3, 3, 3, 2))
+COEFFICIENTS = {
+    "int": st.integers(-9, 9),
+    "fraction": st.fractions(-3, 3, max_denominator=12),
+    "negative": st.integers(-9, -1) | st.fractions(-3, F(-1, 12), max_denominator=12),
+}
+
+
+@st.composite
+def functional(draw):
+    """A shape, a coefficient kind and a functional on every key or on a
+    subset of them (possibly none), so missing keys count as 0."""
+    shape = draw(st.sampled_from(BOUND_SHAPES))
+    kind = draw(st.sampled_from(sorted(COEFFICIENTS)))
+    every_key = list(product(*map(range, shape)))
+    keys = every_key if draw(st.booleans()) else draw(st.lists(st.sampled_from(every_key), unique=True))
+    return shape, kind, {key: draw(COEFFICIENTS[kind]) for key in keys}
+
+
+@settings(max_examples=50, deadline=None)
+@given(functional())
+def test_best_response_bound_matches_all_pairs(case):
+    shape, kind, coeffs = case
+    bound = ab.bell_local_bound(coeffs, *shape)
+    assert bound == all_pairs_local_bound(coeffs, *shape)
+    if kind == "int":
+        assert type(bound) is int
+    if not coeffs:
+        assert bound == 0
+    if kind == "negative" and len(coeffs) == prod(shape):
+        assert bound < 0
+
+
 # ---------------------------------------------------------------------------
 # the certificate is computed on ints: it must equal the Fraction functions
 
 def assert_certificate_matches_bell_functions(box):
     cert = ab.is_local(box).certificate
-    assert cert.local_bound == ab.bell_local_bound(cert.coeffs, box.nA, box.nB, box.nX, box.nY)
+    shape = (box.nA, box.nB, box.nX, box.nY)
+    assert cert.local_bound == ab.bell_local_bound(cert.coeffs, *shape)
+    assert cert.local_bound == all_pairs_local_bound(cert.coeffs, *shape)
     assert cert.box_value == ab.bell_value(box, cert.coeffs)
     assert cert.box_value > cert.local_bound
 

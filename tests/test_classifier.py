@@ -329,6 +329,13 @@ def test_classify_three_quarter_pr_mix_finds_no_obstruction():
     assert verdict.conclusion is ab.Conclusion.NO_OBSTRUCTION_FOUND
 
 
+def test_classify_refuses_a_box_whose_rows_do_not_sum_to_one():
+    # no-signaling, with every entry 1/8; the CLI's validate catches it first
+    box = ab.make_box(2, 2, 2, 2, dict.fromkeys(product(range(2), repeat=4), F(1, 8)))
+    with pytest.raises(ab.PreconditionError, match=r"row \(x, y\) = \(0, 0\)"):
+        ab.classify(box)
+
+
 def test_classify_shape_guard():
     # the 2x2x2x2 tests refuse a 3-output box; classify reduces it first
     three = ab.split_output(ab.pr_box())
