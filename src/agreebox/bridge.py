@@ -14,6 +14,8 @@ is_local settles nonnegativity by exact LP and returns either the convex
 decomposition or a separating (Bell-type) functional as certificate.
 Both refuse a box with a row not summing to 1.  is_local prices its
 functional through bell_local_bound, a best response, and bell_value.
+Its LPs on one shape share a tree of pivot paths (simplexq), so a box
+whose path an earlier box took is solved on the rhs column alone.
 """
 
 from dataclasses import dataclass
@@ -63,6 +65,12 @@ def _shape_system(nA, nB, nX, nY):
         for (a, b, x, y) in labels
     )
     return states, labels, M
+
+
+@lru_cache(maxsize=None)
+def _shape_paths(nA, nB, nX, nY):
+    """The tree of pivot paths is_local's LPs on this shape have taken."""
+    return {}
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +167,8 @@ def is_local(box: Box) -> LocalityVerdict:
     """
     # solved as M (den P) = num on ints; its Farkas vectors are those of M P = C
     states, labels, M = _shape_system(box.nA, box.nB, box.nX, box.nY)
-    ok, x, dual = feasible_nonneg(M, _numerators(box, labels))
+    paths = _shape_paths(box.nA, box.nB, box.nX, box.nY)
+    ok, x, dual = feasible_nonneg(M, _numerators(box, labels), paths)
     if ok:
         weights = tuple((states[k], xk / box.den) for k, xk in enumerate(x) if xk != 0)
         return LocalityVerdict(True, weights, None)
@@ -190,9 +199,14 @@ def bell_local_bound(coeffs, nA, nB, nX, nY):
     """Maximum of the functional over all deterministic strategies: for each
     of Alice's alpha, Bob's best response b maximizes sum_x c(alpha[x], b, x, y)."""
     cols = [[[[0] * nA for _ in range(nX)] for _ in range(nB)] for _ in range(nY)]
-    for (a, b, x, y), w in coeffs.items():
-        if not (0 <= a < nA and 0 <= b < nB and 0 <= x < nX and 0 <= y < nY):
-            raise ShapeError(f"coefficient key outside the shape: {(a, b, x, y)}")
+    for key, w in coeffs.items():
+        try:
+            a, b, x, y = key
+            inside = 0 <= a < nA and 0 <= b < nB and 0 <= x < nX and 0 <= y < nY
+        except (TypeError, ValueError):  # not an (a, b, x, y) tuple of ints
+            inside = False
+        if not inside:
+            raise ShapeError(f"coefficient key outside the shape: {key!r}")
         cols[y][b][x][a] = w  # Bob's column (y, b), indexed by x then alpha[x]
     return max(sum(max([sum(map(getitem, col, alpha)) for col in by]) for by in cols)
                for alpha in product(range(nA), repeat=nX))

@@ -215,6 +215,19 @@ def _sweep_rows(family, tuples):
         print(f"note: skipped {skipped} grid points with invalid boxes", file=sys.stderr)
 
 
+def _sample_tuples(count, seed):
+    """count distinct (r, s, t, u), each a value k/8, drawn with seed, sorted.
+
+    They are drawn and sorted as the ints k, which order as the k/8 do.
+    """
+    rng = random.Random(seed)
+    seen = set()
+    while len(seen) < count:
+        seen.add(tuple(rng.randrange(0, 9) for _ in range(4)))
+    eighths = [Fraction(k, 8) for k in range(9)]
+    return [tuple(eighths[k] for k in ks) for ks in sorted(seen)]
+
+
 def _cmd_sweep(args):
     if args.family in ("ccd", "sd"):
         if args.sample is not None:
@@ -222,11 +235,7 @@ def _cmd_sweep(args):
                 raise ParseError(f"--sample {args.sample} is negative")
             if args.sample > 9**4:  # r, s, t, u each take one of the values k/8
                 raise ParseError(f"--sample {args.sample} exceeds the 6561 distinct tuples")
-            rng = random.Random(args.seed)
-            seen = set()
-            while len(seen) < args.sample:
-                seen.add(tuple(Fraction(rng.randrange(0, 9), 8) for _ in range(4)))
-            tuples = sorted(seen)
+            tuples = _sample_tuples(args.sample, args.seed)
         else:
             if not args.grid:
                 raise ParseError("sweep over ccd/sd needs --grid or --sample")

@@ -31,6 +31,17 @@ certificate y with y M <= 0 and y c > 0.  Both certificates are rechecked
 before they are returned, against the caller's own M and c, never against
 the tableau, so a bug in the pivoting cannot silently produce a wrong
 verdict.
+
+On a fixed M and a fixed sign pattern of c, everything in the phase-one
+tableau but its rhs column depends only on the pivots taken so far: the
+objective row, the column Bland's rule enters, that column's entries, the
+divisor d and, at the end, the objective row's artificial block (the
+Farkas multipliers).  Only the ratio test reads c, and its ties go by
+basis indices, which the pivots fix too.  So a caller that solves many
+right-hand sides against one M can pass feasible_nonneg a dict in which
+it records the pivot paths taken; a solve along a recorded path updates
+the rhs column alone, O(m) per pivot against O(m (n + m)), and reproduces
+the same pivots, basis, point, multipliers and d.
 """
 
 from fractions import Fraction
@@ -109,61 +120,130 @@ class LinearSolver:
         return x
 
 
-def feasible_nonneg(rows, c):
+# the most nodes a pivot-path tree records (2222 needs 97; a new box of a
+# larger shape adds some 15); past it, a solve that leaves the tree pivots
+# the full tableau and records nothing
+MAX_PATH_NODES = 1024
+
+
+def _tableau(rows, c):
+    """The phase-one tableau of M x = c with rows flipped to rhs >= 0.
+
+    Each row is [M_i | e_i | |c_i|], its unit column cut from one zero
+    block.  The objective row, for min(sum of artificials) priced out for
+    the basis, is minus the column sums and 0 under the artificials; it is
+    the last row, so every pivot updates it too.
+    """
+    m = len(rows)
+    signed = [[-v for v in row] if ci < 0 else row for row, ci in zip(rows, c)]
+    zeros = (0,) * m
+    tab = [
+        [*row, *zeros[:i], 1, *zeros[i + 1:], abs(ci)]
+        for i, (row, ci) in enumerate(zip(signed, c))
+    ]
+    tab.append([-sum(col) for col in zip(*signed)] + [0] * m + [-sum(map(abs, c))])
+    return tab
+
+
+def _replay(tab, steps):
+    """Pivot tab along steps, [(row, column), ...]; returns the divisor.
+
+    The steps were chosen on recorded columns, which a damaged tree gets
+    wrong.  Each pivot element must be positive, as the rechecks read
+    x = X / d and y = Y / d and hold only for d > 0, and every rhs
+    nonnegative after them, as Bland's rule terminates only from a
+    feasible basis.
+    """
+    d = 1
+    for r, col in steps:
+        if tab[r][col] <= 0:
+            raise RuntimeError("recorded pivot path does not fit the tableau")
+        d = _pivot(tab, r, col, d)
+    if any(row[-1] < 0 for row in tab[:-1]):
+        raise RuntimeError("recorded pivot path does not fit the tableau")
+    return d
+
+
+def feasible_nonneg(rows, c, paths=None):
     """Decide whether M x = c admits x >= 0, exactly.
 
     Returns (True, x, None) with a verified nonnegative solution, or
     (False, None, y) with a verified Farkas vector: y M <= 0 entrywise and
     y c > 0, i.e. a linear functional separating c from the cone of
     nonnegative combinations of M's columns.
+
+    paths, if given, is a dict the caller keeps for this one M: the tree
+    of the pivot paths earlier calls took.  A node is keyed by the sign
+    pattern of c and the leaving rows so far; it holds (entering column,
+    that column's m + 1 entries), or (None, the objective row's
+    artificial block) where the path ends.  Along a recorded path only
+    the rhs column is updated.  The first step the tree lacks builds the
+    full tableau, replays the path so far with _pivot, goes on as without
+    a tree and records each new node, up to MAX_PATH_NODES nodes.  The
+    answer is the same either way.
     """
+    if paths is None:
+        paths = {}  # records this one solve: every step misses
     m = len(rows)
     n = len(rows[0])
-    # phase one: minimize the sum of artificials on rows flipped to rhs >= 0;
-    # each row is [M_i | e_i | c_i], its unit column cut from one zero block
-    signed = [[-v for v in row] if ci < 0 else row for row, ci in zip(rows, c)]
-    rhs = [abs(ci) for ci in c]
-    zeros = (0,) * m
-    tab = [
-        [*row, *zeros[:i], 1, *zeros[i + 1:], ci]
-        for i, (row, ci) in enumerate(zip(signed, rhs))
-    ]
+    key = (bytes([ci < 0 for ci in c]),)
     basis = list(range(n, n + m))
-    # objective row for min(sum of artificials), priced out for the basis:
-    # minus the column sums, 0 under the artificials; it is the last tableau
-    # row, so every pivot updates it too
-    z = [-sum(col) for col in zip(*signed)]
-    z += zeros
-    z.append(-sum(rhs))
-    tab.append(z)
-
+    rhs = [abs(ci) for ci in c]
+    rhs.append(-sum(rhs))
+    steps = []  # (leaving row, entering column) of every pivot so far
+    tab = None
     d = 1
     while True:
-        z = tab[m]
-        enter = next((j for j in range(n + m) if z[j] < 0), None)  # Bland
+        node = None if tab else paths.get(key)
+        if node is None:
+            if tab is None:
+                tab = _tableau(rows, c)
+                d = _replay(tab, steps)
+            z = tab[m]
+            enter = next((j for j in range(n + m) if z[j] < 0), None)  # Bland
+            col = z[n:n + m] if enter is None else [row[enter] for row in tab]
+            if len(paths) < MAX_PATH_NODES:
+                paths[key] = (enter, col)
+            rhs = [row[-1] for row in tab]
+        else:
+            enter, col = node
         if enter is None:
             break
         # least ratio rhs / a over a > 0, ties to the least basic index;
         # ratios are compared by cross-multiplication
         leave = None
         for i in range(m):
-            a = tab[i][enter]
+            a = col[i]
             if a > 0:
                 if leave is not None:
-                    new, cur = tab[i][-1] * tab[leave][enter], tab[leave][-1] * a
+                    new, cur = rhs[i] * col[leave], rhs[leave] * a
                     if new > cur or (new == cur and basis[i] > basis[leave]):
                         continue
                 leave = i
         if leave is None:
             raise RuntimeError("phase-one objective unbounded; cannot happen")
-        d = _pivot(tab, leave, enter, d)
+        if tab:
+            d = _pivot(tab, leave, enter, d)
+        else:
+            # _pivot's update of the rhs column alone, col the pivot column
+            p, v = col[leave], rhs[leave]
+            if p == d:
+                if v:
+                    for i, a in enumerate(col):
+                        if a and i != leave:
+                            rhs[i] -= a * v // d
+            else:
+                rhs = [(p * ri - a * v) // d for ri, a in zip(rhs, col)]
+                rhs[leave] = v
+            d = p
         basis[leave] = enter
+        key += (leave,)
+        steps.append((leave, enter))
 
-    z = tab[m]
-    if z[-1] == 0:  # the artificial sum reached zero
+    if rhs[m] == 0:  # the artificial sum reached zero
         # x = X / d with X read off the basic rows; x >= 0 and M x = c, i.e.
         # M X = c d, checked over the support of X
-        support = [(basis[i], tab[i][-1]) for i in range(m) if basis[i] < n and tab[i][-1]]
+        support = [(basis[i], rhs[i]) for i in range(m) if basis[i] < n and rhs[i]]
         if any(v < 0 for _, v in support) or any(
             sum(row[j] * v for j, v in support) != ci * d for row, ci in zip(rows, c)
         ):
@@ -174,8 +254,8 @@ def feasible_nonneg(rows, c):
         return True, x, None
 
     # infeasible: simplex multipliers y = 1 - z[artificial] give the
-    # separating functional; y = Y / d with d > 0
-    Y = [d - z[n + i] for i in range(m)]
+    # separating functional; y = Y / d with d > 0, col the artificial block
+    Y = [d - zi for zi in col]
     Y = [-yi if ci < 0 else yi for yi, ci in zip(Y, c)]
     # Y M, accumulated over the rows where Y is nonzero
     YM = [0] * n

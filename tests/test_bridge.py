@@ -15,6 +15,7 @@ from agreebox.bridge import (
     instruction_states,
     row_labels,
 )
+from agreebox.simplexq import feasible_nonneg
 
 
 def rational_weights(n):
@@ -422,7 +423,8 @@ def test_chsh_functional_on_pr():
     assert ab.bell_local_bound(coeffs, 2, 2, 2, 2) == 2
 
 
-@pytest.mark.parametrize("key", [(5, 0, 0, 0), (0, 0, 0, 2), (-1, 0, 0, 0)])
+@pytest.mark.parametrize("key", [(5, 0, 0, 0), (0, 0, 0, 2), (-1, 0, 0, 0),
+                                 (0, 0, 0), (0, 0, 0, 0, 0), 3])
 def test_a_coefficient_outside_the_shape_is_a_shape_error(key):
     coeffs = {(0, 0, 0, 0): 1, key: 1}
     with pytest.raises(ab.ShapeError, match="outside"):
@@ -507,10 +509,32 @@ def test_certificates_above_2222_match_the_bell_functions(box):
 def test_a_certificate_that_does_not_separate_is_refused(monkeypatch):
     solve = bridge.feasible_nonneg
 
-    def corrupted(rows, c):
-        ok, x, y = solve(rows, c)
+    def corrupted(rows, c, paths=None):
+        ok, x, y = solve(rows, c, paths)
         return ok, x, [-v for v in y]
 
     monkeypatch.setattr(bridge, "feasible_nonneg", corrupted)
     with pytest.raises(RuntimeError, match="does not separate"):
         ab.is_local(ab.pr_box())
+
+
+# ---------------------------------------------------------------------------
+# is_local's tree of pivot paths, one per shape
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SHAPES_ABOVE_2222).flatmap(
+    lambda shape: st.lists(lifted_pr_mixture(shape), min_size=1, max_size=4)))
+def test_a_shared_tree_gives_the_answers_without_one_above_2222(boxes):
+    box = boxes[0]
+    _, labels, M = _shape_system(box.nA, box.nB, box.nX, box.nY)
+    paths = {}
+    for box in boxes + boxes:
+        c = [box.num[key] for key in labels]
+        assert feasible_nonneg(M, c, paths) == feasible_nonneg(M, c)
+
+
+def test_is_local_keeps_one_tree_per_shape():
+    ab.is_local(ab.pr_box())
+    ab.is_local(lift(ab.pr_box(), 3, 2, 2, 2))
+    assert bridge._shape_paths(2, 2, 2, 2) and bridge._shape_paths(3, 2, 2, 2)
+    assert bridge._shape_paths(2, 2, 2, 2) is not bridge._shape_paths(3, 2, 2, 2)

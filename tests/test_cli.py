@@ -8,12 +8,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import agreebox as ab
-from agreebox.cli import _parse_grid, main
+from agreebox.cli import _parse_grid, _sample_tuples, main
 
 
 def run(capsys, *argv):
@@ -248,6 +249,39 @@ def test_sweep_sampling_is_seeded(capsys):
     assert out1 == out2
     header = out1.splitlines()[0]
     assert header.startswith("family,r,r_dec,s,")
+
+
+SWEEP_HEADER = "family,r,r_dec,s,s_dec,t,t_dec,u,u_dec,qA,qA_dec,qB,qB_dec,ccd,sd,local,gap,gap_dec"
+
+
+@pytest.mark.parametrize("sample, rows", [
+    ("6", []),  # all six boxes drawn are invalid
+    ("60", [
+        "ccd,0,0,0,0,3/8,0.375,3/8,0.375,,,,,false,false,true,0,0",
+        "ccd,3/8,0.375,0,0,5/8,0.625,5/8,0.625,0,0,1,1,true,false,false,3/2,1.5",
+        "ccd,3/8,0.375,3/8,0.375,3/8,0.375,1/4,0.25,1,1,2/3,0.666666666666,"
+        "true,false,false,-1/2,-0.5",
+        "ccd,7/8,0.875,1/8,0.125,3/4,0.75,0,0,1/7,0.142857142857,1/7,0.142857142857,"
+        "false,false,true,0,0",
+    ]),
+])
+def test_sweep_sample_csv_is_pinned(capsys, sample, rows):
+    code, out, err = run(capsys, "sweep", "--family", "ccd", "--sample", sample, "--seed", "11")
+    assert code == 0
+    assert out.splitlines() == [SWEEP_HEADER, *rows]
+    assert f"skipped {int(sample) - len(rows)} grid points" in err
+
+
+def test_sampled_tuples_are_pinned():
+    assert _sample_tuples(6, 11) == [
+        tuple(F(k, 8) for k in ks)
+        for ks in [(0, 6, 7, 2), (0, 8, 1, 0), (4, 2, 1, 8), (7, 2, 1, 7), (7, 8, 7, 7), (8, 3, 2, 8)]
+    ]
+    assert _sample_tuples(0, 11) == []
+
+
+def test_the_largest_sample_is_every_tuple():
+    assert _sample_tuples(6561, 5) == list(product([F(k, 8) for k in range(9)], repeat=4))
 
 
 def test_sweep_pr_single_row(capsys):

@@ -1,7 +1,9 @@
 """The exact LP and the affine solver, called directly."""
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import product
 from math import lcm
 
@@ -345,3 +347,137 @@ def test_a_corrupted_farkas_vector_is_refused(monkeypatch, rows, c, corrupt):
     monkeypatch.setattr(simplexq, "_pivot", corrupting(corrupt))
     with pytest.raises(RuntimeError, match="Farkas certificate failed verification"):
         feasible_nonneg(rows, c)
+
+
+# ---------------------------------------------------------------------------
+# pivot-path trees: a solve along a recorded path updates the rhs column
+# alone, and must return exactly the answer of a solve without a tree
+
+def int_lp_2222(box):
+    """The system is_local solves: M and the box's integer numerators."""
+    M, _ = lp_2222(box)
+    return M, [box.num[key] for key in row_labels(2, 2, 2, 2)]
+
+
+@lru_cache(maxsize=None)
+def kgrid_rhs():
+    """The integer right-hand sides of the 720 valid k/8 CCD- and SD-form boxes."""
+    return tuple(
+        int_lp_2222(box)[1]
+        for maker in (ab.ccd_table_box, ab.sd_table_box)
+        for params in product(range(9), repeat=4)
+        if ab.validate(box := maker(*(F(k, 8) for k in params))).ok
+    )
+
+
+def shuffled_kgrid():
+    cs = list(kgrid_rhs())
+    random.Random(17).shuffle(cs)
+    return cs
+
+
+def test_a_shared_tree_gives_the_answers_without_one_on_the_k8_grid():
+    M, _ = lp_2222(ab.uniform_box())
+    cs = shuffled_kgrid()
+    assert len(cs) == 720
+    paths = {}
+    for _ in range(2):  # the second pass runs every path from the tree
+        for c in cs:
+            assert feasible_nonneg(M, c, paths) == feasible_nonneg(M, c)
+
+
+def test_a_shared_tree_pivots_on_units_and_far_less_often():
+    M, _ = lp_2222(ab.uniform_box())
+    paths = {}
+    with kernel(simplexq._pivot) as seen:
+        for c in shuffled_kgrid():
+            feasible_nonneg(M, c, paths)
+    # 17 pivot paths visiting 97 tableaux, ends included
+    assert len(paths) == 97
+    assert sum(enter is None for enter, _ in paths.values()) == 17
+    assert set(seen) == {(1, 1)} and len(seen) < 6581 // 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                     min_size=m, max_size=m),
+            st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                     min_size=1, max_size=6),
+        )
+    ).filter(lambda system: any(any(row) for row in system[0]))
+)
+def test_a_shared_tree_gives_the_answers_without_one(system):
+    rows, cs = system
+    paths = {}
+    for c in cs + cs:
+        assert feasible_nonneg(rows, c, paths) == feasible_nonneg(rows, c)
+
+
+def test_a_full_tree_records_nothing_more(monkeypatch):
+    M, _ = lp_2222(ab.uniform_box())
+    monkeypatch.setattr(simplexq, "MAX_PATH_NODES", 10)
+    paths = {}
+    for c in shuffled_kgrid():
+        assert feasible_nonneg(M, c, paths) == feasible_nonneg(M, c)
+        assert len(paths) <= 10
+    assert len(paths) == 10
+
+
+def path_keys(paths):
+    """The keys of a tree that holds one path, root first."""
+    assert len({key[0] for key in paths}) == 1
+    return sorted(paths, key=len)
+
+
+@pytest.mark.parametrize("box, node, entry, message", [
+    # the objective row's entry in the first column: the artificial sum no
+    # longer reaches zero on a feasible box
+    (ab.uniform_box(), 0, 16, "Farkas certificate failed verification"),
+    # a row entry in a later column: a basic weight comes out wrong
+    (ab.uniform_box(), 9, 9, "simplex produced an invalid feasible point"),
+], ids=["objective-entry", "row-entry"])
+def test_a_corrupted_column_is_refused(box, node, entry, message):
+    M, c = int_lp_2222(box)
+    paths = {}
+    feasible_nonneg(M, c, paths)
+    _, col = paths[path_keys(paths)[node]]
+    col[entry] += 1
+    with pytest.raises(RuntimeError, match=message):
+        feasible_nonneg(M, c, paths)
+
+
+def test_corrupted_leaf_multipliers_are_refused():
+    M, c = int_lp_2222(ab.pr_box())
+    paths = {}
+    feasible_nonneg(M, c, paths)
+    enter, col = paths[path_keys(paths)[-1]]
+    assert enter is None
+    col[:] = [1] * len(col)  # d - z = 0: every multiplier zero
+    with pytest.raises(RuntimeError, match="Farkas certificate failed verification"):
+        feasible_nonneg(M, c, paths)
+
+
+@pytest.mark.parametrize("box", [ab.uniform_box(), ab.pr_box()], ids=["uniform", "pr"])
+def test_no_corrupted_entry_changes_the_verdict(box):
+    # every recorded entry one larger or one smaller, in turn: the solve
+    # either still returns the answer without a tree or raises
+    M, c = int_lp_2222(box)
+    want = feasible_nonneg(M, c)
+    paths = {}
+    feasible_nonneg(M, c, paths)
+    raised = 0
+    for key, (enter, col) in paths.items():
+        for i, delta in product(range(len(col)), (1, -1)):
+            damaged = {k: (e, list(v)) for k, (e, v) in paths.items()}
+            damaged[key][1][i] += delta
+            try:
+                got = feasible_nonneg(M, c, damaged)
+            except RuntimeError:
+                raised += 1
+                continue
+            assert got[0] == want[0]
+            assert_certificate(M, c, *got)
+    assert raised
