@@ -89,15 +89,21 @@ def make_box(nA: int, nB: int, nX: int, nY: int, entries) -> Box:
     """Build a Box from any mapping (a,b,x,y) -> rational-like value.
 
     The one place where rational entries become a Box's integer form.
-    Raises StructuralError if an entry is missing or an index is out of range.
+    Raises StructuralError if an entry is missing or a key is not a tuple
+    of four ints in range.
     """
     if min(nA, nB, nX, nY) < 1:
         raise ShapeError("cardinalities must be positive")
     table = {}
     for key, value in entries.items():
-        a, b, x, y = key
-        if not (0 <= a < nA and 0 <= b < nB and 0 <= x < nX and 0 <= y < nY):
-            raise StructuralError(f"index out of range: {key}")
+        try:
+            a, b, x, y = key
+            inside = 0 <= a < nA and 0 <= b < nB and 0 <= x < nX and 0 <= y < nY
+        except (TypeError, ValueError):  # not four comparable indices
+            inside = False
+        if not (inside and isinstance(key, tuple) and isinstance(a, int) and isinstance(b, int)
+                and isinstance(x, int) and isinstance(y, int)):
+            raise StructuralError(f"key {key!r} is not an (a, b, x, y) tuple of ints in range")
         table[(a, b, x, y)] = rat(value)
     missing = nA * nB * nX * nY - len(table)
     if missing:

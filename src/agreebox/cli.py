@@ -230,6 +230,8 @@ def _sample_tuples(count, seed):
 
 def _cmd_sweep(args):
     if args.family in ("ccd", "sd"):
+        if args.grid and args.sample is not None:
+            raise ParseError(f"family {args.family!r} takes --grid or --sample, not both")
         if args.sample is not None:
             if args.sample < 0:
                 raise ParseError(f"--sample {args.sample} is negative")

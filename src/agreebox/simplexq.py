@@ -39,9 +39,10 @@ divisor d and, at the end, the objective row's artificial block (the
 Farkas multipliers).  Only the ratio test reads c, and its ties go by
 basis indices, which the pivots fix too.  So a caller that solves many
 right-hand sides against one M can pass feasible_nonneg a dict in which
-it records the pivot paths taken; a solve along a recorded path updates
+it records the pivot paths taken.  A solve along a recorded path updates
 the rhs column alone, O(m) per pivot against O(m (n + m)), and reproduces
-the same pivots, basis, point, multipliers and d.
+the same pivots, basis, point, multipliers and d; a solve that leaves the
+recorded paths starts over on the full tableau.
 """
 
 from fractions import Fraction
@@ -121,8 +122,8 @@ class LinearSolver:
 
 
 # the most nodes a pivot-path tree records (2222 needs 97; a new box of a
-# larger shape adds some 15); past it, a solve that leaves the tree pivots
-# the full tableau and records nothing
+# larger shape adds some 15); past it, a solve that leaves the tree starts
+# over on the full tableau and records nothing
 MAX_PATH_NODES = 1024
 
 
@@ -145,25 +146,6 @@ def _tableau(rows, c):
     return tab
 
 
-def _replay(tab, steps):
-    """Pivot tab along steps, [(row, column), ...]; returns the divisor.
-
-    The steps were chosen on recorded columns, which a damaged tree gets
-    wrong.  Each pivot element must be positive, as the rechecks read
-    x = X / d and y = Y / d and hold only for d > 0, and every rhs
-    nonnegative after them, as Bland's rule terminates only from a
-    feasible basis.
-    """
-    d = 1
-    for r, col in steps:
-        if tab[r][col] <= 0:
-            raise RuntimeError("recorded pivot path does not fit the tableau")
-        d = _pivot(tab, r, col, d)
-    if any(row[-1] < 0 for row in tab[:-1]):
-        raise RuntimeError("recorded pivot path does not fit the tableau")
-    return d
-
-
 def feasible_nonneg(rows, c, paths=None):
     """Decide whether M x = c admits x >= 0, exactly.
 
@@ -177,32 +159,32 @@ def feasible_nonneg(rows, c, paths=None):
     pattern of c and the leaving rows so far; it holds (entering column,
     that column's m + 1 entries), or (None, the objective row's
     artificial block) where the path ends.  Along a recorded path only
-    the rhs column is updated.  The first step the tree lacks builds the
-    full tableau, replays the path so far with _pivot, goes on as without
-    a tree and records each new node, up to MAX_PATH_NODES nodes.  The
-    answer is the same either way.
+    the rhs column is updated.  The first step the tree lacks starts the
+    solve over on the full tableau, as without a tree, and records each
+    node it visits, up to MAX_PATH_NODES nodes.  The answer is the same
+    either way: the full tableau never reads a recorded entry, and the
+    rechecks refuse any certificate that a damaged path gets wrong.
     """
-    if paths is None:
-        paths = {}  # records this one solve: every step misses
     m = len(rows)
     n = len(rows[0])
     key = (bytes([ci < 0 for ci in c]),)
     basis = list(range(n, n + m))
     rhs = [abs(ci) for ci in c]
     rhs.append(-sum(rhs))
-    steps = []  # (leaving row, entering column) of every pivot so far
-    tab = None
+    tab = None if paths is not None else _tableau(rows, c)
     d = 1
     while True:
         node = None if tab else paths.get(key)
         if node is None:
-            if tab is None:
+            if tab is None:  # start over from the first pivot
                 tab = _tableau(rows, c)
-                d = _replay(tab, steps)
+                basis = list(range(n, n + m))
+                key = key[:1]
+                d = 1
             z = tab[m]
             enter = next((j for j in range(n + m) if z[j] < 0), None)  # Bland
             col = z[n:n + m] if enter is None else [row[enter] for row in tab]
-            if len(paths) < MAX_PATH_NODES:
+            if paths is not None and len(paths) < MAX_PATH_NODES:
                 paths[key] = (enter, col)
             rhs = [row[-1] for row in tab]
         else:
@@ -238,7 +220,6 @@ def feasible_nonneg(rows, c, paths=None):
             d = p
         basis[leave] = enter
         key += (leave,)
-        steps.append((leave, enter))
 
     if rhs[m] == 0:  # the artificial sum reached zero
         # x = X / d with X read off the basic rows; x >= 0 and M x = c, i.e.

@@ -92,6 +92,27 @@ def test_missing_entry_is_structural():
         ab.make_box(2, 2, 2, 2, {(0, 0, 0, 0): 1})
 
 
+def pr_entries_with(key):
+    """The PR box's entries with (0, 0, 0, 0) swapped for key."""
+    entries = dict(ab.pr_box().table)
+    entries[key] = entries.pop((0, 0, 0, 0))
+    return entries
+
+
+@pytest.mark.parametrize("shape, entries", [
+    ((2, 2, 2, 2), {(0, 0, 0): 1}),
+    ((2, 2, 2, 2), {(0, 0, 0, 0, 0): 1}),
+    ((2, 2, 2, 2), {0: 1}),
+    ((2, 2, 2, 2), {("0", 0, 0, 0): 1}),
+    ((2, 2, 2, 2), {(0, 2, 0, 0): 1}),
+    ((1, 1, 1, 1), {(0.5, 0, 0, 0): 1}),
+    ((2, 2, 2, 2), pr_entries_with((0.5, 0, 0, 0))),
+], ids=["3-tuple", "5-tuple", "int", "str-index", "out-of-range", "float-index", "pr-float-index"])
+def test_a_key_that_is_not_four_ints_is_structural(shape, entries):
+    with pytest.raises(ab.StructuralError, match="not an \\(a, b, x, y\\) tuple of ints in range"):
+        ab.make_box(*shape, entries)
+
+
 def test_missing_entries_are_counted_without_listing_them():
     tracemalloc.start()
     try:

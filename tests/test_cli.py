@@ -353,6 +353,15 @@ def test_sweep_fixed_family_rejects_grid_and_sample(capsys, family, option):
     assert out == ""
 
 
+@pytest.mark.parametrize("family", ["ccd", "sd"])
+def test_sweep_table_family_rejects_grid_and_sample_together(capsys, family):
+    code, out, err = run(capsys, "sweep", "--family", family,
+                         "--grid", "r=1/4,s=1/4,t=1/4,u=0", "--sample", "3", "--seed", "1")
+    assert code == 2
+    assert "takes --grid or --sample, not both" in err
+    assert out == ""
+
+
 def test_sweep_grid_beyond_the_point_budget_exits_at_once(capsys):
     # 10**8 + 1 points on one axis: counted, never built
     grid = "r=0:1:1/100000000,s=0,t=0,u=0"

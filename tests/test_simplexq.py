@@ -460,7 +460,11 @@ def test_corrupted_leaf_multipliers_are_refused():
         feasible_nonneg(M, c, paths)
 
 
-@pytest.mark.parametrize("box", [ab.uniform_box(), ab.pr_box()], ids=["uniform", "pr"])
+@pytest.mark.parametrize("box", [
+    ab.uniform_box(),
+    ab.pr_box(),
+    ab.sd_table_box(F(1, 4), F(1, 4), F(1, 4), F(0)),
+], ids=["uniform", "pr", "sd"])
 def test_no_corrupted_entry_changes_the_verdict(box):
     # every recorded entry one larger or one smaller, in turn: the solve
     # either still returns the answer without a tree or raises
@@ -481,3 +485,23 @@ def test_no_corrupted_entry_changes_the_verdict(box):
             assert got[0] == want[0]
             assert_certificate(M, c, *got)
     assert raised
+
+
+@pytest.mark.parametrize("box", [ab.uniform_box(), ab.pr_box()], ids=["uniform", "pr"])
+def test_a_solve_that_leaves_the_tree_starts_over(box):
+    # with an interior node gone, the walk stops there and the solve starts
+    # over on the full tableau: the same pivots as without a tree, and the
+    # node recorded again
+    M, c = int_lp_2222(box)
+    with kernel(simplexq._pivot) as seen:
+        want = feasible_nonneg(M, c)
+    paths = {}
+    feasible_nonneg(M, c, paths)
+    keys = path_keys(paths)
+    assert len(keys) > 2
+    key = keys[len(keys) // 2]
+    node = paths.pop(key)
+    with kernel(simplexq._pivot) as restarted:
+        assert feasible_nonneg(M, c, paths) == want
+    assert paths[key] == node
+    assert len(restarted) == len(seen)
