@@ -44,3 +44,4 @@ print(f"  candidate instances:        {report.instances}")
 print(f"  reaching common certainty:  {report.certainty_instances}")
 print(f"  with unequal values:        {report.violations}")
 print(f"  deepest tower iteration:    {report.max_iterations}")
+print("  (the deepest tower is 1 if m = min(|states|, denominator) is 1, 3 if m is 2 or 3, else m)")

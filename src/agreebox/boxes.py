@@ -85,6 +85,17 @@ class Box:
         return Fraction(self._num_b(b, x, y), self.den)
 
 
+def _in_shape(key, nA, nB, nX, nY) -> bool:
+    """True iff key is an (a, b, x, y) tuple of four ints in range."""
+    try:
+        a, b, x, y = key
+        inside = 0 <= a < nA and 0 <= b < nB and 0 <= x < nX and 0 <= y < nY
+    except (TypeError, ValueError):  # not four comparable indices
+        return False
+    return (inside and isinstance(key, tuple) and isinstance(a, int) and isinstance(b, int)
+            and isinstance(x, int) and isinstance(y, int))
+
+
 def make_box(nA: int, nB: int, nX: int, nY: int, entries) -> Box:
     """Build a Box from any mapping (a,b,x,y) -> rational-like value.
 
@@ -96,15 +107,9 @@ def make_box(nA: int, nB: int, nX: int, nY: int, entries) -> Box:
         raise ShapeError("cardinalities must be positive")
     table = {}
     for key, value in entries.items():
-        try:
-            a, b, x, y = key
-            inside = 0 <= a < nA and 0 <= b < nB and 0 <= x < nX and 0 <= y < nY
-        except (TypeError, ValueError):  # not four comparable indices
-            inside = False
-        if not (inside and isinstance(key, tuple) and isinstance(a, int) and isinstance(b, int)
-                and isinstance(x, int) and isinstance(y, int)):
+        if not _in_shape(key, nA, nB, nX, nY):
             raise StructuralError(f"key {key!r} is not an (a, b, x, y) tuple of ints in range")
-        table[(a, b, x, y)] = rat(value)
+        table[key] = rat(value)
     missing = nA * nB * nX * nY - len(table)
     if missing:
         # every key is in range, so the first gap is within len(table) + 1 keys;

@@ -25,7 +25,7 @@ from itertools import product
 from math import lcm
 from operator import getitem
 
-from .boxes import Box, make_box
+from .boxes import Box, _in_shape, make_box
 from .classical import OntologicalModel, make_model
 from .errors import BudgetError, PreconditionError, ShapeError
 from .simplexq import LinearSolver, feasible_nonneg
@@ -188,11 +188,10 @@ def is_local(box: Box) -> LocalityVerdict:
 
 def bell_value(box: Box, coeffs) -> Fraction:
     """sum_k c_k p(k) for coeffs {(a, b, x, y): int or Fraction}, missing keys 0."""
-    try:
-        total = sum(w * box.num[key] for key, w in coeffs.items())
-    except KeyError as exc:
-        raise ShapeError(f"coefficient key outside the box's shape: {exc.args[0]}") from None
-    return Fraction(total, box.den)
+    for key in coeffs:
+        if not _in_shape(key, box.nA, box.nB, box.nX, box.nY):
+            raise ShapeError(f"coefficient key outside the box's shape: {key!r}")
+    return Fraction(sum(w * box.num[key] for key, w in coeffs.items()), box.den)
 
 
 def bell_local_bound(coeffs, nA, nB, nX, nY):
@@ -200,13 +199,9 @@ def bell_local_bound(coeffs, nA, nB, nX, nY):
     of Alice's alpha, Bob's best response b maximizes sum_x c(alpha[x], b, x, y)."""
     cols = [[[[0] * nA for _ in range(nX)] for _ in range(nB)] for _ in range(nY)]
     for key, w in coeffs.items():
-        try:
-            a, b, x, y = key
-            inside = 0 <= a < nA and 0 <= b < nB and 0 <= x < nX and 0 <= y < nY
-        except (TypeError, ValueError):  # not an (a, b, x, y) tuple of ints
-            inside = False
-        if not inside:
+        if not _in_shape(key, nA, nB, nX, nY):
             raise ShapeError(f"coefficient key outside the shape: {key!r}")
+        a, b, x, y = key
         cols[y][b][x][a] = w  # Bob's column (y, b), indexed by x then alpha[x]
     return max(sum(max([sum(map(getitem, col, alpha)) for col in by]) for by in cols)
                for alpha in product(range(nA), repeat=nX))

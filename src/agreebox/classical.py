@@ -200,39 +200,36 @@ class AgreementCheckReport:
 
 
 def _set_partitions(n):
-    """Canonical partitions of range(n) as tuples of cell bitmasks."""
-
-    def rec(i, max_label, labels):
-        if i == n:
-            yield labels[:]
-            return
-        for lab in range(max_label + 1):
-            labels.append(lab)
-            yield from rec(i + 1, max(max_label, lab + 1), labels)
-            labels.pop()
-
-    for labels in rec(0, 0, []):
-        blocks = [0] * (max(labels) + 1)
-        for w, lab in enumerate(labels):
-            blocks[lab] |= 1 << w
-        yield tuple(blocks)
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Partitions of range(n) as tuples of cell bitmasks, cells numbered by
+    least state, in restricted-growth-string order."""
+    partitions = [()]
+    for w in range(n):
+        bit = 1 << w
+        grown = []
+        for blocks in partitions:
+            # state w joins each existing cell in turn, then opens a new one
+            grown += [blocks[:i] + (c | bit,) + blocks[i + 1:] for i, c in enumerate(blocks)]
+            grown.append(blocks + (bit,))
+        partitions = grown
+    return partitions
 
 
 def _measures(n, dmax):
-    """All rational measures on n states with denominator <= dmax, deduplicated."""
+    """Nondecreasing mass vectors on n states with sum d <= dmax and gcd 1,
+    one per sorted measure, in order of d, then lexicographic."""
+
+    def rising(total, parts, least):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(least, total // parts + 1):
+            for rest in rising(total - first, parts - 1, first):
+                yield (first,) + rest
+
     for d in range(1, dmax + 1):
-        for ks in _compositions(d, n):
-            if gcd(*ks, d) == 1:
-                yield ks, d
+        for masses in rising(d, n, 0):
+            if gcd(*masses) == 1:
+                yield masses
 
 
 def _stabilizer(masses):
@@ -330,7 +327,8 @@ def _bits_to_set(bits, n):
     return frozenset(w for w in range(n) if bits >> w & 1)
 
 
-def _cross_check(n, masses, d, blocksA, blocksB, EA, EB, qa, qb, expect_A, expect_B):
+def _cross_check(n, masses, blocksA, blocksB, EA, EB, qa, qb, expect_A, expect_B):
+    d = sum(masses)
     model = make_model(
         [Fraction(k, d) for k in masses],
         {0: [_bits_to_set(c, n) for c in blocksA]},
@@ -388,10 +386,8 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
     instances = certainty = violations = 0
     max_iters = 0
     for n in range(1, omega + 1):
-        partitions = list(_set_partitions(n))
-        for masses, d in _measures(n, dmax):
-            if masses != tuple(sorted(masses)):
-                continue  # counted through its sorted rearrangement
+        partitions = _set_partitions(n)
+        for masses in _measures(n, dmax):
             group = _stabilizer(masses)
             # n!/prod(multiplicity!) distinct arrangements of the masses
             weight = factorial(n) // len(group)
@@ -425,7 +421,7 @@ def verify_agreement_theorem(bound_omega: int, denominator_bound: int) -> Agreem
                         instances += pair_weight
                         if (enumerated - 1) % stride == 0:
                             _cross_check(
-                                n, masses, d, blocksA, blocksB, E, E,
+                                n, masses, blocksA, blocksB, E, E,
                                 Fraction(qa_num, mA), Fraction(qb_num, mB),
                                 A, B,
                             )

@@ -424,7 +424,7 @@ def test_chsh_functional_on_pr():
 
 
 @pytest.mark.parametrize("key", [(5, 0, 0, 0), (0, 0, 0, 2), (-1, 0, 0, 0),
-                                 (0, 0, 0), (0, 0, 0, 0, 0), 3])
+                                 (0, 0, 0), (0, 0, 0, 0, 0), 3, (0.5, 0, 0, 0), (1.0, 0, 0, 0)])
 def test_a_coefficient_outside_the_shape_is_a_shape_error(key):
     coeffs = {(0, 0, 0, 0): 1, key: 1}
     with pytest.raises(ab.ShapeError, match="outside"):

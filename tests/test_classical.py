@@ -2,7 +2,8 @@
 
 import json
 from fractions import Fraction as F
-from math import factorial, prod
+from itertools import product
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -148,16 +149,39 @@ def test_verify_full_report_at_five_states_denominator_four():
     ) == (4096318, 1963758, 0, True, 4)
 
 
+def every_measure(n, dmax):
+    """Every integer mass vector on n states, one per measure with
+    denominator d <= dmax, in order of d, then lexicographic: the
+    vectors in range(d + 1)^n that sum to d with gcd 1."""
+    return [
+        masses
+        for d in range(1, dmax + 1)
+        for masses in product(range(d + 1), repeat=n)
+        if sum(masses) == d and gcd(*masses) == 1
+    ]
+
+
+def every_partition(n):
+    """Every partition of range(n), as a frozenset of cell bitmasks: the
+    distinct cell sets of all n^n labelings of the states."""
+    return {
+        frozenset(sum(1 << w for w in range(n) if labels[w] == k) for k in set(labels))
+        for labels in product(range(n), repeat=n)
+    }
+
+
 def plain_report(omega, dmax):
     """verify_agreement_theorem over every measure, with no orbit weights.
 
-    Perfectly correlated event pairs are found by the mass of EA ^ EB
-    rather than by listing subsets of the zero-mass states.
+    Measures and partitions come from every_measure and every_partition,
+    not from the generators under test.  Perfectly correlated event pairs
+    are found by the mass of EA ^ EB rather than by listing subsets of the
+    zero-mass states.
     """
     instances = certainty = violations = max_iters = 0
     for n in range(1, omega + 1):
-        partitions = list(classical._set_partitions(n))
-        for masses, _ in classical._measures(n, dmax):
+        partitions = [tuple(p) for p in every_partition(n)]
+        for masses in every_measure(n, dmax):
             M = classical._subset_masses(masses)
             null_sets = [T for T in range(1 << n) if M[T] == 0]
             for blocksA in partitions:
@@ -191,13 +215,38 @@ def test_weighted_sorted_measures_match_the_plain_enumeration(omega, dmax):
 def test_orbit_weights_of_sorted_measures_count_every_measure():
     for n in range(1, classical.HARD_OMEGA_CAP + 1):
         for d in range(1, classical.HARD_DENOM_CAP + 1):
-            measures = list(classical._measures(n, d))
             weights = [
                 factorial(n) // len(classical._stabilizer(masses))
-                for masses, _ in measures
-                if list(masses) == sorted(masses)
+                for masses in classical._measures(n, d)
             ]
-            assert sum(weights) == len(measures)
+            assert sum(weights) == len(every_measure(n, d))
+
+
+def test_measures_are_the_nondecreasing_members_of_every_measure():
+    for n in range(1, classical.HARD_OMEGA_CAP + 1):
+        for d in range(1, classical.HARD_DENOM_CAP + 1):
+            assert list(classical._measures(n, d)) == [
+                masses for masses in every_measure(n, d) if list(masses) == sorted(masses)
+            ]
+
+
+def test_set_partitions_are_every_partition_in_restricted_growth_order():
+    for n, bell in enumerate([1, 2, 5, 15, 52, 203, 877], start=1):
+        partitions = list(classical._set_partitions(n))
+        assert len(partitions) == bell
+        strings = []
+        for blocks in partitions:
+            union = 0
+            for c in blocks:
+                assert c and not c & union
+                union |= c
+            assert union == (1 << n) - 1
+            # cells numbered by least state
+            assert [c & -c for c in blocks] == sorted(c & -c for c in blocks)
+            strings.append([next(k for k, c in enumerate(blocks) if c >> w & 1) for w in range(n)])
+        assert strings == sorted(strings) and len(set(map(tuple, strings))) == bell
+        if n <= 6:
+            assert set(map(frozenset, partitions)) == every_partition(n)
 
 
 def test_pair_orbits_partition_the_partition_pairs():
@@ -209,9 +258,7 @@ def test_pair_orbits_partition_the_partition_pairs():
     # makes a null join with every partition.
     for n in range(1, 6):
         partitions = list(classical._set_partitions(n))
-        for masses in {masses for masses, _ in classical._measures(n, 4)}:
-            if list(masses) != sorted(masses):
-                continue
+        for masses in classical._measures(n, 4):
             M = classical._subset_masses(masses)
             group = classical._stabilizer(masses)
             assert len({tuple(g) for g in group}) == len(group) == prod(
@@ -260,7 +307,9 @@ def test_verify_cross_check_runs(monkeypatch):
 
 
 def test_verify_cross_check_runs_at_the_default_stride(monkeypatch):
-    # however few instances a fold leaves, the first one is rechecked
+    # however few instances a fold leaves, the first one is rechecked; the
+    # stride runs over the enumerated instances in enumeration order, so a
+    # change to what is enumerated, or in which order, moves these counts
     calls = []
     reference = classical._cross_check
 
@@ -269,8 +318,21 @@ def test_verify_cross_check_runs_at_the_default_stride(monkeypatch):
         return reference(*args)
 
     monkeypatch.setattr(classical, "_cross_check", counted)
-    classical.verify_agreement_theorem(4, 2)
-    assert calls
+    for omega, dmax, rechecks in [(4, 2, 1), (4, 3, 5), (4, 4, 20), (5, 4, 50), (6, 4, 108)]:
+        calls.clear()
+        classical.verify_agreement_theorem(omega, dmax)
+        assert len(calls) == rechecks, (omega, dmax)
+
+
+def test_max_iterations_follows_the_smaller_bound():
+    # the rounds the certainty tower needs to settle: 1 when one state or
+    # one denominator leaves every tower trivial, 3 while min(omega, d) is
+    # 2 or 3, and min(omega, d) from 4 on
+    for omega in range(1, classical.HARD_OMEGA_CAP + 1):
+        for dmax in range(1, classical.HARD_DENOM_CAP + 1):
+            m = min(omega, dmax)
+            law = 1 if m == 1 else 3 if m <= 3 else m
+            assert ab.verify_agreement_theorem(omega, dmax).max_iterations == law
 
 
 @pytest.mark.parametrize("omega, dmax", [(-3, 2), (4, 0), (0, -1)])
@@ -357,7 +419,7 @@ def test_complementary_events_give_the_same_tower(model, data):
 
 def test_subset_mass_table_matches_plain_sums():
     for n in range(1, 5):
-        for masses, _ in classical._measures(n, 3):
+        for masses in every_measure(n, 3):
             table = classical._subset_masses(masses)
             assert len(table) == 1 << n
             for bits in range(1 << n):
