@@ -232,7 +232,7 @@ def test_measures_are_the_nondecreasing_members_of_every_measure():
 
 def test_set_partitions_are_every_partition_in_restricted_growth_order():
     for n, bell in enumerate([1, 2, 5, 15, 52, 203, 877], start=1):
-        partitions = list(classical._set_partitions(n))
+        partitions = classical._set_partitions(n)
         assert len(partitions) == bell
         strings = []
         for blocks in partitions:
