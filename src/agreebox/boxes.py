@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
@@ -158,55 +159,66 @@ class ValidationResult:
     violations: tuple  # named constraint violations with indices
 
 
+@lru_cache(maxsize=None)
+def row_labels(nA, nB, nX, nY):
+    """Entry keys row by row: (x, y), then a, then b; the order of the LP's rows."""
+    return tuple(
+        (a, b, x, y)
+        for x in range(nX)
+        for y in range(nY)
+        for a in range(nA)
+        for b in range(nB)
+    )
+
+
 def validate(box: Box) -> ValidationResult:
     """Check every box invariant exactly and name each violated constraint."""
-    # one pass over the in-range keys finds the missing entries and sums the
-    # integer marginals; keys outside the shape are in no marginal
+    nA, nB, nX, nY = box.nA, box.nB, box.nX, box.nY
     den, num = box.den, box.num
-    structural = []
-    violations = []
-    num_a = dict.fromkeys(product(range(box.nA), range(box.nX), range(box.nY)), 0)
-    num_b = dict.fromkeys(product(range(box.nB), range(box.nX), range(box.nY)), 0)
-    for key in product(range(box.nA), range(box.nB), range(box.nX), range(box.nY)):
-        v = num.get(key)
-        if v is None:
-            structural.append(f"missing entry (a,b,x,y)={key}")
-        elif v:
-            a, b, x, y = key
-            num_a[a, x, y] += v
-            num_b[b, x, y] += v
-    if structural:
-        return ValidationResult(False, tuple(structural), ())
+    try:
+        vals = [num[key] for key in row_labels(nA, nB, nX, nY)]
+    except KeyError:
+        return ValidationResult(False, tuple(
+            f"missing entry (a,b,x,y)={key}"
+            for key in product(range(nA), range(nB), range(nX), range(nY))
+            if key not in num
+        ), ())
 
     # integer sums against den; a Fraction is built only to name a violation
     def q(n):
         return rat_str(Fraction(n, den))
 
-    for key in sorted(num):
-        if not 0 <= num[key] <= den:
-            violations.append(f"entry out of [0,1] at (a,b,x,y)={key}: {q(num[key])}")
-    for x in range(box.nX):
-        for y in range(box.nY):
-            total = sum(num_a[a, x, y] for a in range(box.nA))
-            if total != den:
-                violations.append(f"normalization at (x,y)=({x},{y}): sum={q(total)}")
+    violations = []
+    # keys outside the shape are range checked, but in no sum below
+    if len(num) != len(vals) or min(vals, default=0) < 0 or max(vals, default=0) > den:
+        for key in sorted(num):
+            if not 0 <= num[key] <= den:
+                violations.append(f"entry out of [0,1] at (a,b,x,y)={key}: {q(num[key])}")
+    # row i holds inputs[i]; Alice's marginals are contiguous runs of nB
+    # entries, Bob's every nB-th entry
+    k = nA * nB
+    inputs = list(product(range(nX), range(nY)))
+    rows = [vals[i * k:(i + 1) * k] for i in range(len(inputs))]
+    for (x, y), row in zip(inputs, rows):
+        if (total := sum(row)) != den:
+            violations.append(f"normalization at (x,y)=({x},{y}): sum={q(total)}")
     # A -> B: Bob's marginal must not depend on Alice's input
-    for b in range(box.nB):
-        for y in range(box.nY):
-            ref = num_b[b, 0, y]
-            for x in range(1, box.nX):
-                got = num_b[b, x, y]
+    bob = [[sum(row[b::nB]) for b in range(nB)] for row in rows]
+    for b in range(nB):
+        for y in range(nY):
+            for x in range(1, nX):
+                ref, got = bob[y][b], bob[x * nY + y][b]
                 if got != ref:
                     violations.append(
                         f"no-signaling A->B at (b,y)=({b},{y}): "
                         f"x=0 gives {q(ref)}, x={x} gives {q(got)}"
                     )
     # B -> A: Alice's marginal must not depend on Bob's input
-    for a in range(box.nA):
-        for x in range(box.nX):
-            ref = num_a[a, x, 0]
-            for y in range(1, box.nY):
-                got = num_a[a, x, y]
+    alice = [[sum(row[a * nB:(a + 1) * nB]) for a in range(nA)] for row in rows]
+    for a in range(nA):
+        for x in range(nX):
+            for y in range(1, nY):
+                ref, got = alice[x * nY][a], alice[x * nY + y][a]
                 if got != ref:
                     violations.append(
                         f"no-signaling B->A at (a,x)=({a},{x}): "
@@ -369,17 +381,29 @@ def box_from_json(text: str) -> Box:
     if not isinstance(rows, dict):
         raise ParseError("box document field p is not an object")
     entries = {}
+    keys = {}  # (x, y) -> the key that named it
+    parsed = {}  # entry text -> its Fraction: a box repeats few distinct entries
     for key, grid in rows.items():
         try:
             xs, ys = key.split(",")
             x, y = int(xs), int(ys)
         except ValueError as exc:
             raise ParseError(f"bad input-pair key {key!r}") from exc
+        if (x, y) in keys:
+            raise StructuralError(f"input-pair keys {keys[x, y]!r} and {key!r} both name ({x}, {y})")
+        keys[x, y] = key
         if not isinstance(grid, list) or len(grid) != nA:
             raise StructuralError(f"row {key}: expected {nA} output rows")
         for a, row in enumerate(grid):
             if not isinstance(row, list) or len(row) != nB:
                 raise StructuralError(f"row {key}, a={a}: expected {nB} entries")
             for b, value in enumerate(row):
-                entries[(a, b, x, y)] = rat(value)
+                # only strings are memoized: True == 1, and true must stay refused
+                if isinstance(value, str):
+                    q = parsed.get(value)
+                    if q is None:
+                        q = parsed[value] = rat(value)
+                else:
+                    q = rat(value)
+                entries[(a, b, x, y)] = q
     return make_box(nA, nB, nX, nY, entries)

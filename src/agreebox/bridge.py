@@ -25,7 +25,7 @@ from itertools import product
 from math import lcm
 from operator import getitem
 
-from .boxes import Box, _in_shape, make_box
+from .boxes import Box, _in_shape, make_box, row_labels
 from .classical import OntologicalModel, make_model
 from .errors import BudgetError, PreconditionError, ShapeError
 from .simplexq import LinearSolver, feasible_nonneg
@@ -42,17 +42,6 @@ def instruction_states(nA, nB, nX, nY):
         (alpha, beta)
         for alpha in product(range(nA), repeat=nX)
         for beta in product(range(nB), repeat=nY)
-    )
-
-
-def row_labels(nA, nB, nX, nY):
-    """Constraint rows in the fixed order used by M and certificates."""
-    return tuple(
-        (a, b, x, y)
-        for x in range(nX)
-        for y in range(nY)
-        for a in range(nA)
-        for b in range(nB)
     )
 
 

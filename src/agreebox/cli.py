@@ -20,6 +20,7 @@ import random
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import product
 from math import lcm, prod
 
 from . import __version__
@@ -220,11 +221,13 @@ def _sample_tuples(count, seed):
 
     They are drawn and sorted as the ints k, which order as the k/8 do.
     """
+    eighths = [Fraction(k, 8) for k in range(9)]
+    if count == 9**4:  # every tuple, whatever the seed: no draw needed
+        return list(product(eighths, repeat=4))
     rng = random.Random(seed)
     seen = set()
     while len(seen) < count:
         seen.add(tuple(rng.randrange(0, 9) for _ in range(4)))
-    eighths = [Fraction(k, 8) for k in range(9)]
     return [tuple(eighths[k] for k in ks) for ks in sorted(seen)]
 
 

@@ -50,25 +50,26 @@ def rat(value) -> Fraction:
 
 def rat_str(q: Fraction) -> str:
     """Canonical string form, "num/den" or bare integer."""
-    q = Fraction(q)
+    if not isinstance(q, (Fraction, int)):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
 def rat_dec(q: Fraction) -> str:
-    """Decimal approximation for plotting pipelines; exact when it terminates."""
-    q = Fraction(q)
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    whole, rem = divmod(q.numerator, q.denominator)
+    """Decimal approximation for plotting pipelines; exact when it terminates.
+
+    The expansion is cut, not rounded, after DEC_PLACES places; a
+    terminating one loses its trailing zeros.
+    """
+    if not isinstance(q, (Fraction, int)):
+        q = Fraction(q)
+    n, d = q.numerator, q.denominator
+    whole, rem = divmod(abs(n), d)
+    sign = "-" if n < 0 else ""
     if rem == 0:
         return f"{sign}{whole}"
-    digits = []
-    for _ in range(DEC_PLACES):
-        rem *= 10
-        d, rem = divmod(rem, q.denominator)
-        digits.append(str(d))
-        if rem == 0:
-            break
-    return f"{sign}{whole}." + "".join(digits)
+    places, rem = divmod(rem * 10**DEC_PLACES, d)
+    digits = f"{places:0{DEC_PLACES}d}"
+    return f"{sign}{whole}." + (digits if rem else digits.rstrip("0"))

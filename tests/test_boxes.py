@@ -206,6 +206,108 @@ def test_validate_sums_only_keys_inside_the_shape():
     )
 
 
+def reference_validate(box):
+    """validate as it was before it read the numerators in row order: one
+    product loop over the shape into two marginal dicts."""
+    den, num = box.den, box.num
+    structural = []
+    violations = []
+    num_a = dict.fromkeys(product(range(box.nA), range(box.nX), range(box.nY)), 0)
+    num_b = dict.fromkeys(product(range(box.nB), range(box.nX), range(box.nY)), 0)
+    for key in product(range(box.nA), range(box.nB), range(box.nX), range(box.nY)):
+        v = num.get(key)
+        if v is None:
+            structural.append(f"missing entry (a,b,x,y)={key}")
+        elif v:
+            a, b, x, y = key
+            num_a[a, x, y] += v
+            num_b[b, x, y] += v
+    if structural:
+        return ab.ValidationResult(False, tuple(structural), ())
+
+    def q(n):
+        return ab.rat_str(F(n, den))
+
+    for key in sorted(num):
+        if not 0 <= num[key] <= den:
+            violations.append(f"entry out of [0,1] at (a,b,x,y)={key}: {q(num[key])}")
+    for x in range(box.nX):
+        for y in range(box.nY):
+            total = sum(num_a[a, x, y] for a in range(box.nA))
+            if total != den:
+                violations.append(f"normalization at (x,y)=({x},{y}): sum={q(total)}")
+    for b in range(box.nB):
+        for y in range(box.nY):
+            ref = num_b[b, 0, y]
+            for x in range(1, box.nX):
+                got = num_b[b, x, y]
+                if got != ref:
+                    violations.append(
+                        f"no-signaling A->B at (b,y)=({b},{y}): "
+                        f"x=0 gives {q(ref)}, x={x} gives {q(got)}"
+                    )
+    for a in range(box.nA):
+        for x in range(box.nX):
+            ref = num_a[a, x, 0]
+            for y in range(1, box.nY):
+                got = num_a[a, x, y]
+                if got != ref:
+                    violations.append(
+                        f"no-signaling B->A at (a,x)=({a},{x}): "
+                        f"y=0 gives {q(ref)}, y={y} gives {q(got)}"
+                    )
+    return ab.ValidationResult(not violations, (), tuple(violations))
+
+
+@st.composite
+def direct_boxes(draw):
+    """A Box built directly, shapes -1 to 3 per dimension: the uniform box
+    with mass moved within rows (signalling), entries pushed below 0 or
+    above den, entries dropped and keys added outside the shape."""
+    nA, nB, nX, nY = (draw(st.integers(-1, 3)) for _ in range(4))
+    keys = list(product(range(nA), range(nB), range(nX), range(nY)))
+    scale = draw(st.integers(1, 3))
+    den = max(1, nA * nB) * scale
+    num = dict.fromkeys(keys, scale)
+    if keys:
+        index = st.integers(0, len(keys) - 1)
+        for i, j, d in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=4)):
+            (a, b, x, y), (a2, b2, _, _) = keys[i], keys[j]
+            num[a, b, x, y] += d  # to another entry of the same row
+            num[a2, b2, x, y] -= d
+        for i, d in draw(st.lists(st.tuples(index, st.integers(-2 * den, 2 * den)), max_size=2)):
+            num[keys[i]] += d
+        for i in draw(st.lists(index, max_size=2)):
+            num.pop(keys[i], None)
+    outside = st.tuples(*(st.integers(-1, 4) for _ in range(4))).filter(lambda k: k not in num)
+    for key in draw(st.lists(outside, max_size=2)):
+        num[key] = draw(st.integers(-1, den + 1))
+    return ab.Box(nA, nB, nX, nY, den, num)
+
+
+@settings(max_examples=400, deadline=None)
+@given(direct_boxes())
+def test_validate_matches_the_reference(box):
+    got = ab.validate(box)
+    try:
+        want = reference_validate(box)
+    except KeyError:
+        # the reference read the x = 0 (y = 0) marginal of a party with no
+        # inputs; with no (x, y) row there is only the range check to fail
+        assert min(box.nX, box.nY) <= 0 and not got.structural
+        assert all(v.startswith("entry out of [0,1]") for v in got.violations)
+        return
+    assert got == want
+
+
+def test_validate_of_a_box_with_an_empty_dimension():
+    # nothing to sum: every (x, y) row fails normalization with sum 0
+    assert ab.validate(ab.Box(0, 2, 2, 2, 1, {})).violations == tuple(
+        f"normalization at (x,y)=({x},{y}): sum=0" for x in range(2) for y in range(2)
+    )
+    assert ab.validate(ab.Box(2, 2, 0, 2, 1, {})) == ab.ValidationResult(True, (), ())
+
+
 @given(weights_strategy())
 @settings(max_examples=60, deadline=None)
 def test_strategy_mixtures_always_validate(weights):
@@ -469,6 +571,86 @@ def test_json_parse_errors():
         )
 
 
+@pytest.mark.parametrize("twin", ["01,1", " 1,1"])
+def test_two_keys_naming_one_input_pair_are_structural(twin):
+    doc = ab.box_doc(ab.pr_box())
+    doc["p"][twin] = [["1/2", "1/2"], ["0", "0"]]
+    with pytest.raises(ab.StructuralError) as err:
+        ab.box_from_json(json.dumps(doc))
+    assert str(err.value) == f"input-pair keys '1,1' and {twin!r} both name (1, 1)"
+
+
+def test_a_boolean_after_an_equal_int_is_still_refused():
+    # true == 1 and hash(true) == hash(1): a parse memo keyed on raw values
+    # would hand the 1 parsed first to the true after it
+    doc = ab.box_doc(ab.pr_box())
+    doc["p"]["0,0"] = [[1, 0], [0, True]]
+    with pytest.raises(ab.ParseError, match="not a rational: True"):
+        ab.box_from_json(json.dumps(doc))
+
+
+def reference_box_from_json(text):
+    """box_from_json as it was before it parsed each distinct entry text
+    once: every entry through rat, then make_box."""
+    try:
+        doc = json.loads(text, parse_float=str)
+    except (ValueError, RecursionError) as exc:
+        raise ab.ParseError(f"bad JSON: {exc}") from exc
+    try:
+        nA, nB, nX, nY = (int(doc[k]) for k in ("nA", "nB", "nX", "nY"))
+        rows = doc["p"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ab.ParseError(f"box document missing field: {exc}") from exc
+    if not isinstance(rows, dict):
+        raise ab.ParseError("box document field p is not an object")
+    entries = {}
+    for key, grid in rows.items():
+        try:
+            xs, ys = key.split(",")
+            x, y = int(xs), int(ys)
+        except ValueError as exc:
+            raise ab.ParseError(f"bad input-pair key {key!r}") from exc
+        if not isinstance(grid, list) or len(grid) != nA:
+            raise ab.StructuralError(f"row {key}: expected {nA} output rows")
+        for a, row in enumerate(grid):
+            if not isinstance(row, list) or len(row) != nB:
+                raise ab.StructuralError(f"row {key}, a={a}: expected {nB} entries")
+            for b, value in enumerate(row):
+                entries[(a, b, x, y)] = ab.rat(value)
+    return ab.make_box(nA, nB, nX, nY, entries)
+
+
+ENTRY_POOL = ["0", "1/2", "0.25", "1e-1", " 1/3 ", "1/0", "x", 0, 1, 2, -1, 0.5, 0.25, True, False]
+
+
+@st.composite
+def box_documents(draw):
+    """Documents whose entries come from a few pool values, so they repeat."""
+    nA, nB, nX, nY = (draw(st.integers(1, 3)) for _ in range(4))
+    entry = st.sampled_from(draw(st.lists(st.sampled_from(ENTRY_POOL), min_size=1, max_size=4,
+                                          unique_by=lambda v: (type(v), v))))
+    pairs = [(x, y) for x in range(nX) for y in range(nY)]
+    kept = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=len(pairs) - 1,
+                         max_size=len(pairs)))
+    rows = {
+        f"{x},{y}": [[draw(entry) for _ in range(nB)] for _ in range(nA)] for x, y in kept
+    }
+    return json.dumps({"nA": nA, "nB": nB, "nX": nX, "nY": nY, "p": rows})
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except ab.AgreeboxError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_documents())
+def test_box_from_json_matches_the_reference(text):
+    assert outcome(ab.box_from_json, text) == outcome(reference_box_from_json, text)
+
+
 # any JSON value: what a malformed document may put in a field
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=8)
@@ -525,6 +707,51 @@ def test_literals_up_to_the_limits_parse():
     assert ab.rat("25e-3999") == F(25, 10**3999)
     assert ab.rat("2.5E+3") == 2500
     assert ab.rat("1/" + "3" * 4000) == F(1, int("3" * 4000))
+
+
+def reference_rat_dec(q):
+    """rat_dec as it was before it took its places in one divmod: one digit
+    per step, stopping at a zero remainder."""
+    q = F(q)
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    whole, rem = divmod(q.numerator, q.denominator)
+    if rem == 0:
+        return f"{sign}{whole}"
+    digits = []
+    for _ in range(12):
+        rem *= 10
+        d, rem = divmod(rem, q.denominator)
+        digits.append(str(d))
+        if rem == 0:
+            break
+    return f"{sign}{whole}." + "".join(digits)
+
+
+# random rationals, dyadics and powers of ten at and past the 12 places
+formatted = (
+    st.fractions(max_denominator=10**8)
+    | st.builds(F, st.integers(-10**6, 10**6), st.integers(0, 20).map(lambda e: 2**e))
+    | st.builds(F, st.integers(-99, 99), st.integers(10, 14).map(lambda e: 10**e))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(formatted.flatmap(lambda q: st.sampled_from([q] + ([int(q)] if q.denominator == 1 else []))))
+def test_rat_str_and_rat_dec_match_the_reference(q):
+    assert ab.rat_dec(q) == reference_rat_dec(q)
+    assert ab.rat_str(q) == (f"{q.numerator}" if q.denominator == 1
+                             else f"{q.numerator}/{q.denominator}")
+
+
+def test_rat_dec_cuts_after_twelve_places():
+    assert ab.rat_dec(F(1, 10**12)) == "0.000000000001"
+    assert ab.rat_dec(F(-1, 10**13)) == "-0.000000000000"
+    assert ab.rat_dec(F(2, 3)) == "0.666666666666"
+    assert ab.rat_dec(F(-5, 4)) == "-1.25"
+    # anything that is not a Fraction or an int is coerced first
+    assert ab.rat_dec("0.5") == "0.5"
+    assert ab.rat_str(0.5) == ab.rat_str("3/6") == "1/2"
 
 
 def test_boxes_too_long_to_print_are_refused():

@@ -120,8 +120,10 @@ def test_classify_missing_file(capsys):
 
 
 @pytest.mark.parametrize("command", ["classify", "ontology", "reduce"])
-@pytest.mark.parametrize("rows", [[], {"0,0": 5}, {"0,0": [1, 2]}],
-                         ids=["list", "number", "flat-row"])
+# "01,1" names the input pair (1, 1) a second time
+@pytest.mark.parametrize("rows", [[], {"0,0": 5}, {"0,0": [1, 2]},
+                                  {**ab.box_doc(ab.pr_box())["p"], "01,1": [[1, 0], [0, 0]]}],
+                         ids=["list", "number", "flat-row", "twin-key"])
 def test_malformed_box_documents_exit_2(tmp_path, capsys, command, rows):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"nA": 2, "nB": 2, "nX": 2, "nY": 2, "p": rows}))
