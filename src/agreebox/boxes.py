@@ -171,29 +171,31 @@ def row_labels(nA, nB, nX, nY):
     )
 
 
-def validate(box: Box) -> ValidationResult:
-    """Check every box invariant exactly and name each violated constraint."""
+def _row_values(box: Box):
+    """The box's numerators in row_labels order, or None if an entry is missing."""
+    num = box.num
+    try:
+        return [num[key] for key in row_labels(box.nA, box.nB, box.nX, box.nY)]
+    except KeyError:
+        return None
+
+
+def _violations(box: Box, vals):
+    """For each violated constraint, in validate's order, yield as soon as it
+    is found a function that writes its message; vals are the box's
+    numerators in row_labels order.  A caller that only asks whether there
+    is a violation formats nothing."""
     nA, nB, nX, nY = box.nA, box.nB, box.nX, box.nY
     den, num = box.den, box.num
-    try:
-        vals = [num[key] for key in row_labels(nA, nB, nX, nY)]
-    except KeyError:
-        return ValidationResult(False, tuple(
-            f"missing entry (a,b,x,y)={key}"
-            for key in product(range(nA), range(nB), range(nX), range(nY))
-            if key not in num
-        ), ())
 
     # integer sums against den; a Fraction is built only to name a violation
     def q(n):
         return rat_str(Fraction(n, den))
 
-    violations = []
     # keys outside the shape are range checked, but in no sum below
     if len(num) != len(vals) or min(vals, default=0) < 0 or max(vals, default=0) > den:
-        for key in sorted(num):
-            if not 0 <= num[key] <= den:
-                violations.append(f"entry out of [0,1] at (a,b,x,y)={key}: {q(num[key])}")
+        for key in sorted(key for key, n in num.items() if not 0 <= n <= den):
+            yield lambda key=key: f"entry out of [0,1] at (a,b,x,y)={key}: {q(num[key])}"
     # row i holds inputs[i]; Alice's marginals are contiguous runs of nB
     # entries, Bob's every nB-th entry
     k = nA * nB
@@ -201,30 +203,55 @@ def validate(box: Box) -> ValidationResult:
     rows = [vals[i * k:(i + 1) * k] for i in range(len(inputs))]
     for (x, y), row in zip(inputs, rows):
         if (total := sum(row)) != den:
-            violations.append(f"normalization at (x,y)=({x},{y}): sum={q(total)}")
-    # A -> B: Bob's marginal must not depend on Alice's input
+            yield lambda x=x, y=y, total=total: (
+                f"normalization at (x,y)=({x},{y}): sum={q(total)}"
+            )
+    # A -> B: Bob's marginal must not depend on Alice's input.  Each row's
+    # marginals are compared whole with those of its x = 0 row first, and
+    # named one by one only if some differ
     bob = [[sum(row[b::nB]) for b in range(nB)] for row in rows]
-    for b in range(nB):
-        for y in range(nY):
-            for x in range(1, nX):
-                ref, got = bob[y][b], bob[x * nY + y][b]
-                if got != ref:
-                    violations.append(
-                        f"no-signaling A->B at (b,y)=({b},{y}): "
-                        f"x=0 gives {q(ref)}, x={x} gives {q(got)}"
-                    )
-    # B -> A: Alice's marginal must not depend on Bob's input
+    if bob != bob[:nY] * nX:
+        for b in range(nB):
+            for y in range(nY):
+                for x in range(1, nX):
+                    ref, got = bob[y][b], bob[x * nY + y][b]
+                    if got != ref:
+                        yield lambda b=b, y=y, x=x, ref=ref, got=got: (
+                            f"no-signaling A->B at (b,y)=({b},{y}): "
+                            f"x=0 gives {q(ref)}, x={x} gives {q(got)}"
+                        )
+    # B -> A: Alice's marginal must not depend on Bob's input; each row is
+    # compared whole with the y = 0 row of its x first
     alice = [[sum(row[a * nB:(a + 1) * nB]) for a in range(nA)] for row in rows]
-    for a in range(nA):
-        for x in range(nX):
-            for y in range(1, nY):
-                ref, got = alice[x * nY][a], alice[x * nY + y][a]
-                if got != ref:
-                    violations.append(
-                        f"no-signaling B->A at (a,x)=({a},{x}): "
-                        f"y=0 gives {q(ref)}, y={y} gives {q(got)}"
-                    )
-    return ValidationResult(not violations, (), tuple(violations))
+    if alice != [alice[x * nY] for x in range(nX) for _ in range(nY)]:
+        for a in range(nA):
+            for x in range(nX):
+                for y in range(1, nY):
+                    ref, got = alice[x * nY][a], alice[x * nY + y][a]
+                    if got != ref:
+                        yield lambda a=a, x=x, y=y, ref=ref, got=got: (
+                            f"no-signaling B->A at (a,x)=({a},{x}): "
+                            f"y=0 gives {q(ref)}, y={y} gives {q(got)}"
+                        )
+
+
+def validate(box: Box) -> ValidationResult:
+    """Check every box invariant exactly and name each violated constraint."""
+    vals = _row_values(box)
+    if vals is None:
+        return ValidationResult(False, tuple(
+            f"missing entry (a,b,x,y)={key}"
+            for key in product(range(box.nA), range(box.nB), range(box.nX), range(box.nY))
+            if key not in box.num
+        ), ())
+    violations = tuple(message() for message in _violations(box, vals))
+    return ValidationResult(not violations, (), violations)
+
+
+def _valid(box: Box) -> bool:
+    """validate(box).ok, found without writing any violation message."""
+    vals = _row_values(box)
+    return vals is not None and next(_violations(box, vals), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +411,14 @@ def box_from_json(text: str) -> Box:
     keys = {}  # (x, y) -> the key that named it
     parsed = {}  # entry text -> its Fraction: a box repeats few distinct entries
     for key, grid in rows.items():
+        # "x,y" in ASCII decimal digits; leading zeros are read, so "01,1"
+        # names (1, 1) too and meets "1,1" as a twin below
+        xs, _, ys = key.partition(",")
+        if not (xs.isascii() and xs.isdigit() and ys.isascii() and ys.isdigit()):
+            raise ParseError(f"bad input-pair key {key!r}")
         try:
-            xs, ys = key.split(",")
             x, y = int(xs), int(ys)
-        except ValueError as exc:
+        except ValueError as exc:  # more digits than int() reads
             raise ParseError(f"bad input-pair key {key!r}") from exc
         if (x, y) in keys:
             raise StructuralError(f"input-pair keys {keys[x, y]!r} and {key!r} both name ({x}, {y})")

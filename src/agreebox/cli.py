@@ -24,7 +24,7 @@ from itertools import product
 from math import lcm, prod
 
 from . import __version__
-from .boxes import box_doc, box_from_json, box_to_json, validate
+from .boxes import _valid, box_doc, box_from_json, box_to_json, validate
 from .bridge import box_to_model, is_local
 from .classical import model_to_json, verify_agreement_theorem
 from .classify import classify, tsirelson_obstruction, verdict_to_json
@@ -38,7 +38,15 @@ from .errors import (
     ShapeError,
     StructuralError,
 )
-from .families import caption_violations, ccd_table_box, pr_box, sd_table_box, uniform_box
+from .families import (
+    _ccd_box,
+    _sd_box,
+    caption_violations,
+    ccd_table_box,
+    pr_box,
+    sd_table_box,
+    uniform_box,
+)
 from .rationals import rat, rat_dec, rat_str
 from .reduction import plan_doc, reduce_box
 
@@ -187,10 +195,20 @@ SWEEP_COLUMNS = [
 
 
 def _sweep_rows(family, tuples):
+    if family in ("ccd", "sd"):
+        # every point over D, the lcm of the grid's denominators: the family's
+        # integer core takes the numerators, and Box reduces each box to the
+        # one ccd_table_box or sd_table_box builds
+        D = lcm(*{q.denominator for values in tuples for q in values})
+        core = _ccd_box if family == "ccd" else _sd_box
+        boxes = (core(D, *[q.numerator * (D // q.denominator) for q in values])
+                 for values in tuples)
+    else:
+        boxes = (_family_box(family, {}) for _ in tuples)
     skipped = 0
-    for values in tuples:
-        box = _family_box(family, dict(zip(TABLE_PARAMS, values)))
-        if not validate(box).ok:
+    for values, box in zip(tuples, boxes):
+        # only the verdict is read, so no violation message is written
+        if not _valid(box):
             skipped += 1
             continue
         report = detect_ccd(box)

@@ -57,10 +57,10 @@ _KEYS_2222 = (
 
 def _integer_params(*params):
     """Coerce each parameter with rat once; return D, the lcm of their
-    denominators, and each parameter times D as an int."""
+    denominators, then each parameter times D as an int."""
     qs = [rat(v) for v in params]
     D = lcm(*(q.denominator for q in qs))
-    return D, [q.numerator * (D // q.denominator) for q in qs]
+    return D, *(q.numerator * (D // q.denominator) for q in qs)
 
 
 def ccd_table_box(r, s, t, u) -> Box:
@@ -69,11 +69,14 @@ def ccd_table_box(r, s, t, u) -> Box:
     The free entries are r = p(00|00), s = p(01|01), t = p(00|11) and
     u = p(01|10); everything else is forced by normalization, no-signaling
     and the zero pattern of the form.  Out-of-range parameters produce a
-    box that fails validate(), not an exception.  The entries are worked
-    out as ints over D, the lcm of the parameter denominators, and handed
-    to Box as they are.
+    box that fails validate(), not an exception.
     """
-    D, (r, s, t, u) = _integer_params(r, s, t, u)
+    return _ccd_box(*_integer_params(r, s, t, u))
+
+
+def _ccd_box(D, r, s, t, u) -> Box:
+    """The CCD form from r, s, t and u given as ints over D: the entries
+    are worked out as ints over D and handed to Box as they are."""
     return Box(2, 2, 2, 2, D, dict(zip(_KEYS_2222, (
         r, 0, 0, D - r,                    # (x, y) = (0, 0)
         r - s, s, t + s - r, D - t - s,    # (0, 1)
@@ -85,7 +88,11 @@ def ccd_table_box(r, s, t, u) -> Box:
 def sd_table_box(r, s, t, u) -> Box:
     """Instantiate the SD form.  Here s = p(00|00), t = p(01|00),
     u = p(11|00) and r = p(00|11)."""
-    D, (r, s, t, u) = _integer_params(r, s, t, u)
+    return _sd_box(*_integer_params(r, s, t, u))
+
+
+def _sd_box(D, r, s, t, u) -> Box:
+    """The SD form from r, s, t and u given as ints over D."""
     return Box(2, 2, 2, 2, D, dict(zip(_KEYS_2222, (
         s, t, D - s - u - t, u,            # (x, y) = (0, 0)
         0, s + t, r, D - s - t - r,        # (0, 1)

@@ -300,6 +300,26 @@ def test_validate_matches_the_reference(box):
     assert got == want
 
 
+@settings(max_examples=400, deadline=None)
+@given(direct_boxes())
+def test_the_validity_predicate_is_validate_ok(box):
+    assert ab.boxes._valid(box) == ab.validate(box).ok
+
+
+def test_the_validity_predicate_writes_no_message(monkeypatch):
+    calls = []
+    rat_str = ab.boxes.rat_str
+    monkeypatch.setattr(ab.boxes, "rat_str", lambda q: calls.append(q) or rat_str(q))
+    table = dict(ab.uniform_box().table)
+    for key in [(0, 0, 0, 0), (1, 1, 0, 1), (0, 1, 1, 0), (1, 0, 1, 1)]:
+        table[key] = F(-1, 4) if key[0] else F(5, 4)
+    box = ab.make_box(2, 2, 2, 2, table)
+    assert len(ab.validate(box).violations) > 4 and len(calls) > 4
+    calls.clear()
+    assert not ab.boxes._valid(box)
+    assert calls == []
+
+
 def test_validate_of_a_box_with_an_empty_dimension():
     # nothing to sum: every (x, y) row fails normalization with sum 0
     assert ab.validate(ab.Box(0, 2, 2, 2, 1, {})).violations == tuple(
@@ -571,13 +591,25 @@ def test_json_parse_errors():
         )
 
 
-@pytest.mark.parametrize("twin", ["01,1", " 1,1"])
+@pytest.mark.parametrize("twin", ["01,1"])
 def test_two_keys_naming_one_input_pair_are_structural(twin):
     doc = ab.box_doc(ab.pr_box())
     doc["p"][twin] = [["1/2", "1/2"], ["0", "0"]]
     with pytest.raises(ab.StructuralError) as err:
         ab.box_from_json(json.dumps(doc))
     assert str(err.value) == f"input-pair keys '1,1' and {twin!r} both name (1, 1)"
+
+
+@pytest.mark.parametrize("key", [" 1,1", "+1, 1", "1_0,0", "1,1 ", "-0,1", "1,1,1", "11", "1,",
+                                 "\uff11,1", pytest.param("1," + "1" * 5000, id="1,1...1")])
+def test_input_pair_keys_other_than_ascii_digits_are_parse_errors(key):
+    # only "x,y" in ASCII decimal digits names an input pair; int() alone
+    # reads several of these, "+1, 1", " 1,1" and "\uff11,1" as (1, 1)
+    doc = ab.box_doc(ab.pr_box())
+    doc["p"][key] = doc["p"].pop("1,1")
+    with pytest.raises(ab.ParseError) as err:
+        ab.box_from_json(json.dumps(doc))
+    assert str(err.value) == f"bad input-pair key {key!r}"
 
 
 def test_a_boolean_after_an_equal_int_is_still_refused():
@@ -591,7 +623,8 @@ def test_a_boolean_after_an_equal_int_is_still_refused():
 
 def reference_box_from_json(text):
     """box_from_json as it was before it parsed each distinct entry text
-    once: every entry through rat, then make_box."""
+    once: every entry through rat, then make_box.  Input-pair keys follow
+    today's rule, ASCII decimal digits on each side of one comma."""
     try:
         doc = json.loads(text, parse_float=str)
     except (ValueError, RecursionError) as exc:
@@ -607,6 +640,8 @@ def reference_box_from_json(text):
     for key, grid in rows.items():
         try:
             xs, ys = key.split(",")
+            if not all(n.isascii() and n.isdigit() for n in (xs, ys)):
+                raise ValueError(f"{key!r} is not two ASCII decimal numbers")
             x, y = int(xs), int(ys)
         except ValueError as exc:
             raise ab.ParseError(f"bad input-pair key {key!r}") from exc

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import agreebox as ab
-from agreebox.cli import _parse_grid, _sample_tuples, main
+from agreebox.cli import SWEEP_COLUMNS, _parse_grid, _sample_tuples, main
 
 
 def run(capsys, *argv):
@@ -416,6 +416,53 @@ def test_grid_points_are_the_exact_steps_of_each_axis(text):
             expected = [F(axis)]
         assert grid[name] == expected
         assert all(type(q) is F for q in grid[name])
+
+
+def reference_sweep(family, text):
+    """The sweep CSV and stderr built point by point: each box from the
+    family's public constructor, checked with validate(...).ok."""
+    maker = ab.ccd_table_box if family == "ccd" else ab.sd_table_box
+    grid = _parse_grid(text)
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS)
+    writer.writeheader()
+    skipped = 0
+    for values in product(*(grid[name] for name in "rstu")):
+        box = maker(*values)
+        if not ab.validate(box).ok:
+            skipped += 1
+            continue
+        report = ab.detect_ccd(box)
+        row = {
+            "family": family,
+            "ccd": str(report.ccd).lower(),
+            "sd": str(report.sd).lower(),
+            "local": str(ab.is_local(box).local).lower(),
+        }
+        cells = (*zip("rstu", values), ("qA", report.hierarchy.qA),
+                 ("qB", report.hierarchy.qB), ("gap", ab.tsirelson_obstruction(box)))
+        for name, value in cells:
+            row[name] = ab.rat_str(value) if value is not None else ""
+            row[name + "_dec"] = ab.rat_dec(value) if value is not None else ""
+        writer.writerow(row)
+    note = f"note: skipped {skipped} grid points with invalid boxes\n" if skipped else ""
+    return out.getvalue(), note
+
+
+@pytest.mark.parametrize("family", ["ccd", "sd"])
+@pytest.mark.parametrize("text", [
+    "r=0.1:0.9:0.05,s=1/3:2/3:1/12,t=0,u=1",
+    "r=-1/2:1/2:1/3,s=2/4,t=0.25:1:1/3,u=1/3:1/3:1/2",
+    "r=0:1:3/10,s=1e-1:0.35:1/20,t=7,u=1/2:1/4:1/8",
+    # the grids above have no valid point; this one has 99 (ccd) and 36 (sd)
+    "r=0:1:1/6,s=0:1/2:1/8,t=1/4:3/4:1/5,u=0:1/2:1/10",
+])
+def test_sweep_over_mixed_denominators_matches_the_point_by_point_sweep(capsys, family, text):
+    # the sweep builds every box over one denominator for the whole grid,
+    # which differs from most points' own
+    code, out, err = run(capsys, "sweep", "--family", family, "--grid", text)
+    assert code == 0
+    assert (out, err) == reference_sweep(family, text)
 
 
 # ---------------------------------------------------------------------------
