@@ -13,7 +13,8 @@ box_to_model returns the deterministic free-variables-zero solution,
 is_local settles nonnegativity by exact LP and returns either the convex
 decomposition or a separating (Bell-type) functional as certificate.
 Both refuse a box with a row not summing to 1.  is_local prices its
-functional through bell_local_bound, a best response, and bell_value.
+functional through the cores of bell_local_bound, a best response, and
+bell_value, on ints.
 Its LPs on one shape share a tree of pivot paths (simplexq), so a box
 whose path an earlier box took is solved on the rhs column alone.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd
 from operator import getitem
 
 from .boxes import Box, _in_shape, make_box, row_labels
@@ -151,25 +152,31 @@ def is_local(box: Box) -> LocalityVerdict:
     """Exact LP feasibility of nonnegative M P = C, with certificate.
 
     A nonlocal verdict's Bell functional is cleared to ints Y / L and
-    rechecked before it is returned: bell_value(box, Y) must exceed
-    bell_local_bound(Y), the best deterministic score.
+    rechecked before it is returned: its value on the box must exceed the
+    best deterministic score, the bound bell_local_bound computes.
     """
     # solved as M (den P) = num on ints; its Farkas vectors are those of M P = C
     states, labels, M = _shape_system(box.nA, box.nB, box.nX, box.nY)
     paths = _shape_paths(box.nA, box.nB, box.nX, box.nY)
-    ok, x, dual = feasible_nonneg(M, _numerators(box, labels), paths)
+    ok, v, d = feasible_nonneg(M, _numerators(box, labels), paths)
     if ok:
-        weights = tuple((states[k], xk / box.den) for k, xk in enumerate(x) if xk != 0)
+        # den P = v / d: each weight is one Fraction
+        dd = d * box.den
+        weights = tuple((states[k], Fraction(vk, dd)) for k, vk in enumerate(v) if vk)
         return LocalityVerdict(True, weights, None)
-    coeffs = {key: yi for key, yi in zip(labels, dual) if yi}
-    # priced and evaluated on ints, which is faster than on the Fractions
-    L = lcm(*(yi.denominator for yi in coeffs.values()))
-    Y = {key: yi.numerator * (L // yi.denominator) for key, yi in coeffs.items()}
-    best = bell_local_bound(Y, box.nA, box.nB, box.nX, box.nY)
-    value = bell_value(box, Y)
-    if value <= best:
+    # the functional v / d in lowest terms is Y / L; it is priced and
+    # evaluated on ints, through the cores of bell_local_bound and
+    # bell_value: its keys are row_labels, so none is checked
+    g = gcd(d, *v)
+    L = d // g
+    Y = [vi // g for vi in v]
+    best = _local_bound(zip(labels, Y), box.nA, box.nB, box.nX, box.nY)
+    value = _value_num(box, zip(labels, Y))
+    if value <= best * box.den:
         raise RuntimeError("Bell certificate does not separate the box")
-    return LocalityVerdict(False, None, BellCertificate(coeffs, Fraction(best, L), value / L))
+    coeffs = {key: Fraction(yi, L) for key, yi in zip(labels, Y) if yi}
+    return LocalityVerdict(False, None, BellCertificate(
+        coeffs, Fraction(best, L), Fraction(value, box.den * L)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +187,27 @@ def bell_value(box: Box, coeffs) -> Fraction:
     for key in coeffs:
         if not _in_shape(key, box.nA, box.nB, box.nX, box.nY):
             raise ShapeError(f"coefficient key outside the box's shape: {key!r}")
-    return Fraction(sum(w * box.num[key] for key, w in coeffs.items()), box.den)
+    return Fraction(_value_num(box, coeffs.items()), box.den)
+
+
+def _value_num(box: Box, items):
+    """bell_value times den, on (key, weight) pairs whose keys are in the shape."""
+    return sum(w * box.num[key] for key, w in items)
 
 
 def bell_local_bound(coeffs, nA, nB, nX, nY):
     """Maximum of the functional over all deterministic strategies: for each
     of Alice's alpha, Bob's best response b maximizes sum_x c(alpha[x], b, x, y)."""
-    cols = [[[[0] * nA for _ in range(nX)] for _ in range(nB)] for _ in range(nY)]
-    for key, w in coeffs.items():
+    for key in coeffs:
         if not _in_shape(key, nA, nB, nX, nY):
             raise ShapeError(f"coefficient key outside the shape: {key!r}")
-        a, b, x, y = key
+    return _local_bound(coeffs.items(), nA, nB, nX, nY)
+
+
+def _local_bound(items, nA, nB, nX, nY):
+    """bell_local_bound on (key, weight) pairs whose keys are in the shape."""
+    cols = [[[[0] * nA for _ in range(nX)] for _ in range(nB)] for _ in range(nY)]
+    for (a, b, x, y), w in items:
         cols[y][b][x][a] = w  # Bob's column (y, b), indexed by x then alpha[x]
     return max(sum(max([sum(map(getitem, col, alpha)) for col in by]) for by in cols)
                for alpha in product(range(nA), repeat=nX))

@@ -33,7 +33,6 @@ from .boxes import (
     Box,
     RelabelFrame,
     all_frames,
-    correlators,
     is_perfectly_correlated,
     relabel,
 )
@@ -116,8 +115,11 @@ def tsirelson_obstruction(box: Box):
         raise ShapeError("gap test needs binary outputs and two inputs per party")
     if not (is_perfectly_correlated(box, 0, 0) and is_perfectly_correlated(box, 1, 1)):
         return None
-    c = correlators(box)
-    return c[(0, 1)] - c[(1, 0)]
+    # (agree - differ) at (0, 1) minus the same at (1, 0), over den
+    n = box.num
+    gap = (n[0, 0, 0, 1] + n[1, 1, 0, 1] - n[0, 1, 0, 1] - n[1, 0, 0, 1]
+           - n[0, 0, 1, 0] - n[1, 1, 1, 0] + n[0, 1, 1, 0] + n[1, 0, 1, 0])
+    return Fraction(gap, box.den)
 
 
 def hardy_pattern(box: Box) -> bool:

@@ -39,15 +39,16 @@ from .errors import (
     StructuralError,
 )
 from .families import (
-    _ccd_box,
-    _sd_box,
+    _box_2222,
+    _ccd_nums,
+    _sd_nums,
     caption_violations,
     ccd_table_box,
     pr_box,
     sd_table_box,
     uniform_box,
 )
-from .rationals import rat, rat_dec, rat_str
+from .rationals import _TOO_LONG, rat, rat_dec, rat_str
 from .reduction import plan_doc, reduce_box
 
 EXIT_OK = 0
@@ -197,16 +198,24 @@ SWEEP_COLUMNS = [
 def _sweep_rows(family, tuples):
     if family in ("ccd", "sd"):
         # every point over D, the lcm of the grid's denominators: the family's
-        # integer core takes the numerators, and Box reduces each box to the
-        # one ccd_table_box or sd_table_box builds
+        # entry function takes the numerators, and Box reduces each box to
+        # the one ccd_table_box or sd_table_box builds
         D = lcm(*{q.denominator for values in tuples for q in values})
-        core = _ccd_box if family == "ccd" else _sd_box
-        boxes = (core(D, *[q.numerator * (D // q.denominator) for q in values])
-                 for values in tuples)
-    else:
-        boxes = (_family_box(family, {}) for _ in tuples)
+        entries = _ccd_nums if family == "ccd" else _sd_nums
     skipped = 0
-    for values, box in zip(tuples, boxes):
+    for values in tuples:
+        if family in ("ccd", "sd"):
+            nums = entries(D, *[q.numerator * (D // q.denominator) for q in values])
+            # an entry outside [0, D] fails validate, so the point is skipped
+            # before a Box exists; numbers too long for a Box still go to Box,
+            # which refuses them
+            if ((min(nums) < 0 or max(nums) > D)
+                    and D < _TOO_LONG and max(map(abs, nums)) < _TOO_LONG):
+                skipped += 1
+                continue
+            box = _box_2222(D, nums)
+        else:
+            box = _family_box(family, {})
         # only the verdict is read, so no violation message is written
         if not _valid(box):
             skipped += 1

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boxes import Box, cond_event_a, cond_event_b, conditional, is_perfectly_correlated
+from .boxes import Box, conditional, is_perfectly_correlated
 from .errors import ShapeError
 from .rationals import rat_str
 
@@ -72,20 +72,35 @@ def hierarchy(box: Box, qA, qB) -> CertaintyHierarchy:
     whose own marginal at the observation input is zero are excluded from
     level 0 rather than treated as vacuously certain.
     """
+    nA, nB, num = box.nA, box.nB, box.num
+    # every probe compares integer numerators with a nonzero marginal:
+    # p(b=1|a, x=0, y=1) = qA iff num[a,1,0,1] * den(qA) = marg * num(qA)
     alpha = beta = ()
     if qA is not None:
+        if nB < 2 or box.nY < 2:
+            raise ShapeError("qA is probed at output b = 1 of inputs x = 0, y = 1")
         qA = Fraction(qA)
-        alpha = tuple(a for a in range(box.nA) if conditional(box, ("B", 1), (a, 0, 1)) == qA)
+        n, d = qA.numerator, qA.denominator
+        alpha = tuple(a for a in range(nA)
+                      if (marg := box._num_a(a, 0, 1)) and num[a, 1, 0, 1] * d == marg * n)
     if qB is not None:
+        if nA < 2 or box.nX < 2:
+            raise ShapeError("qB is probed at output a = 1 of inputs x = 1, y = 0")
         qB = Fraction(qB)
-        beta = tuple(b for b in range(box.nB) if conditional(box, ("A", 1), (b, 1, 0)) == qB)
+        n, d = qB.numerator, qB.denominator
+        beta = tuple(b for b in range(nB)
+                     if (marg := box._num_b(b, 1, 0)) and num[1, b, 1, 0] * d == marg * n)
 
+    # a is certain of the other side's set at level n when, at x = y = 0, the
+    # set's mass given a is the whole nonzero marginal of a
     alphas = [alpha]
     betas = [beta]
     while True:
         cur_a, cur_b = alphas[-1], betas[-1]
-        next_a = tuple(a for a in cur_a if cond_event_b(box, cur_b, a, 0, 0) == 1)
-        next_b = tuple(b for b in cur_b if cond_event_a(box, cur_a, b, 0, 0) == 1)
+        next_a = tuple(a for a in cur_a if (marg := box._num_a(a, 0, 0))
+                       and sum(num[a, b, 0, 0] for b in cur_b) == marg)
+        next_b = tuple(b for b in cur_b if (marg := box._num_b(b, 0, 0))
+                       and sum(num[a, b, 0, 0] for a in cur_a) == marg)
         alphas.append(next_a)
         betas.append(next_b)
         if next_a == cur_a and next_b == cur_b:

@@ -63,6 +63,11 @@ def _integer_params(*params):
     return D, *(q.numerator * (D // q.denominator) for q in qs)
 
 
+def _box_2222(D, nums) -> Box:
+    """The 2222 box whose entries, in _KEYS_2222 order, are nums over D."""
+    return Box(2, 2, 2, 2, D, dict(zip(_KEYS_2222, nums)))
+
+
 def ccd_table_box(r, s, t, u) -> Box:
     """Instantiate the CCD form.  Rows are [p(00), p(01), p(10), p(11)].
 
@@ -71,34 +76,36 @@ def ccd_table_box(r, s, t, u) -> Box:
     and the zero pattern of the form.  Out-of-range parameters produce a
     box that fails validate(), not an exception.
     """
-    return _ccd_box(*_integer_params(r, s, t, u))
+    D, *params = _integer_params(r, s, t, u)
+    return _box_2222(D, _ccd_nums(D, *params))
 
 
-def _ccd_box(D, r, s, t, u) -> Box:
-    """The CCD form from r, s, t and u given as ints over D: the entries
-    are worked out as ints over D and handed to Box as they are."""
-    return Box(2, 2, 2, 2, D, dict(zip(_KEYS_2222, (
+def _ccd_nums(D, r, s, t, u):
+    """The 16 entries of the CCD form, in _KEYS_2222 order, as ints over D,
+    from r, s, t and u given as ints over D."""
+    return (
         r, 0, 0, D - r,                    # (x, y) = (0, 0)
         r - s, s, t + s - r, D - t - s,    # (0, 1)
         t - u, u, r - t + u, D - r - u,    # (1, 0)
         t, 0, 0, D - t,                    # (1, 1)
-    ))))
+    )
 
 
 def sd_table_box(r, s, t, u) -> Box:
     """Instantiate the SD form.  Here s = p(00|00), t = p(01|00),
     u = p(11|00) and r = p(00|11)."""
-    return _sd_box(*_integer_params(r, s, t, u))
+    D, *params = _integer_params(r, s, t, u)
+    return _box_2222(D, _sd_nums(D, *params))
 
 
-def _sd_box(D, r, s, t, u) -> Box:
-    """The SD form from r, s, t and u given as ints over D."""
-    return Box(2, 2, 2, 2, D, dict(zip(_KEYS_2222, (
+def _sd_nums(D, r, s, t, u):
+    """The 16 entries of the SD form as ints over D, like _ccd_nums."""
+    return (
         s, t, D - s - u - t, u,            # (x, y) = (0, 0)
         0, s + t, r, D - s - t - r,        # (0, 1)
         D - u - t, u + t + r - D, 0, D - r,  # (1, 0)
         r, 0, 0, D - r,                    # (1, 1)
-    ))))
+    )
 
 
 def caption_violations(kind: str, r, s, t, u) -> list:

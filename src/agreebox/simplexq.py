@@ -17,8 +17,10 @@ with f = T[i][col] (exact too: the result and T[i][j] are ints, so d
 divides f * T[r][j]), so only the columns where the pivot row is nonzero
 change, in place, and no row is rescaled; any other pivot rebuilds every
 row.  The 0/1 locality LPs of 2222 boxes pivot on units only (p = d = 1).
-No Fraction is built while pivoting; results are read off as
-Fraction(numerator, d) at the end.
+No Fraction is built while pivoting.  LinearSolver.solve reads its
+answer off as Fraction(numerator, d); feasible_nonneg returns its point
+or Farkas vector as ints v with the divisor d > 0, and the caller reads
+it off as v / d.
 
 LinearSolver factors a fixed coefficient matrix once (Gauss-Jordan on
 [M | I], recording the row transform) so that many right-hand sides can
@@ -149,10 +151,12 @@ def _tableau(rows, c):
 def feasible_nonneg(rows, c, paths=None):
     """Decide whether M x = c admits x >= 0, exactly.
 
-    Returns (True, x, None) with a verified nonnegative solution, or
-    (False, None, y) with a verified Farkas vector: y M <= 0 entrywise and
-    y c > 0, i.e. a linear functional separating c from the cone of
-    nonnegative combinations of M's columns.
+    Returns (ok, v, d): v is a list of ints and d > 0 an int, and the
+    caller reads the answer off as v / d.  With ok True, x = v / d is a
+    verified nonnegative solution; with ok False, y = v / d is a verified
+    Farkas vector: y M <= 0 entrywise and y c > 0, i.e. a linear
+    functional separating c from the cone of nonnegative combinations of
+    M's columns.  Both rechecks run on v and d, in integers.
 
     paths, if given, is a dict the caller keeps for this one M: the tree
     of the pivot paths earlier calls took.  A node is keyed by the sign
@@ -229,10 +233,10 @@ def feasible_nonneg(rows, c, paths=None):
             sum(row[j] * v for j, v in support) != ci * d for row, ci in zip(rows, c)
         ):
             raise RuntimeError("simplex produced an invalid feasible point")
-        x = [ZERO] * n
+        X = [0] * n
         for j, v in support:
-            x[j] = Fraction(v, d)
-        return True, x, None
+            X[j] = v
+        return True, X, d
 
     # infeasible: simplex multipliers y = 1 - z[artificial] give the
     # separating functional; y = Y / d with d > 0, col the artificial block
@@ -247,4 +251,4 @@ def feasible_nonneg(rows, c, paths=None):
                     YM[j] += yi * a
     if sum(yi * ci for yi, ci in zip(Y, c)) <= 0 or any(v > 0 for v in YM):
         raise RuntimeError("Farkas certificate failed verification")
-    return False, None, [Fraction(v, d) if v else ZERO for v in Y]
+    return False, Y, d

@@ -1,6 +1,8 @@
 """Instruction-set models, box conversion in both directions, locality."""
 
+import hashlib
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import product
 from math import prod
 
@@ -487,17 +489,42 @@ def assert_certificate_matches_bell_functions(box):
     assert cert.box_value > cert.local_bound
 
 
-def test_certificates_on_the_k8_grid_match_the_bell_functions():
-    nonlocal_boxes = [
+@lru_cache(maxsize=None)
+def k8_boxes():
+    """The 720 valid CCD- and SD-form boxes with r, s, t, u in {k/8}, ccd first."""
+    return tuple(
         box
         for maker in (ab.ccd_table_box, ab.sd_table_box)
         for params in product(range(9), repeat=4)
         for box in [maker(*(F(k, 8) for k in params))]
-        if ab.validate(box).ok and not ab.is_local(box).local
-    ]
+        if ab.validate(box).ok
+    )
+
+
+def test_certificates_on_the_k8_grid_match_the_bell_functions():
+    nonlocal_boxes = [box for box in k8_boxes() if not ab.is_local(box).local]
     assert len(nonlocal_boxes) == 390
     for box in nonlocal_boxes:
         assert_certificate_matches_bell_functions(box)
+
+
+def verdict_text(verdict):
+    """One line per verdict: the weights of a local box, else the Bell
+    functional's coefficients, its local bound and its value on the box."""
+    if verdict.local:
+        return "local " + ";".join(f"{s}:{ab.rat_str(w)}" for s, w in verdict.weights)
+    cert = verdict.certificate
+    coeffs = ";".join(f"{key}:{ab.rat_str(w)}" for key, w in cert.coeffs.items())
+    return f"nonlocal {coeffs} {ab.rat_str(cert.local_bound)} {ab.rat_str(cert.box_value)}"
+
+
+def test_is_local_verdicts_on_the_k8_grid_are_pinned():
+    # every weight, coefficient, bound and value, in order, bit for bit
+    text = "\n".join(verdict_text(ab.is_local(box)) for box in k8_boxes())
+    assert len(k8_boxes()) == 720
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d1fffbb608c4ff22d7c7d440f8054ec0979ab394fd32fb62cf75b0ce68193a35"
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -510,8 +537,8 @@ def test_a_certificate_that_does_not_separate_is_refused(monkeypatch):
     solve = bridge.feasible_nonneg
 
     def corrupted(rows, c, paths=None):
-        ok, x, y = solve(rows, c, paths)
-        return ok, x, [-v for v in y]
+        ok, v, d = solve(rows, c, paths)
+        return ok, [-vi for vi in v], d
 
     monkeypatch.setattr(bridge, "feasible_nonneg", corrupted)
     with pytest.raises(RuntimeError, match="does not separate"):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import agreebox as ab
+from agreebox.bridge import instruction_states
 
 
 def mix(box_a, box_b, w):
@@ -153,6 +154,41 @@ def test_gap_formula_on_ccd_form():
     r, s, t, u = F(1, 2), F(1, 4), F(1, 2), F(0)
     box = ab.ccd_table_box(r, s, t, u)
     assert ab.tsirelson_obstruction(box) == 4 * ((r - t) - (s - u))
+
+
+@st.composite
+def binary_boxes(draw):
+    """Binary-output boxes with 2 or 3 inputs per party: a mixture of
+    deterministic strategies, half of the time each perfectly correlated
+    at (0, 0) and (1, 1), and of a PR box (input 2 repeats input 1)."""
+    nX, nY = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    states = instruction_states(2, 2, nX, nY)
+    if draw(st.booleans()):
+        states = [(al, be) for al, be in states if al[0] == be[0] and al[1] == be[1]]
+    chosen = draw(st.lists(st.sampled_from(states), min_size=1, max_size=4))
+    ws = draw(st.lists(st.integers(1, 6), min_size=len(chosen), max_size=len(chosen)))
+    pr = draw(st.integers(0, 6))
+    total = sum(ws) + pr
+    entries = dict.fromkeys(product(range(2), range(2), range(nX), range(nY)), F(0))
+    for (alpha, beta), w in zip(chosen, ws):
+        for x, y in product(range(nX), range(nY)):
+            entries[alpha[x], beta[y], x, y] += F(w, total)
+    for a, b, x, y in entries:
+        if (a ^ b) == ((x == 0) * (y > 0)):
+            entries[a, b, x, y] += F(pr, 2 * total)
+    return ab.make_box(2, 2, nX, nY, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(binary_boxes())
+def test_gap_is_the_correlator_difference(box):
+    assert ab.validate(box).ok
+    gap = ab.tsirelson_obstruction(box)
+    if ab.is_perfectly_correlated(box, 0, 0) and ab.is_perfectly_correlated(box, 1, 1):
+        c = ab.correlators(box)
+        assert type(gap) is F and gap == c[0, 1] - c[1, 0]
+    else:
+        assert gap is None
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import agreebox as ab
+from agreebox import cli
 from agreebox.cli import SWEEP_COLUMNS, _parse_grid, _sample_tuples, main
 
 
@@ -463,6 +464,31 @@ def test_sweep_over_mixed_denominators_matches_the_point_by_point_sweep(capsys, 
     code, out, err = run(capsys, "sweep", "--family", family, "--grid", text)
     assert code == 0
     assert (out, err) == reference_sweep(family, text)
+
+
+@pytest.mark.parametrize("family", ["ccd", "sd"])
+def test_a_sweep_row_needs_the_full_validity_check(monkeypatch, capsys, family):
+    # a point whose entries are all in [0, 1] still gets its Box and _valid:
+    # with _valid refusing every box, no row is written and every point,
+    # in range or not, is counted as skipped
+    monkeypatch.setattr(cli, "_valid", lambda box: False)
+    grid = "r=0:1:1/8,s=0:1:1/8,t=0:1:1/8,u=0:1:1/8"
+    code, out, err = run(capsys, "sweep", "--family", family, "--grid", grid)
+    assert code == 0
+    assert out == ",".join(SWEEP_COLUMNS) + "\r\n"
+    assert err == "note: skipped 6561 grid points with invalid boxes\n"
+
+
+@pytest.mark.parametrize("family", ["ccd", "sd"])
+def test_a_sweep_point_too_long_for_a_box_exits_2(capsys, family):
+    # r = 2 is out of range, but the grid's denominator, the lcm of
+    # 7 * 10**3999 and 3 * 10**3999, has 4,002 digits: the point is not
+    # skipped by its range, and Box refuses it
+    zeros = "0" * 3999
+    grid = f"r=2,s=1/7{zeros},t=1/3{zeros},u=0"
+    code, out, err = run(capsys, "sweep", "--family", family, "--grid", grid)
+    assert code == 2
+    assert "more than 4000 digits" in err and "skipped" not in err
 
 
 # ---------------------------------------------------------------------------

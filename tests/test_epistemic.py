@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import agreebox as ab
+from agreebox.boxes import cond_event_a, cond_event_b
 from agreebox.bridge import instruction_states
 
 rational01 = st.fractions(min_value=0, max_value=1, max_denominator=6)
@@ -77,6 +78,81 @@ def test_hierarchy_refuses_a_box_without_the_probed_inputs():
     # qA is read at y = 1, which a one-input Bob does not have
     with pytest.raises(ab.ShapeError):
         ab.hierarchy(ab.uniform_box(2, 2, 2, 1), 0, 0)
+
+
+def reference_hierarchy(box, qA, qB):
+    """The hierarchy in Fractions, probe by probe through conditional,
+    cond_event_a and cond_event_b, as hierarchy computed it before it
+    compared integer numerators."""
+    alpha = beta = ()
+    if qA is not None:
+        qA = F(qA)
+        alpha = tuple(a for a in range(box.nA) if ab.conditional(box, ("B", 1), (a, 0, 1)) == qA)
+    if qB is not None:
+        qB = F(qB)
+        beta = tuple(b for b in range(box.nB) if ab.conditional(box, ("A", 1), (b, 1, 0)) == qB)
+    alphas, betas = [alpha], [beta]
+    while True:
+        cur_a, cur_b = alphas[-1], betas[-1]
+        next_a = tuple(a for a in cur_a if cond_event_b(box, cur_b, a, 0, 0) == 1)
+        next_b = tuple(b for b in cur_b if cond_event_a(box, cur_a, b, 0, 0) == 1)
+        alphas.append(next_a)
+        betas.append(next_b)
+        if next_a == cur_a and next_b == cur_b:
+            break
+    return ab.CertaintyHierarchy(tuple(alphas), tuple(betas), len(alphas) - 2, qA, qB)
+
+
+@st.composite
+def many_output_boxes(draw):
+    """No-signaling boxes with 2 or 3 outputs per party and 2 or 3 inputs:
+    a mixture of deterministic strategies, half of the time all correlated
+    at (1, 1), and of a PR box on outputs 0 and 1.  Outputs
+    no strategy gives have null marginals.  Some have one or two of
+    Alice's outputs split, up to 4 outputs."""
+    nA, nB, nX, nY = (draw(st.integers(2, 3)) for _ in range(4))
+    states = instruction_states(nA, nB, nX, nY)
+    if draw(st.booleans()):
+        states = [(alpha, beta) for alpha, beta in states if alpha[1] == beta[1]]
+    chosen = draw(st.lists(st.sampled_from(states), min_size=1, max_size=4))
+    ws = draw(st.lists(st.integers(1, 6), min_size=len(chosen), max_size=len(chosen)))
+    pr = draw(st.integers(0, 6))
+    total = sum(ws) + pr
+    entries = dict.fromkeys(product(range(nA), range(nB), range(nX), range(nY)), F(0))
+    for (alpha, beta), w in zip(chosen, ws):
+        for x, y in product(range(nX), range(nY)):
+            entries[alpha[x], beta[y], x, y] += F(w, total)
+    for a, b, x, y in product(range(2), range(2), range(nX), range(nY)):
+        if (a ^ b) == ((x == 0) * (y > 0)):  # pr_box's frame; input 2 repeats 1
+            entries[a, b, x, y] += F(pr, 2 * total)
+    box = ab.make_box(nA, nB, nX, nY, entries)
+    for _ in range(draw(st.integers(0, 4 - nA))):
+        box = ab.split_output(box, draw(st.integers(0, box.nA - 1)),
+                              draw(st.integers(0, nX - 1)), F(1, draw(st.integers(2, 3))))
+    return box
+
+
+@st.composite
+def probed_value(draw, box, party):
+    """None, 0, 1, one of the box's own conditionals at the probe, or any rational."""
+    kind = draw(st.sampled_from(["none", "zero", "one", "own", "any"]))
+    if kind == "own":
+        if party == "A":
+            return ab.conditional(box, ("B", 1), (draw(st.integers(0, box.nA - 1)), 0, 1))
+        return ab.conditional(box, ("A", 1), (draw(st.integers(0, box.nB - 1)), 1, 0))
+    if kind == "any":
+        return draw(st.fractions(min_value=-1, max_value=2, max_denominator=12))
+    return {"none": None, "zero": 0, "one": 1}[kind]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_hierarchy_matches_the_fraction_reference(data):
+    box = data.draw(many_output_boxes())
+    qA = data.draw(probed_value(box, "A"))
+    qB = data.draw(probed_value(box, "B"))
+    assert ab.validate(box).ok
+    assert ab.hierarchy(box, qA, qB) == reference_hierarchy(box, qA, qB)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,16 @@ def cleared(rows, c):
     return [[int(v * L) for v in row] for row in rows], [int(v * L) for v in c]
 
 
+def read_off(got):
+    """feasible_nonneg's (ok, v, d) read off as (ok, x, y) in Fractions:
+    x = v / d when ok, else the Farkas vector y = v / d.  v must hold ints
+    and d must be a positive int."""
+    ok, v, d = got
+    assert all(type(vi) is int for vi in v) and type(d) is int and d > 0
+    q = [F(vi, d) for vi in v]
+    return (True, q, None) if ok else (False, None, q)
+
+
 def assert_certificate(rows, c, ok, x, y):
     """Recheck the answer in plain Fractions, independently of the solver."""
     m, n = len(rows), len(rows[0])
@@ -79,9 +89,8 @@ PR_DUAL = fracs("1 -3 -3 1 -3 1 1 -3 1 -3 -3 1 1 -3 -3 1")
 )
 def test_pinned_answers_on_2222(box, expected):
     M, C = lp_2222(box)
-    got = feasible_nonneg(*cleared(M, C))
+    got = read_off(feasible_nonneg(*cleared(M, C)))
     assert got == expected
-    assert all(type(v) is F for v in got[1] or got[2])
     assert_certificate(M, C, *got)
 
 
@@ -95,7 +104,7 @@ def test_pinned_answers_on_2222(box, expected):
 def test_ratio_ties_go_to_the_least_basic_index(rows, c, dual):
     # the first pivot ties between rows; breaking the tie the other way
     # ends at another, equally valid, functional
-    got = feasible_nonneg(rows, c)
+    got = read_off(feasible_nonneg(rows, c))
     assert got == (False, None, dual)
     assert_certificate(rows, c, *got)
 
@@ -107,7 +116,7 @@ def test_rational_rows_feasible():
     rows = [[F(1, 2), 3], [F(2, 3), -1]]
     c = [F(3, 2), F(1, 3)]
     assert cleared(rows, c) == ([[3, 18], [4, -6]], [9, 2])
-    ok, x, y = feasible_nonneg(*cleared(rows, c))
+    ok, x, y = read_off(feasible_nonneg(*cleared(rows, c)))
     assert ok and x == [1, F(1, 3)]
     assert_certificate(rows, c, ok, x, y)
 
@@ -115,7 +124,7 @@ def test_rational_rows_feasible():
 def test_rational_rows_infeasible():
     rows = [[F(1, 2), F(1, 3)], [F(5, 7), -F(2, 9)]]
     c = [F(1, 5), F(-3, 4)]
-    ok, x, y = feasible_nonneg(*cleared(rows, c))
+    ok, x, y = read_off(feasible_nonneg(*cleared(rows, c)))
     assert not ok
     assert_certificate(rows, c, ok, x, y)
 
@@ -123,13 +132,13 @@ def test_rational_rows_infeasible():
 def test_negative_rhs_rows_are_flipped():
     rows = [[1, -1], [1, 1]]
     c = [-1, 3]
-    ok, x, y = feasible_nonneg(rows, c)
+    ok, x, y = read_off(feasible_nonneg(rows, c))
     assert ok and x == [1, 2]
     assert_certificate(rows, c, ok, x, y)
 
     rows = [[1, 1], [1, -1]]
     c = [-2, 1]
-    ok, x, y = feasible_nonneg(rows, c)
+    ok, x, y = read_off(feasible_nonneg(rows, c))
     assert not ok
     assert_certificate(rows, c, ok, x, y)
 
@@ -150,7 +159,7 @@ def test_negative_rhs_rows_are_flipped():
 )
 def test_every_answer_carries_a_valid_certificate(system):
     rows, c = system
-    assert_certificate(rows, c, *feasible_nonneg(*cleared(rows, c)))
+    assert_certificate(rows, c, *read_off(feasible_nonneg(*cleared(rows, c))))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +492,7 @@ def test_no_corrupted_entry_changes_the_verdict(box):
                 raised += 1
                 continue
             assert got[0] == want[0]
-            assert_certificate(M, c, *got)
+            assert_certificate(M, c, *read_off(got))
     assert raised
 
 
