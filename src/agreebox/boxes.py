@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
 from .errors import ParseError, ShapeError, StructuralError
-from .rationals import _TOO_LONG, MAX_DIGITS, rat, rat_str
+from .rationals import _TOO_LONG, MAX_DIGITS, over_common_den, rat, rat_str
 
 
 @dataclass(frozen=True, repr=False)
@@ -121,9 +121,8 @@ def make_box(nA: int, nB: int, nX: int, nY: int, entries) -> Box:
             if (a, b, x, y) not in table
         )
         raise StructuralError(f"missing {missing} entries, first: {first}")
-    den = lcm(*(v.denominator for v in table.values()))
-    num = {k: v.numerator * (den // v.denominator) for k, v in table.items()}
-    return Box(nA, nB, nX, nY, den, num)
+    den, nums = over_common_den(table.values())
+    return Box(nA, nB, nX, nY, den, dict(zip(table, nums)))
 
 
 def box_from_rows(rows) -> Box:
@@ -171,20 +170,9 @@ def row_labels(nA, nB, nX, nY):
     )
 
 
-def _row_values(box: Box):
-    """The box's numerators in row_labels order, or None if an entry is missing."""
-    num = box.num
-    try:
-        return [num[key] for key in row_labels(box.nA, box.nB, box.nX, box.nY)]
-    except KeyError:
-        return None
-
-
 def _violations(box: Box, vals):
-    """For each violated constraint, in validate's order, yield as soon as it
-    is found a function that writes its message; vals are the box's
-    numerators in row_labels order.  A caller that only asks whether there
-    is a violation formats nothing."""
+    """Yield the message of each violated constraint, in validate's order;
+    vals are the box's numerators in row_labels order."""
     nA, nB, nX, nY = box.nA, box.nB, box.nX, box.nY
     den, num = box.den, box.num
 
@@ -195,7 +183,7 @@ def _violations(box: Box, vals):
     # keys outside the shape are range checked, but in no sum below
     if len(num) != len(vals) or min(vals, default=0) < 0 or max(vals, default=0) > den:
         for key in sorted(key for key, n in num.items() if not 0 <= n <= den):
-            yield lambda key=key: f"entry out of [0,1] at (a,b,x,y)={key}: {q(num[key])}"
+            yield f"entry out of [0,1] at (a,b,x,y)={key}: {q(num[key])}"
     # row i holds inputs[i]; Alice's marginals are contiguous runs of nB
     # entries, Bob's every nB-th entry
     k = nA * nB
@@ -203,9 +191,7 @@ def _violations(box: Box, vals):
     rows = [vals[i * k:(i + 1) * k] for i in range(len(inputs))]
     for (x, y), row in zip(inputs, rows):
         if (total := sum(row)) != den:
-            yield lambda x=x, y=y, total=total: (
-                f"normalization at (x,y)=({x},{y}): sum={q(total)}"
-            )
+            yield f"normalization at (x,y)=({x},{y}): sum={q(total)}"
     # A -> B: Bob's marginal must not depend on Alice's input.  Each row's
     # marginals are compared whole with those of its x = 0 row first, and
     # named one by one only if some differ
@@ -216,10 +202,8 @@ def _violations(box: Box, vals):
                 for x in range(1, nX):
                     ref, got = bob[y][b], bob[x * nY + y][b]
                     if got != ref:
-                        yield lambda b=b, y=y, x=x, ref=ref, got=got: (
-                            f"no-signaling A->B at (b,y)=({b},{y}): "
-                            f"x=0 gives {q(ref)}, x={x} gives {q(got)}"
-                        )
+                        yield (f"no-signaling A->B at (b,y)=({b},{y}): "
+                               f"x=0 gives {q(ref)}, x={x} gives {q(got)}")
     # B -> A: Alice's marginal must not depend on Bob's input; each row is
     # compared whole with the y = 0 row of its x first
     alice = [[sum(row[a * nB:(a + 1) * nB]) for a in range(nA)] for row in rows]
@@ -229,29 +213,23 @@ def _violations(box: Box, vals):
                 for y in range(1, nY):
                     ref, got = alice[x * nY][a], alice[x * nY + y][a]
                     if got != ref:
-                        yield lambda a=a, x=x, y=y, ref=ref, got=got: (
-                            f"no-signaling B->A at (a,x)=({a},{x}): "
-                            f"y=0 gives {q(ref)}, y={y} gives {q(got)}"
-                        )
+                        yield (f"no-signaling B->A at (a,x)=({a},{x}): "
+                               f"y=0 gives {q(ref)}, y={y} gives {q(got)}")
 
 
 def validate(box: Box) -> ValidationResult:
     """Check every box invariant exactly and name each violated constraint."""
-    vals = _row_values(box)
-    if vals is None:
+    num = box.num
+    try:
+        vals = [num[key] for key in row_labels(box.nA, box.nB, box.nX, box.nY)]
+    except KeyError:
         return ValidationResult(False, tuple(
             f"missing entry (a,b,x,y)={key}"
             for key in product(range(box.nA), range(box.nB), range(box.nX), range(box.nY))
-            if key not in box.num
+            if key not in num
         ), ())
-    violations = tuple(message() for message in _violations(box, vals))
+    violations = tuple(_violations(box, vals))
     return ValidationResult(not violations, (), violations)
-
-
-def _valid(box: Box) -> bool:
-    """validate(box).ok, found without writing any violation message."""
-    vals = _row_values(box)
-    return vals is not None and next(_violations(box, vals), None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,17 @@ precondition error, 4 size limit exceeded, 1 anything unexpected.
 
 import argparse
 import csv
+import io
 import json
 import random
 import sys
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import prod
 
 from . import __version__
-from .boxes import _valid, box_doc, box_from_json, box_to_json, validate
+from .boxes import box_doc, box_from_json, box_to_json, validate
 from .bridge import box_to_model, is_local
 from .classical import model_to_json, verify_agreement_theorem
 from .classify import classify, tsirelson_obstruction, verdict_to_json
@@ -48,7 +49,7 @@ from .families import (
     sd_table_box,
     uniform_box,
 )
-from .rationals import _TOO_LONG, rat, rat_dec, rat_str
+from .rationals import _TOO_LONG, over_common_den, rat, rat_dec, rat_str
 from .reduction import plan_doc, reduce_box
 
 EXIT_OK = 0
@@ -72,7 +73,7 @@ def _write_text(path, text):
     if path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
@@ -117,39 +118,41 @@ def _parse_params(text, names):
 
 
 def _parse_grid(text):
-    """Parse "r=0:1:1/4,s=1/2" into a name -> list of Fractions dict.
+    """Parse "r=0:1:1/4,s=1/2" into D and a name -> list of ints dict.
 
     Only the axes r, s, t and u are taken.  A singleton "name=value" is a
     one-point axis; "start:stop:step" is an inclusive range walked exactly.
-    The points are counted before any is built, and a grid of more than
-    MAX_GRID_POINTS raises BudgetError.
+    Every point is an int over D, the lcm of the denominators of the
+    grid's pieces (each start, stop, step and singleton).  The points are
+    counted before any is built: a grid of more than MAX_GRID_POINTS raises
+    BudgetError, and a grid of none has every axis empty.
     """
     items = _split_items(text, "grid axis")
     unknown = set(items) - set(TABLE_PARAMS)
     if unknown:
         known = ", ".join(TABLE_PARAMS)
         raise ParseError(f"unknown grid axes {sorted(unknown)} (known: {known})")
-    axes = {}  # name -> (start, step, count, den): point k is (start + k*step)/den
-    for name, axis in items.items():
+    pieces = []  # start, stop, step of each axis in turn; a singleton v is v:v:1
+    for axis in items.values():
         if ":" in axis:
-            pieces = axis.split(":")
-            if len(pieces) != 3:
+            parts = axis.split(":")
+            if len(parts) != 3:
                 raise ParseError(f"bad range {axis!r}, expected start:stop:step")
-            start, stop, step = (rat(p) for p in pieces)
+            start, stop, step = (rat(p) for p in parts)
             if step <= 0:
                 raise ParseError("grid step must be positive")
-            den = lcm(start.denominator, stop.denominator, step.denominator)
-            lo, hi, inc = (q.numerator * (den // q.denominator) for q in (start, stop, step))
-            axes[name] = (lo, inc, (hi - lo) // inc + 1 if hi >= lo else 0, den)
+            pieces += (start, stop, step)
         else:
             value = rat(axis)
-            axes[name] = (value.numerator, 0, 1, value.denominator)
-    points = prod(count for _, _, count, _ in axes.values())
+            pieces += (value, value, 1)
+    D, nums = over_common_den(pieces)
+    ranges = {name: nums[3 * i:3 * i + 3] for i, name in enumerate(items)}
+    points = prod(max((hi - lo) // inc + 1, 0) for lo, hi, inc in ranges.values())
     if points > MAX_GRID_POINTS:
         raise BudgetError(f"grid has {points} points, more than {MAX_GRID_POINTS}")
-    return {
-        name: [Fraction(start + k * step, den) for k in range(count)]
-        for name, (start, step, count, den) in axes.items()
+    return D, {
+        name: list(range(lo, hi + 1, inc)) if points else []
+        for name, (lo, hi, inc) in ranges.items()
     }
 
 
@@ -195,17 +198,20 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_rows(family, tuples):
+def _sweep_rows(family, D, tuples):
+    """The CSV rows of the sweep, one per point with a valid box.
+
+    For ccd and sd each point is (r, s, t, u) as ints over D, which the
+    family's entry function takes as they are; Box reduces each box to the
+    one ccd_table_box or sd_table_box builds.  The fixed families take the
+    one point (None, None, None, None).
+    """
     if family in ("ccd", "sd"):
-        # every point over D, the lcm of the grid's denominators: the family's
-        # entry function takes the numerators, and Box reduces each box to
-        # the one ccd_table_box or sd_table_box builds
-        D = lcm(*{q.denominator for values in tuples for q in values})
         entries = _ccd_nums if family == "ccd" else _sd_nums
     skipped = 0
     for values in tuples:
         if family in ("ccd", "sd"):
-            nums = entries(D, *[q.numerator * (D // q.denominator) for q in values])
+            nums = entries(D, *values)
             # an entry outside [0, D] fails validate, so the point is skipped
             # before a Box exists; numbers too long for a Box still go to Box,
             # which refuses them
@@ -214,10 +220,11 @@ def _sweep_rows(family, tuples):
                 skipped += 1
                 continue
             box = _box_2222(D, nums)
+            params = [Fraction(v, D) for v in values]
         else:
             box = _family_box(family, {})
-        # only the verdict is read, so no violation message is written
-        if not _valid(box):
+            params = values
+        if not validate(box).ok:
             skipped += 1
             continue
         report = detect_ccd(box)
@@ -230,7 +237,7 @@ def _sweep_rows(family, tuples):
             "local": str(is_local(box).local).lower(),
         }
         cells = (
-            *zip(TABLE_PARAMS, values),
+            *zip(TABLE_PARAMS, params),
             ("qA", h.qA),
             ("qB", h.qB),
             ("gap", gap),
@@ -244,21 +251,20 @@ def _sweep_rows(family, tuples):
 
 
 def _sample_tuples(count, seed):
-    """count distinct (r, s, t, u), each a value k/8, drawn with seed, sorted.
-
-    They are drawn and sorted as the ints k, which order as the k/8 do.
-    """
-    eighths = [Fraction(k, 8) for k in range(9)]
+    """count distinct (r, s, t, u), each an int k in 0..8 (the value k/8),
+    drawn with seed, sorted."""
     if count == 9**4:  # every tuple, whatever the seed: no draw needed
-        return list(product(eighths, repeat=4))
+        return list(product(range(9), repeat=4))
     rng = random.Random(seed)
     seen = set()
     while len(seen) < count:
         seen.add(tuple(rng.randrange(0, 9) for _ in range(4)))
-    return [tuple(eighths[k] for k in ks) for ks in sorted(seen)]
+    return sorted(seen)
 
 
 def _cmd_sweep(args):
+    if args.seed is not None and args.sample is None:
+        raise ParseError("--seed applies only with --sample")
     if args.family in ("ccd", "sd"):
         if args.grid and args.sample is not None:
             raise ParseError(f"family {args.family!r} takes --grid or --sample, not both")
@@ -267,35 +273,27 @@ def _cmd_sweep(args):
                 raise ParseError(f"--sample {args.sample} is negative")
             if args.sample > 9**4:  # r, s, t, u each take one of the values k/8
                 raise ParseError(f"--sample {args.sample} exceeds the 6561 distinct tuples")
-            tuples = _sample_tuples(args.sample, args.seed)
+            D = 8
+            tuples = _sample_tuples(args.sample, args.seed or 0)
         else:
             if not args.grid:
                 raise ParseError("sweep over ccd/sd needs --grid or --sample")
-            grid = _parse_grid(args.grid)
+            D, grid = _parse_grid(args.grid)
             missing = set(TABLE_PARAMS) - set(grid)
             if missing:
                 raise ParseError(f"grid is missing axes {sorted(missing)}")
-            tuples = [
-                (r, s, t, u)
-                for r in grid["r"]
-                for s in grid["s"]
-                for t in grid["t"]
-                for u in grid["u"]
-            ]
+            tuples = product(*(grid[name] for name in TABLE_PARAMS))
     else:
         if args.grid or args.sample is not None:
             raise ParseError(f"family {args.family!r} takes no --grid or --sample")
-        tuples = [(None, None, None, None)]
+        D, tuples = 1, [(None, None, None, None)]
 
-    out = sys.stdout if args.output is None else open(args.output, "w", newline="")
-    try:
-        writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        for row in _sweep_rows(args.family, tuples):
-            writer.writerow(row)
-    finally:
-        if args.output is not None:
-            out.close()
+    # the whole CSV is written at once, so a sweep that fails writes nothing
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS)
+    writer.writeheader()
+    writer.writerows(_sweep_rows(args.family, D, tuples))
+    _write_text(args.output, out.getvalue())
     return EXIT_OK
 
 
@@ -365,7 +363,7 @@ def build_parser():
     p.add_argument("--grid", default="", help='e.g. "r=0:1:1/4,s=0:1:1/4,t=1/2,u=0"')
     p.add_argument("--sample", type=int, default=None,
                    help="draw this many random parameter tuples instead of a grid")
-    p.add_argument("--seed", type=int, default=0, help="seed for --sample")
+    p.add_argument("--seed", type=int, default=None, help="seed for --sample (default 0)")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_sweep)
 

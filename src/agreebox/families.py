@@ -13,10 +13,9 @@ can be studied too.
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .boxes import Box, make_box
-from .rationals import rat
+from .rationals import over_common_den, rat
 
 ZERO = Fraction(0)
 
@@ -55,14 +54,6 @@ _KEYS_2222 = (
 )
 
 
-def _integer_params(*params):
-    """Coerce each parameter with rat once; return D, the lcm of their
-    denominators, then each parameter times D as an int."""
-    qs = [rat(v) for v in params]
-    D = lcm(*(q.denominator for q in qs))
-    return D, *(q.numerator * (D // q.denominator) for q in qs)
-
-
 def _box_2222(D, nums) -> Box:
     """The 2222 box whose entries, in _KEYS_2222 order, are nums over D."""
     return Box(2, 2, 2, 2, D, dict(zip(_KEYS_2222, nums)))
@@ -76,7 +67,7 @@ def ccd_table_box(r, s, t, u) -> Box:
     and the zero pattern of the form.  Out-of-range parameters produce a
     box that fails validate(), not an exception.
     """
-    D, *params = _integer_params(r, s, t, u)
+    D, params = over_common_den([rat(r), rat(s), rat(t), rat(u)])
     return _box_2222(D, _ccd_nums(D, *params))
 
 
@@ -94,7 +85,7 @@ def _ccd_nums(D, r, s, t, u):
 def sd_table_box(r, s, t, u) -> Box:
     """Instantiate the SD form.  Here s = p(00|00), t = p(01|00),
     u = p(11|00) and r = p(00|11)."""
-    D, *params = _integer_params(r, s, t, u)
+    D, params = over_common_den([rat(r), rat(s), rat(t), rat(u)])
     return _box_2222(D, _sd_nums(D, *params))
 
 

@@ -6,7 +6,7 @@ a float-producing pipeline still analyses exactly.
 """
 
 from fractions import Fraction
-from math import isfinite
+from math import isfinite, lcm
 
 from .errors import ParseError
 
@@ -46,6 +46,13 @@ def rat(value) -> Fraction:
             raise ParseError(f"rational with more than {MAX_DIGITS} digits: {value:.40}")
         return q
     raise ParseError(f"not a rational: {value!r}")
+
+
+def over_common_den(qs):
+    """(D, nums) for a sequence of rationals (Fractions or ints): D is the
+    lcm of their denominators, and nums[i] = qs[i] * D, an int."""
+    D = lcm(*(q.denominator for q in qs))
+    return D, [q.numerator * (D // q.denominator) for q in qs]
 
 
 def rat_str(q: Fraction) -> str:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agreebox as ab
+from agreebox.families import _box_2222, _ccd_nums, _sd_nums
 
 
 def weights_strategy():
@@ -300,26 +301,6 @@ def test_validate_matches_the_reference(box):
     assert got == want
 
 
-@settings(max_examples=400, deadline=None)
-@given(direct_boxes())
-def test_the_validity_predicate_is_validate_ok(box):
-    assert ab.boxes._valid(box) == ab.validate(box).ok
-
-
-def test_the_validity_predicate_writes_no_message(monkeypatch):
-    calls = []
-    rat_str = ab.boxes.rat_str
-    monkeypatch.setattr(ab.boxes, "rat_str", lambda q: calls.append(q) or rat_str(q))
-    table = dict(ab.uniform_box().table)
-    for key in [(0, 0, 0, 0), (1, 1, 0, 1), (0, 1, 1, 0), (1, 0, 1, 1)]:
-        table[key] = F(-1, 4) if key[0] else F(5, 4)
-    box = ab.make_box(2, 2, 2, 2, table)
-    assert len(ab.validate(box).violations) > 4 and len(calls) > 4
-    calls.clear()
-    assert not ab.boxes._valid(box)
-    assert calls == []
-
-
 def test_validate_of_a_box_with_an_empty_dimension():
     # nothing to sum: every (x, y) row fails normalization with sum 0
     assert ab.validate(ab.Box(0, 2, 2, 2, 1, {})).violations == tuple(
@@ -511,6 +492,20 @@ def test_ccd_form_correlator_identities(r, s, t, u):
     c = ab.correlators(box)
     assert c[(0, 1)] == 1 + 2 * r - 2 * t - 4 * s
     assert c[(1, 0)] == 1 + 2 * t - 2 * r - 4 * u
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 10) | st.integers(min_value=1),
+    st.lists(st.integers(-2, 12) | st.integers(), min_size=4, max_size=4),
+    st.sampled_from([_ccd_nums, _sd_nums]),
+)
+def test_a_family_box_is_valid_iff_its_entries_are_in_range(D, params, entries):
+    # both forms sum to D on every row and are no-signaling for any
+    # parameters, so the range check alone decides validity: the sweep
+    # skips a point by its range before any Box is built
+    nums = entries(D, *params)
+    assert ab.validate(_box_2222(D, nums)).ok == all(0 <= n <= D for n in nums)
 
 
 @given(weights_strategy())

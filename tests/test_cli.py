@@ -276,15 +276,15 @@ def test_sweep_sample_csv_is_pinned(capsys, sample, rows):
 
 
 def test_sampled_tuples_are_pinned():
+    # each tuple holds the numerators k of the values k/8
     assert _sample_tuples(6, 11) == [
-        tuple(F(k, 8) for k in ks)
-        for ks in [(0, 6, 7, 2), (0, 8, 1, 0), (4, 2, 1, 8), (7, 2, 1, 7), (7, 8, 7, 7), (8, 3, 2, 8)]
+        (0, 6, 7, 2), (0, 8, 1, 0), (4, 2, 1, 8), (7, 2, 1, 7), (7, 8, 7, 7), (8, 3, 2, 8)
     ]
     assert _sample_tuples(0, 11) == []
 
 
 def test_the_largest_sample_is_every_tuple():
-    assert _sample_tuples(6561, 5) == list(product([F(k, 8) for k in range(9)], repeat=4))
+    assert _sample_tuples(6561, 5) == list(product(range(9), repeat=4))
 
 
 def test_sweep_pr_single_row(capsys):
@@ -374,6 +374,43 @@ def test_sweep_grid_beyond_the_point_budget_exits_at_once(capsys):
     assert out == ""
 
 
+def test_sweep_grid_with_an_empty_axis_builds_no_axis(capsys):
+    # r is empty, so the grid has no point; its 10**8 + 1 values of s are
+    # counted, never built
+    grid = "r=1:0:1,s=0:1:1/100000000,t=0,u=0"
+    assert _parse_grid(grid) == (10**8, {"r": [], "s": [], "t": [], "u": []})
+    code, out, err = run(capsys, "sweep", "--family", "ccd", "--grid", grid)
+    assert (code, out, err) == (0, ",".join(SWEEP_COLUMNS) + "\r\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "pr", "--seed", "3"],
+    ["--family", "ccd", "--grid", "r=1/4,s=1/4,t=1/4,u=0", "--seed", "5"],
+])
+def test_sweep_seed_without_sample_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 2
+    assert "--seed applies only with --sample" in err
+    assert out == ""
+
+
+def test_a_failed_sweep_writes_no_output_file(tmp_path, capsys):
+    # the grid's one point is too long for a Box (see below), so the sweep
+    # exits 2: the file is neither created nor replaced
+    zeros = "0" * 3999
+    grid = f"r=2,s=1/7{zeros},t=1/3{zeros},u=0"
+    path = tmp_path / "f.csv"
+    code, out, err = run(capsys, "sweep", "--family", "ccd", "--grid", grid,
+                         "--output", str(path))
+    assert code == 2 and out == ""
+    assert not path.exists()
+    path.write_text("kept\n")
+    code, out, err = run(capsys, "sweep", "--family", "ccd", "--grid", grid,
+                         "--output", str(path))
+    assert code == 2
+    assert path.read_text() == "kept\n"
+
+
 # sha256 of the stdout of the sweep over the full k/8 grid: every row, in
 # order, byte for byte (the csv module ends lines with \r\n)
 EIGHTHS_SWEEP_SHA256 = {
@@ -393,42 +430,49 @@ def test_sweep_over_the_eighths_grid_is_pinned(capsys, family):
 
 
 def test_sweep_grid_at_eighths_is_within_the_point_budget():
-    grid = _parse_grid("r=0:1:1/8,s=0:1:1/8,t=0:1:1/8,u=0:1:1/8")
-    assert all(values == [F(k, 8) for k in range(9)] for values in grid.values())
-    assert _parse_grid("r=1/2:1/4:1/8,s=1/3")["r"] == []
+    D, grid = _parse_grid("r=0:1:1/8,s=0:1:1/8,t=0:1:1/8,u=0:1:1/8")
+    assert D == 8
+    assert all(values == list(range(9)) for values in grid.values())
+    assert _parse_grid("r=1/2:1/4:1/8,s=1/3")[1]["r"] == []
 
 
 @pytest.mark.parametrize("text", [
     "r=0.1:0.9:0.05,s=1/3:2/3:1/12,t=0,u=1",
     "r=-1/2:1/2:1/3,s=2/4,t=0.25:1:1/3,u=1/3:1/3:1/2",
     "r=0:1:3/10,s=1e-1:0.35:1/20,t=7,u=1/2:1/4:1/8",
+    "r=0:1:3/10,s=1e-1:0.35:1/20,t=7,u=1/4:1/2:1/8",
 ])
 def test_grid_points_are_the_exact_steps_of_each_axis(text):
-    # the points are built from integer numerators; they must equal
-    # start + k * step in Fraction arithmetic, k = 0 .. floor((stop - start)/step)
-    grid = _parse_grid(text)
+    # the points are ints over D; over D they must equal start + k * step
+    # in Fraction arithmetic, k = 0 .. floor((stop - start)/step); a grid
+    # with an empty axis has no point, and builds no axis
+    D, grid = _parse_grid(text)
+    expected = {}
     for item in text.split(","):
         name, _, axis = item.partition("=")
         if ":" in axis:
             start, stop, step = (F(p) for p in axis.split(":"))
             count = (stop - start) // step + 1 if stop >= start else 0
-            expected = [start + k * step for k in range(count)]
+            expected[name] = [start + k * step for k in range(count)]
         else:
-            expected = [F(axis)]
-        assert grid[name] == expected
-        assert all(type(q) is F for q in grid[name])
+            expected[name] = [F(axis)]
+    if not all(expected.values()):
+        expected = {name: [] for name in expected}
+    assert {name: [F(v, D) for v in values] for name, values in grid.items()} == expected
+    assert all(type(v) is int for values in grid.values() for v in values)
 
 
 def reference_sweep(family, text):
     """The sweep CSV and stderr built point by point: each box from the
     family's public constructor, checked with validate(...).ok."""
     maker = ab.ccd_table_box if family == "ccd" else ab.sd_table_box
-    grid = _parse_grid(text)
+    D, grid = _parse_grid(text)
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS)
     writer.writeheader()
     skipped = 0
-    for values in product(*(grid[name] for name in "rstu")):
+    for nums in product(*(grid[name] for name in "rstu")):
+        values = [F(v, D) for v in nums]
         box = maker(*values)
         if not ab.validate(box).ok:
             skipped += 1
@@ -468,10 +512,11 @@ def test_sweep_over_mixed_denominators_matches_the_point_by_point_sweep(capsys, 
 
 @pytest.mark.parametrize("family", ["ccd", "sd"])
 def test_a_sweep_row_needs_the_full_validity_check(monkeypatch, capsys, family):
-    # a point whose entries are all in [0, 1] still gets its Box and _valid:
-    # with _valid refusing every box, no row is written and every point,
-    # in range or not, is counted as skipped
-    monkeypatch.setattr(cli, "_valid", lambda box: False)
+    # a point whose entries are all in [0, 1] still gets its Box and
+    # validate: with validate refusing every box, no row is written and
+    # every point, in range or not, is counted as skipped
+    refused = ab.ValidationResult(False, (), ("refused",))
+    monkeypatch.setattr(cli, "validate", lambda box: refused)
     grid = "r=0:1:1/8,s=0:1:1/8,t=0:1:1/8,u=0:1:1/8"
     code, out, err = run(capsys, "sweep", "--family", family, "--grid", grid)
     assert code == 0
