@@ -11,11 +11,12 @@ input pair, and both no-signaling conditions:
 All arithmetic is exact; there is no tolerance anywhere in this module.
 A Box stores its entries in one integer form, num[key] = den * p(key),
 reduced by the gcd of den and every num, so den is the least common
-denominator and equal boxes compare equal.  make_box turns rational
-entries into this form.  Validation, marginals and conditionals sum and
-compare the ints, and build a Fraction only for a returned value or a
-violation message.  A box whose den or some num reaches 10**MAX_DIGITS is
-refused with ParseError, so every such value prints.
+denominator and equal boxes compare equal.  make_box and box_from_json
+turn rational entries into this form.  Validation, marginals and
+conditionals sum and compare the ints, and build a Fraction only for a
+returned value or a violation message.  A box whose den or some num
+reaches 10**MAX_DIGITS is refused with ParseError, so every such value
+prints.
 The conventional frame used by the analysis modules puts the observed
 event at inputs x = y = 0, outputs a = b = 0, and the events the parties
 reason about at output 1 of inputs x = 1 and y = 1.  Boxes that arrive in
@@ -32,7 +33,7 @@ from itertools import product
 from math import gcd
 
 from .errors import ParseError, ShapeError, StructuralError
-from .rationals import _TOO_LONG, MAX_DIGITS, over_common_den, rat, rat_str
+from .rationals import _TOO_LONG, MAX_DIGITS, json_text, over_common_den, rat, rat_str
 
 
 @dataclass(frozen=True, repr=False)
@@ -100,29 +101,47 @@ def _in_shape(key, nA, nB, nX, nY) -> bool:
 def make_box(nA: int, nB: int, nX: int, nY: int, entries) -> Box:
     """Build a Box from any mapping (a,b,x,y) -> rational-like value.
 
-    The one place where rational entries become a Box's integer form.
-    Raises StructuralError if an entry is missing or a key is not a tuple
-    of four ints in range.
+    Raises ShapeError if a cardinality is below 1, and StructuralError if
+    an entry is missing or a key is not a tuple of four ints in range.
+    """
+    table = {}
+    outside = None
+    for key, value in entries.items():
+        # every key is outside a shape with a cardinality below 1, so the
+        # ShapeError comes before any value is read
+        if not _in_shape(key, nA, nB, nX, nY):
+            outside = key
+            break
+        table[key] = rat(value)
+    return _integer_box(nA, nB, nX, nY, table, outside, list(table.values()), range(len(table)))
+
+
+def _integer_box(nA, nB, nX, nY, keys, outside, qs, picks) -> Box:
+    """The Box whose entry at keys[i] is qs[picks[i]]: the one place where
+    rational entries become a Box's integer form, for make_box and
+    box_from_json.  keys are distinct, and outside is the first key found
+    outside the shape, or None.
+
+    Raises ShapeError if a cardinality is below 1, then StructuralError for
+    outside, then for the first missing entry.
     """
     if min(nA, nB, nX, nY) < 1:
         raise ShapeError("cardinalities must be positive")
-    table = {}
-    for key, value in entries.items():
-        if not _in_shape(key, nA, nB, nX, nY):
-            raise StructuralError(f"key {key!r} is not an (a, b, x, y) tuple of ints in range")
-        table[key] = rat(value)
-    missing = nA * nB * nX * nY - len(table)
+    if outside is not None:
+        raise StructuralError(f"key {outside!r} is not an (a, b, x, y) tuple of ints in range")
+    missing = nA * nB * nX * nY - len(keys)
     if missing:
-        # every key is in range, so the first gap is within len(table) + 1 keys;
+        # every key is in range, so the first gap is within len(keys) + 1 keys;
         # nested loops, as product() would first copy each range into a tuple
+        present = set(keys)
         first = next(
             (a, b, x, y)
             for a in range(nA) for b in range(nB) for x in range(nX) for y in range(nY)
-            if (a, b, x, y) not in table
+            if (a, b, x, y) not in present
         )
         raise StructuralError(f"missing {missing} entries, first: {first}")
-    den, nums = over_common_den(table.values())
-    return Box(nA, nB, nX, nY, den, dict(zip(table, nums)))
+    den, nums = over_common_den(qs)
+    return Box(nA, nB, nX, nY, den, dict(zip(keys, map(nums.__getitem__, picks))))
 
 
 def box_from_rows(rows) -> Box:
@@ -370,7 +389,7 @@ def box_doc(box: Box) -> dict:
 
 
 def box_to_json(box: Box) -> str:
-    return json.dumps(box_doc(box), indent=2)
+    return json_text(box_doc(box))
 
 
 def box_from_json(text: str) -> Box:
@@ -378,16 +397,25 @@ def box_from_json(text: str) -> Box:
         doc = json.loads(text, parse_float=str)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
+    shape = []
     try:
-        nA, nB, nX, nY = (int(doc[k]) for k in ("nA", "nB", "nX", "nY"))
+        for field in ("nA", "nB", "nX", "nY"):
+            n = doc[field]
+            # a JSON integer only: int() would read true as 1 and "2" as 2
+            if type(n) is not int:
+                raise ParseError(f"box document field {field} is not an integer")
+            shape.append(n)
         rows = doc["p"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"box document missing field: {exc}") from exc
     if not isinstance(rows, dict):
         raise ParseError("box document field p is not an object")
-    entries = {}
-    keys = {}  # (x, y) -> the key that named it
-    parsed = {}  # entry text -> its Fraction: a box repeats few distinct entries
+    nA, nB, nX, nY = shape
+    picks = []  # the index in qs of each entry's value, in document order
+    qs = []  # the parsed values: a box repeats few distinct entries
+    index = {}  # entry text or JSON integer -> its index in qs
+    names = {}  # (x, y) -> the key that named it, in document order
+    outside = None  # the first entry key outside the shape
     for key, grid in rows.items():
         # "x,y" in ASCII decimal digits; leading zeros are read, so "01,1"
         # names (1, 1) too and meets "1,1" as a twin below
@@ -398,21 +426,28 @@ def box_from_json(text: str) -> Box:
             x, y = int(xs), int(ys)
         except ValueError as exc:  # more digits than int() reads
             raise ParseError(f"bad input-pair key {key!r}") from exc
-        if (x, y) in keys:
-            raise StructuralError(f"input-pair keys {keys[x, y]!r} and {key!r} both name ({x}, {y})")
-        keys[x, y] = key
+        if (x, y) in names:
+            raise StructuralError(f"input-pair keys {names[x, y]!r} and {key!r} both name ({x}, {y})")
+        names[x, y] = key
         if not isinstance(grid, list) or len(grid) != nA:
             raise StructuralError(f"row {key}: expected {nA} output rows")
+        # x and y are the only indices that can leave the shape; the shape
+        # is checked after every row is read, and its error comes first
+        if outside is None and (x >= nX or y >= nY):
+            outside = (0, 0, x, y)
         for a, row in enumerate(grid):
             if not isinstance(row, list) or len(row) != nB:
                 raise StructuralError(f"row {key}, a={a}: expected {nB} entries")
-            for b, value in enumerate(row):
-                # only strings are memoized: True == 1, and true must stay refused
-                if isinstance(value, str):
-                    q = parsed.get(value)
-                    if q is None:
-                        q = parsed[value] = rat(value)
+            for value in row:
+                # a bool is never memoized: true == 1, and true must stay refused
+                if type(value) is str or type(value) is int:
+                    i = index.get(value)
+                    if i is None:
+                        i = index[value] = len(qs)
+                        qs.append(rat(value))
                 else:
-                    q = rat(value)
-                entries[(a, b, x, y)] = q
-    return make_box(nA, nB, nX, nY, entries)
+                    i = len(qs)
+                    qs.append(rat(value))
+                picks.append(i)
+    keys = [(a, b, x, y) for x, y in names for a in range(nA) for b in range(nB)]
+    return _integer_box(nA, nB, nX, nY, keys, outside, qs, picks)

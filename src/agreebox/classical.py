@@ -26,7 +26,7 @@ from itertools import chain, permutations, product
 from math import factorial, gcd
 
 from .errors import ParseError, PreconditionError, StructuralError
-from .rationals import rat, rat_str
+from .rationals import json_text, rat, rat_str
 
 ZERO = Fraction(0)
 
@@ -452,7 +452,7 @@ def model_doc(model: OntologicalModel) -> dict:
 
 
 def model_to_json(model: OntologicalModel) -> str:
-    return json.dumps(model_doc(model), indent=2)
+    return json_text(model_doc(model))
 
 
 def model_from_json(text: str) -> OntologicalModel:

@@ -24,7 +24,6 @@ does not claim quantum realizability.  It takes any finite shape and
 reduces a larger box to 2x2x2x2 first (see reduction).
 """
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -39,7 +38,7 @@ from .boxes import (
 from .bridge import LocalityVerdict, is_local
 from .errors import BudgetError, ReductionRefused, ShapeError
 from .families import caption_violations, ccd_table_box, sd_table_box
-from .rationals import rat_str
+from .rationals import json_text, rat_str
 from .reduction import reduce_box
 
 
@@ -222,4 +221,4 @@ def verdict_doc(verdict: ClassificationVerdict) -> dict:
 
 
 def verdict_to_json(verdict: ClassificationVerdict) -> str:
-    return json.dumps(verdict_doc(verdict), indent=2)
+    return json_text(verdict_doc(verdict))

@@ -16,7 +16,6 @@ precondition error, 4 size limit exceeded, 1 anything unexpected.
 import argparse
 import csv
 import io
-import json
 import random
 import sys
 from dataclasses import asdict
@@ -49,7 +48,7 @@ from .families import (
     sd_table_box,
     uniform_box,
 )
-from .rationals import _TOO_LONG, over_common_den, rat, rat_dec, rat_str
+from .rationals import _TOO_LONG, json_text, over_common_den, rat, rat_dec, rat_str
 from .reduction import plan_doc, reduce_box
 
 EXIT_OK = 0
@@ -301,7 +300,7 @@ def _cmd_reduce(args):
     box = _load_box(args.input)
     reduced, plan = reduce_box(box, args.mode)
     doc = {"box": box_doc(reduced), "plan": plan_doc(plan)}
-    _write_text(args.output, json.dumps(doc, indent=2))
+    _write_text(args.output, json_text(doc))
     return EXIT_OK
 
 
@@ -322,7 +321,7 @@ def _cmd_verify_classical(args):
     report = verify_agreement_theorem(
         int(params.get("omega", 4)), int(params.get("denom", 3))
     )
-    _write_text(args.output, json.dumps(asdict(report), indent=2))
+    _write_text(args.output, json_text(asdict(report)))
     if report.violations:
         return EXIT_UNEXPECTED
     if not report.complete:
@@ -333,18 +332,24 @@ def _cmd_verify_classical(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
+    """The argument parser, and a name -> parser dict of its subcommands."""
     parser = argparse.ArgumentParser(
         prog="agreebox",
         description="agreement and disagreement analysis for no-signaling boxes",
     )
     parser.add_argument("--version", action="version", version=f"agreebox {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def add_command(name, **kwargs):
+        commands[name] = p = sub.add_parser(name, **kwargs)
+        return p
 
     def add_common(p):
         p.add_argument("--input", required=True, help="path to a box JSON file")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("classify", help="classify a box")
+    p = add_command("classify", help="classify a box")
     add_common(p)
     p.add_argument(
         "--relabel-search", action="store_true",
@@ -352,13 +357,13 @@ def build_parser():
     )
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("generate", help="emit a family box as JSON")
+    p = add_command("generate", help="emit a family box as JSON")
     p.add_argument("--family", required=True, choices=["ccd", "sd", "pr", "uniform"])
     p.add_argument("--params", default="", help='e.g. "r=1/2,s=1/4,t=1/2,u=0"')
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("sweep", help="sweep a family and emit CSV")
+    p = add_command("sweep", help="sweep a family and emit CSV")
     p.add_argument("--family", required=True, choices=["ccd", "sd", "pr", "uniform"])
     p.add_argument("--grid", default="", help='e.g. "r=0:1:1/4,s=0:1:1/4,t=1/2,u=0"')
     p.add_argument("--sample", type=int, default=None,
@@ -367,33 +372,48 @@ def build_parser():
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("reduce", help="reduce a many-output box to 2x2")
+    p = add_command("reduce", help="reduce a many-output box to 2x2")
     add_common(p)
     p.add_argument("--mode", choices=["ccd", "sd", "auto"], default="auto")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("ontology", help="instruction-set model for a box")
+    p = add_command("ontology", help="instruction-set model for a box")
     add_common(p)
     p.set_defaults(func=_cmd_ontology)
 
-    p = sub.add_parser("verify-classical", help="exhaustive small-model agreement check")
+    p = add_command("verify-classical", help="exhaustive small-model agreement check")
     p.add_argument("--params", default="", help='bounds, e.g. "omega=4,denom=3"')
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_verify_classical)
 
-    return parser
+    return parser, commands
 
 
-_PARSER = build_parser()
+_PARSER, _COMMANDS = build_parser()
+
+
+def _parse_args(argv):
+    """_PARSER.parse_args(argv), which hands everything after a subcommand
+    name to that subcommand's parser; called with that parser directly when
+    argv starts with the name, which halves the parse."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except ReductionRefused as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps(report_doc(exc.report), indent=2), file=sys.stderr)
+        print(json_text(report_doc(exc.report)), file=sys.stderr)
         return EXIT_VALIDATION
     except (ParseError, StructuralError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

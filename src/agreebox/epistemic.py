@@ -24,13 +24,12 @@ to alpha_N and beta_N.  Singular disagreement (SD) is the extremal,
 tower-free variant: qA = 1 and qB = 0 outright.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .boxes import Box, conditional, is_perfectly_correlated
 from .errors import ShapeError
-from .rationals import rat_str
+from .rationals import json_text, rat_str
 
 NULL_CONDITIONING = "null conditioning event"
 
@@ -154,4 +153,4 @@ def report_doc(report: DisagreementReport) -> dict:
 
 
 def report_to_json(report: DisagreementReport) -> str:
-    return json.dumps(report_doc(report), indent=2)
+    return json_text(report_doc(report))

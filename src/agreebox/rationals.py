@@ -1,4 +1,4 @@
-"""Exact rational parsing and formatting helpers.
+"""Exact rational parsing and formatting helpers, and the JSON writer.
 
 Everything in the core is a fractions.Fraction.  Decimal input strings are
 converted exactly ("0.5" becomes 1/2), so a box loaded from JSON written by
@@ -6,6 +6,8 @@ a float-producing pipeline still analyses exactly.
 """
 
 from fractions import Fraction
+from json import dumps
+from json.encoder import encode_basestring_ascii
 from math import isfinite, lcm
 
 from .errors import ParseError
@@ -33,11 +35,17 @@ def rat(value) -> Fraction:
         return Fraction(repr(value))
     if isinstance(value, str):
         text = value.strip()
+        num, slash, den = text.partition("/")
         scientific = "e" in text or "E" in text
         try:
-            if scientific and abs(int(text.replace("E", "e").rpartition("e")[2])) > MAX_DIGITS:
+            if num.isdigit() and num.isascii() and (not slash or den.isdigit() and den.isascii()):
+                # "n" or "n/d" in ASCII digits, as rat_str writes it: the value
+                # Fraction(text) parses, without its regular expression
+                q = Fraction(int(num), int(den) if slash else 1)
+            elif scientific and abs(int(text.replace("E", "e").rpartition("e")[2])) > MAX_DIGITS:
                 raise ParseError(f"exponent beyond {MAX_DIGITS} in {value!r}")
-            q = Fraction(text)
+            else:
+                q = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
         # with no exponent, neither part of q has more digits than the text
@@ -80,3 +88,38 @@ def rat_dec(q: Fraction) -> str:
     places, rem = divmod(rem * 10**DEC_PLACES, d)
     digits = f"{places:0{DEC_PLACES}d}"
     return f"{sign}{whole}." + (digits if rem else digits.rstrip("0"))
+
+
+def json_text(value) -> str:
+    """json.dumps(value, indent=2), byte for byte, for an acyclic value
+    whose dicts have str keys.
+
+    With an indent the stdlib writes JSON through its pure-Python encoder;
+    this joins dicts, lists and tuples directly, quotes strings with json's
+    C escaper and writes exact ints with int.__repr__.  Every other scalar
+    goes to json.dumps, which also raises on what JSON cannot hold.
+    """
+    return _json_text(value, "\n")
+
+
+def _json_text(value, pad):
+    # pad is a newline and the current indent; a container's items sit one level deeper
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner)
+                 for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return dumps(value)

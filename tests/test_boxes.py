@@ -114,6 +114,18 @@ def test_a_key_that_is_not_four_ints_is_structural(shape, entries):
         ab.make_box(*shape, entries)
 
 
+@pytest.mark.parametrize("shape, entries, error", [
+    ((0, 2, 2, 2), {(9, 9, 9, 9): "x"}, ab.ShapeError),
+    ((2, 2, 2, 2), {(9, 9, 9, 9): 1, (0, 0, 0, 0): "x"}, ab.StructuralError),
+    ((2, 2, 2, 2), {(0, 0, 0, 0): "x", (9, 9, 9, 9): 1}, ab.ParseError),
+    ((2, 2, 2, 2), {(0, 0, 0, 0): 1, (9, 9, 9, 9): 1}, ab.StructuralError),
+], ids=["shape-first", "key-before-value", "value-before-key", "key-before-missing"])
+def test_make_box_reports_the_first_fault(shape, entries, error):
+    # the shape, then each entry in turn, key before value, then the gaps
+    with pytest.raises(error):
+        ab.make_box(*shape, entries)
+
+
 def test_missing_entries_are_counted_without_listing_them():
     tracemalloc.start()
     try:
@@ -655,16 +667,31 @@ ENTRY_POOL = ["0", "1/2", "0.25", "1e-1", " 1/3 ", "1/0", "x", 0, 1, 2, -1, 0.5,
 
 @st.composite
 def box_documents(draw):
-    """Documents whose entries come from a few pool values, so they repeat."""
-    nA, nB, nX, nY = (draw(st.integers(1, 3)) for _ in range(4))
+    """Documents whose entries come from a few pool values, so they repeat.
+
+    Some have a zero cardinality, and some an input pair outside the shape
+    ahead of every other row, with a bad entry text in the last row: each
+    fault is found in a different place, and the error that wins must be
+    the reference's.
+    """
+    shape = [draw(st.integers(1, 3)) for _ in range(4)]
+    zero = draw(st.sampled_from([None, None, None, 0, 1, 2, 3]))
+    if zero is not None:
+        shape[zero] = 0
+    nA, nB, nX, nY = shape
     entry = st.sampled_from(draw(st.lists(st.sampled_from(ENTRY_POOL), min_size=1, max_size=4,
                                           unique_by=lambda v: (type(v), v))))
     pairs = [(x, y) for x in range(nX) for y in range(nY)]
     kept = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=len(pairs) - 1,
-                         max_size=len(pairs)))
+                         max_size=len(pairs))) if pairs else []
+    if draw(st.booleans()):
+        kept.insert(0, draw(st.sampled_from([(nX, 0), (0, nY), (nX + 1, nY)])))
     rows = {
         f"{x},{y}": [[draw(entry) for _ in range(nB)] for _ in range(nA)] for x, y in kept
     }
+    if kept and nA and nB and draw(st.booleans()):
+        x, y = kept[-1]
+        rows[f"{x},{y}"][-1][-1] = draw(st.sampled_from(["x", "1/0", "1/2/3"]))
     return json.dumps({"nA": nA, "nB": nB, "nX": nX, "nY": nY, "p": rows})
 
 
@@ -679,6 +706,27 @@ def outcome(read, text):
 @given(box_documents())
 def test_box_from_json_matches_the_reference(text):
     assert outcome(ab.box_from_json, text) == outcome(reference_box_from_json, text)
+
+
+@pytest.mark.parametrize("field", ["nA", "nB", "nX", "nY"])
+@pytest.mark.parametrize("value", [True, False, "2", "\u0662", 2.0, None, [2], {"n": 2}],
+                         ids=["true", "false", "str", "arabic-indic-str", "float", "null", "list",
+                              "object"])
+def test_a_cardinality_that_is_not_a_json_integer_is_a_parse_error(field, value):
+    # int() read true as 1, false as 0, and "2" or "\u0662" as 2
+    text = json.dumps(with_field(ab.box_doc(ab.pr_box()), (field,), value))
+    with pytest.raises(ab.ParseError) as err:
+        ab.box_from_json(text)
+    assert str(err.value) == f"box document field {field} is not an integer"
+
+
+def test_the_first_faulty_cardinality_is_reported():
+    doc = ab.box_doc(ab.pr_box())
+    del doc["nB"]
+    with pytest.raises(ab.ParseError, match="^box document missing field: 'nB'$"):
+        ab.box_from_json(json.dumps(with_field(doc, ("nX",), True)))
+    with pytest.raises(ab.ParseError, match="^box document field nA is not an integer$"):
+        ab.box_from_json(json.dumps(with_field(doc, ("nA",), "2")))
 
 
 # any JSON value: what a malformed document may put in a field
@@ -739,6 +787,48 @@ def test_literals_up_to_the_limits_parse():
     assert ab.rat("1/" + "3" * 4000) == F(1, int("3" * 4000))
 
 
+def reference_rat(value):
+    """rat on a string as it was before it read "n" and "n/d" with int():
+    every text through Fraction."""
+    digits = ab.rationals.MAX_DIGITS
+    text = value.strip()
+    scientific = "e" in text or "E" in text
+    try:
+        if scientific and abs(int(text.replace("E", "e").rpartition("e")[2])) > digits:
+            raise ab.ParseError(f"exponent beyond {digits} in {value!r}")
+        q = F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ab.ParseError(f"not a rational: {value!r}") from exc
+    may_be_long = scientific or len(text) > digits
+    if may_be_long and max(abs(q.numerator), q.denominator) >= 10**digits:
+        raise ab.ParseError(f"rational with more than {digits} digits: {value:.40}")
+    return q
+
+
+def rat_outcome(read, text):
+    try:
+        q = read(text)
+    except ab.AgreeboxError as exc:
+        return type(exc), str(exc)
+    return type(q), q.numerator, q.denominator
+
+
+# texts near the "n" and "n/d" forms: signs, spaces, other digits, exponents,
+# zero denominators, and runs past the 4,000-digit and int() limits
+rat_texts = (
+    st.text(st.sampled_from("0123456789/ +-._eE\u0662\uff11"), max_size=12)
+    | st.builds("{}/{}".format, st.integers(0, 10**30), st.integers(0, 10**30))
+    | st.sampled_from(["1/" + "3" * 4000, "1/" + "3" * 4001, "3" * 4001 + "/3" + "0" * 4000,
+                       "1" * 4400, "1/" + "1" * 4400, "007/014", " 1/2 ", "1/0", "0/0"])
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rat_texts)
+def test_rat_reads_texts_as_fraction_does(text):
+    assert rat_outcome(ab.rat, text) == rat_outcome(reference_rat, text)
+
+
 def reference_rat_dec(q):
     """rat_dec as it was before it took its places in one divmod: one digit
     per step, stopping at a zero remainder."""
@@ -772,6 +862,40 @@ def test_rat_str_and_rat_dec_match_the_reference(q):
     assert ab.rat_dec(q) == reference_rat_dec(q)
     assert ab.rat_str(q) == (f"{q.numerator}" if q.denominator == 1
                              else f"{q.numerator}/{q.denominator}")
+
+
+# JSON values with what the writer treats apart: non-ASCII and control
+# characters and lone surrogates in strings and str keys, tuples, empty
+# containers, bools, None, large ints, and floats such as -0.0, 1e308 and NaN
+json_strings = st.text() | st.sampled_from(
+    ["", "\x00\x1f\x7f\"\\/", "\u00e9\u2028", "\ud800", "\U0001f600"])
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60) | st.floats()
+    | st.sampled_from([-0.0, 1e308, -1e308, float("nan"), float("inf"), float("-inf"), 5e-324])
+    | json_strings
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_trees)
+def test_the_json_writer_is_json_dumps_with_indent_2(value):
+    assert ab.rationals.json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [F(1, 2), [1, {"a": object()}], ("x", [None, {1, 2}])],
+                         ids=["fraction", "nested-object", "nested-set"])
+def test_the_json_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        ab.rationals.json_text(value)
+    assert str(got.value) == str(want.value)
 
 
 def test_rat_dec_cuts_after_twelve_places():

@@ -676,3 +676,103 @@ def test_verify_classical_clamped_exits_budget(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-classical", "--params", "omega=3,denom=3")
     assert code == 4
     assert json.loads(out)["complete"] is False
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer and the subcommand dispatch
+
+def test_every_json_output_is_json_dumps_with_indent_2(tmp_path, capsys):
+    from dataclasses import asdict
+
+    from agreebox.classical import model_doc
+    from agreebox.classify import verdict_doc
+    from agreebox.epistemic import report_doc
+
+    def dumped(doc):
+        return json.dumps(doc, indent=2) + "\n"
+
+    box = ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), 0)
+    assert run(capsys, "generate", "--family", "ccd", "--params", "r=1/2,s=1/4,t=1/2,u=0") == (
+        0, dumped(ab.box_doc(box)), "")
+    path = tmp_path / "ccd.json"
+    path.write_text(ab.box_to_json(box))
+    assert run(capsys, "classify", "--input", str(path)) == (
+        0, dumped(verdict_doc(ab.classify(box))), "")
+    assert run(capsys, "ontology", "--input", str(path)) == (
+        0, dumped(model_doc(ab.box_to_model(box))), "")
+
+    split = ab.split_output(box)
+    path.write_text(ab.box_to_json(split))
+    reduced, plan = ab.reduce_box(split, "auto")
+    assert run(capsys, "reduce", "--input", str(path)) == (
+        0, dumped({"box": ab.box_doc(reduced), "plan": ab.plan_doc(plan)}), "")
+
+    path.write_text(ab.box_to_json(ab.uniform_box()))
+    with pytest.raises(ab.ReductionRefused) as refused:
+        ab.reduce_box(ab.uniform_box(), "auto")
+    assert run(capsys, "reduce", "--input", str(path)) == (
+        3, "", f"error: {refused.value}\n" + dumped(report_doc(refused.value.report)))
+
+    assert run(capsys, "verify-classical", "--params", "omega=3,denom=2") == (
+        0, dumped(asdict(ab.verify_agreement_theorem(3, 2))), "")
+
+
+@pytest.mark.parametrize("command", ["classify", "reduce", "ontology"])
+@pytest.mark.parametrize("value", [True, "2"], ids=["true", "str"])
+def test_a_cardinality_that_is_not_a_json_integer_exits_2(tmp_path, capsys, command, value):
+    doc = ab.box_doc(ab.pr_box())
+    doc["nA"] = value
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, command, "--input", str(path)) == (
+        2, "", "error: box document field nA is not an integer\n")
+
+
+def dispatch_argvs(box):
+    """For each subcommand: a valid call, a required option missing, a bad
+    choice or value, an unknown option, an extra positional, and -h."""
+    return [
+        ["classify", "--input", box], ["classify"], ["classify", "--input"],
+        ["classify", "--input", box, "--zz"], ["classify", "--input", box, "extra"],
+        ["classify", "-h"], ["classify", "--input", box, "--relabel-search"],
+        ["generate", "--family", "pr"], ["generate"], ["generate", "--family", "zz"],
+        ["generate", "--family", "pr", "--zz", "1"], ["generate", "--family", "pr", "extra"],
+        ["generate", "--help"], ["generate", "--family=ccd", "--params", "r=1/2,s=1/4,t=1/2,u=0"],
+        ["sweep", "--family", "pr"], ["sweep"], ["sweep", "--family", "zz"],
+        ["sweep", "--family", "ccd", "--sample", "x"], ["sweep", "--family", "pr", "--zz"],
+        ["sweep", "--family", "pr", "extra"], ["sweep", "-h"],
+        ["reduce", "--input", box], ["reduce", "--mode", "sd"],
+        ["reduce", "--input", box, "--mode", "zz"],
+        ["reduce", "--input", box, "--zz"], ["reduce", "--input", box, "extra", "more"],
+        ["reduce", "-h"], ["reduce", "--input", box, "--version"],
+        ["ontology", "--input", box], ["ontology"], ["ontology", "--input", box, "--mode", "ccd"],
+        ["ontology", "--input", box, "--zz"], ["ontology", "--input", box, "extra"],
+        ["ontology", "-h"],
+        ["verify-classical", "--params", "omega=2,denom=2"], ["verify-classical", "--params"],
+        ["verify-classical", "--zz"], ["verify-classical", "extra"], ["verify-classical", "-h"],
+        [], ["-h"], ["--version"], ["zz"], ["--zz", "reduce"], ["-h", "reduce"],
+    ]
+
+
+def test_subcommand_dispatch_matches_the_top_level_parse(tmp_path, capsys, monkeypatch):
+    # main parses "<command> ..." with the subcommand's parser; with no
+    # subcommand parsers recorded it goes through _PARSER.parse_args alone
+    box = tmp_path / "split.json"
+    box.write_text(ab.box_to_json(ab.split_output(ab.pr_box())))
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    argvs = dispatch_argvs(str(box))
+    direct = [outcome(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    through_parser = [outcome(argv) for argv in argvs]
+    for argv, got, want in zip(argvs, direct, through_parser):
+        assert got == want, argv
+    # every case ran: valid calls, usage errors, help texts
+    assert {code for code, _, _ in direct} >= {0, ("exit", 0), ("exit", 2)}
