@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 from .errors import ParseError, ShapeError, StructuralError
 from .rationals import _TOO_LONG, MAX_DIGITS, json_text, over_common_den, rat, rat_str
@@ -170,8 +171,7 @@ def box_from_rows(rows) -> Box:
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     ok: bool
     structural: tuple  # missing pieces; nonempty means not even checkable
     violations: tuple  # named constraint violations with indices
@@ -323,8 +323,7 @@ def correlators(box: Box) -> dict:
 # ---------------------------------------------------------------------------
 # relabeling
 
-@dataclass(frozen=True)
-class RelabelFrame:
+class RelabelFrame(NamedTuple):
     """A joint relabeling of inputs and (per-input) outputs.
 
     sigma_x, sigma_y permute inputs; pi_a[x] permutes Alice's outputs at

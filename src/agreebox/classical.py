@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations, product
 from math import factorial, gcd
+from typing import NamedTuple
 
 from .errors import ParseError, PreconditionError, StructuralError
 from .rationals import json_text, rat, rat_str
@@ -74,8 +75,7 @@ def make_model(measure, partsA, partsB) -> OntologicalModel:
     return OntologicalModel(n, measure, norm_a, norm_b, signed)
 
 
-@dataclass(frozen=True)
-class EventPair:
+class EventPair(NamedTuple):
     EA: frozenset
     EB: frozenset
 
@@ -112,8 +112,7 @@ def _check_tower_preconditions(model: OntologicalModel):
                 )
 
 
-@dataclass(frozen=True)
-class TowerResult:
+class TowerResult(NamedTuple):
     """Levels (A_0, B_0) .. (A_{N+1}, B_{N+1}) as frozenset pairs."""
 
     levels: tuple

@@ -24,9 +24,9 @@ does not claim quantum realizability.  It takes any finite shape and
 reduces a larger box to 2x2x2x2 first (see reduction).
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .boxes import (
     Box,
@@ -48,15 +48,13 @@ class Conclusion(Enum):
     NO_OBSTRUCTION_FOUND = "NO_OBSTRUCTION_FOUND"
 
 
-@dataclass(frozen=True)
-class TableForm:
+class TableForm(NamedTuple):
     kind: str  # "ccd" or "sd"
     params: tuple  # (r, s, t, u)
     constraints_ok: bool
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(NamedTuple):
     local: bool  # None when the shape exceeds bridge.MAX_STATES
     ccd_form: TableForm
     sd_form: TableForm

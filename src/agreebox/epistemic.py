@@ -24,8 +24,8 @@ to alpha_N and beta_N.  Singular disagreement (SD) is the extremal,
 tower-free variant: qA = 1 and qB = 0 outright.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .boxes import Box, conditional, is_perfectly_correlated
 from .errors import ShapeError
@@ -34,8 +34,7 @@ from .rationals import json_text, rat_str
 NULL_CONDITIONING = "null conditioning event"
 
 
-@dataclass(frozen=True)
-class CertaintyHierarchy:
+class CertaintyHierarchy(NamedTuple):
     """Levels alpha_0 .. alpha_{N+1} (and beta likewise) as sorted tuples."""
 
     alphas: tuple
@@ -53,8 +52,7 @@ class CertaintyHierarchy:
         return self.betas[self.N]
 
 
-@dataclass(frozen=True)
-class DisagreementReport:
+class DisagreementReport(NamedTuple):
     hierarchy: CertaintyHierarchy
     ccd: bool
     sd: bool

@@ -2,7 +2,8 @@
 
 Everything in the core is a fractions.Fraction.  Decimal input strings are
 converted exactly ("0.5" becomes 1/2), so a box loaded from JSON written by
-a float-producing pipeline still analyses exactly.
+a float-producing pipeline still analyses exactly.  A string with an
+underscore ("1_0") is refused, whatever the Python version.
 """
 
 from fractions import Fraction
@@ -42,6 +43,10 @@ def rat(value) -> Fraction:
                 # "n" or "n/d" in ASCII digits, as rat_str writes it: the value
                 # Fraction(text) parses, without its regular expression
                 q = Fraction(int(num), int(den) if slash else 1)
+            elif "_" in text:
+                # Fraction and int read "1_0" as 10 (Fraction only from
+                # Python 3.11 on): refused on every version
+                raise ParseError(f"not a rational: {value!r}")
             elif scientific and abs(int(text.replace("E", "e").rpartition("e")[2])) > MAX_DIGITS:
                 raise ParseError(f"exponent beyond {MAX_DIGITS} in {value!r}")
             else:

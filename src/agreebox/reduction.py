@@ -16,9 +16,9 @@ classify.classify() routes every box that is not 2x2x2x2 through this
 reduction and classifies the effective box with the 2x2 machinery.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .boxes import Box, make_box
 from .epistemic import detect_ccd
@@ -28,8 +28,7 @@ from .rationals import rat
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ReductionPlan:
+class ReductionPlan(NamedTuple):
     kept_inputs: tuple  # ((alice inputs), (bob inputs)), always ((0,1),(0,1))
     alpha_group: tuple
     beta_group: tuple

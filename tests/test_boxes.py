@@ -787,11 +787,20 @@ def test_literals_up_to_the_limits_parse():
     assert ab.rat("1/" + "3" * 4000) == F(1, int("3" * 4000))
 
 
+# Fraction reads digit groups from Python 3.11 on and refuses them before
+@pytest.mark.parametrize("text", ["1_0", "1_000/2", "0.2_5", "1e1_0"])
+def test_underscores_are_refused_on_every_version(text):
+    with pytest.raises(ab.ParseError, match="not a rational"):
+        ab.rat(text)
+
+
 def reference_rat(value):
     """rat on a string as it was before it read "n" and "n/d" with int():
-    every text through Fraction."""
+    every text through Fraction, but with no underscore on any version."""
     digits = ab.rationals.MAX_DIGITS
     text = value.strip()
+    if "_" in text:
+        raise ab.ParseError(f"not a rational: {value!r}")
     scientific = "e" in text or "E" in text
     try:
         if scientific and abs(int(text.replace("E", "e").rpartition("e")[2])) > digits:

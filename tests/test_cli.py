@@ -7,11 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import agreebox as ab
 from agreebox import cli
@@ -170,6 +173,23 @@ def test_non_finite_box_entries_exit_2(tmp_path, command, entry):
     assert "not a rational" in done.stderr and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("entry", ["1_0", "1_000/2", "0.2_5", "1e1_0"])
+def test_underscores_in_box_entries_exit_2(tmp_path, capsys, entry):
+    code, out, err = run(capsys, "classify", "--input", box_file_with_entry(tmp_path, entry))
+    assert (code, out) == (2, "")
+    assert f"not a rational: {entry!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--family", "ccd", "--params", "r=1_0/20,s=0,t=0,u=0"),
+    ("sweep", "--family", "ccd", "--grid", "r=0:1:1/1_0,s=0,t=0,u=0"),
+], ids=["params", "grid"])
+def test_underscores_in_parameters_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "not a rational" in err and "Traceback" not in err
+
+
 def test_boolean_box_entries_exit_2(tmp_path):
     # true is no probability, though Python's bool is an int
     doc = ab.box_doc(ab.pr_box())
@@ -228,7 +248,8 @@ def test_sweep_grid_csv(tmp_path, capsys):
         "--output", str(out_path),
     )
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
+    with out_path.open() as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 3
     by_s = {row["s"]: row for row in rows}
     assert by_s["0"]["ccd"] == "false"  # conditionals agree at s = u
@@ -754,25 +775,86 @@ def dispatch_argvs(box):
     ]
 
 
+def dispatch_outcome(capsys, argv):
+    """main's exit code, or argparse's SystemExit, with stdout and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_subcommand_dispatch_matches_the_top_level_parse(tmp_path, capsys, monkeypatch):
     # main parses "<command> ..." with the subcommand's parser; with no
     # subcommand parsers recorded it goes through _PARSER.parse_args alone
     box = tmp_path / "split.json"
     box.write_text(ab.box_to_json(ab.split_output(ab.pr_box())))
-
-    def outcome(argv):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = ("exit", exc.code)
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
     argvs = dispatch_argvs(str(box))
-    direct = [outcome(argv) for argv in argvs]
+    direct = [dispatch_outcome(capsys, argv) for argv in argvs]
     monkeypatch.setattr(cli, "_COMMANDS", {})
-    through_parser = [outcome(argv) for argv in argvs]
+    through_parser = [dispatch_outcome(capsys, argv) for argv in argvs]
     for argv, got, want in zip(argvs, direct, through_parser):
         assert got == want, argv
     # every case ran: valid calls, usage errors, help texts
     assert {code for code, _, _ in direct} >= {0, ("exit", 0), ("exit", 2)}
+
+
+# each option, with unique and ambiguous prefixes, and the values it is given
+DISPATCH_OPTIONS = {
+    "--input": ["box.json", "missing.json"], "--in": ["box.json"],
+    "--output": ["out.json"], "--out": ["out.json"], "--o": ["out.json"],
+    "--relabel-search": [], "--rel": [],
+    "--family": ["ccd", "sd", "pr", "uniform", "zz"], "--fam": ["pr"], "--f": ["uniform"],
+    "--params": ["r=1/2,s=1/4,t=1/2,u=0", "r=1/2", "omega=2,denom=2", "omega=0", ""],
+    "--par": ["omega=2,denom=1"], "--p": ["r=1/2"],
+    "--grid": ["r=0:1:1/2,s=0,t=1/2,u=0", "r=1/2", ""], "--gr": ["r=0,s=0,t=0,u=0"],
+    "--sample": ["0", "1", "-1", "x"], "--sa": ["2"], "--seed": ["0", "3", "x"], "--se": ["1"],
+    "--s": ["1"], "--mode": ["auto", "ccd", "sd", "zz"], "--mo": ["sd"],
+    "--zz": ["1"], "--vers": [], "--he": [],
+}
+dispatch_commands = sorted(cli._COMMANDS) + ["zz"]
+
+
+def option_tokens(option):
+    """The option alone if it takes no value, else "--option value" or "--option=value"."""
+    values = DISPATCH_OPTIONS[option]
+    if not values:
+        return st.just([option])
+    return st.sampled_from(values).flatmap(
+        lambda value: st.sampled_from([[option, value], [f"{option}={value}"]]))
+
+
+# an argv is an optional subcommand, then options with their values, bare
+# flags, "--", and stray names and values
+dispatch_items = (
+    st.sampled_from(list(DISPATCH_OPTIONS)).flatmap(option_tokens)
+    | st.sampled_from([*DISPATCH_OPTIONS, "--", "-h", "--help", "--version"]).map(lambda t: [t])
+    | st.sampled_from([*dispatch_commands, "box.json", "extra", "1"]).map(lambda t: [t])
+)
+dispatch_argv = st.builds(
+    lambda head, items: head + [token for item in items for token in item],
+    st.sampled_from([[]] + [[command] for command in dispatch_commands]),
+    st.lists(dispatch_items, max_size=5),
+)
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=dispatch_argv)
+def test_random_argvs_dispatch_as_the_top_level_parse(tmp_path, capsys, monkeypatch, argv):
+    # each parse runs in a fresh directory that holds box.json, so that what
+    # one run writes with --output cannot reach the other
+    box_text = ab.box_to_json(ab.split_output(ab.pr_box()))
+
+    def outcome():
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        (work / "box.json").write_text(box_text)
+        with monkeypatch.context() as m:
+            m.chdir(work)
+            return dispatch_outcome(capsys, argv)
+
+    direct = outcome()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_COMMANDS", {})
+        assert outcome() == direct
