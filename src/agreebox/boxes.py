@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 from typing import NamedTuple
 
@@ -337,12 +337,8 @@ class RelabelFrame(NamedTuple):
     pi_b: tuple
 
     def is_identity(self) -> bool:
-        return (
-            list(self.sigma_x) == sorted(self.sigma_x)
-            and all(list(p) == sorted(p) for p in self.pi_a)
-            and list(self.sigma_y) == sorted(self.sigma_y)
-            and all(list(p) == sorted(p) for p in self.pi_b)
-        )
+        perms = (self.sigma_x, self.sigma_y, *self.pi_a, *self.pi_b)
+        return all(list(p) == sorted(p) for p in perms)
 
 
 def relabel(box: Box, frame: RelabelFrame) -> Box:
@@ -358,17 +354,13 @@ def all_frames(box: Box):
     For the 2x2x2x2 shape this yields 2*2*4*4 = 64 frames (per-input output
     permutations are chosen independently for each input).
     """
-    from itertools import permutations
-
-    xs = sorted(permutations(range(box.nX)))
-    ys = sorted(permutations(range(box.nY)))
-    pas = sorted(product(*(permutations(range(box.nA)) for _ in range(box.nX))))
-    pbs = sorted(product(*(permutations(range(box.nB)) for _ in range(box.nY))))
-    for sx in xs:
-        for sy in ys:
-            for pa in pas:
-                for pb in pbs:
-                    yield RelabelFrame(sx, sy, pa, pb)
+    for f in product(
+        permutations(range(box.nX)),
+        permutations(range(box.nY)),
+        product(permutations(range(box.nA)), repeat=box.nX),
+        product(permutations(range(box.nB)), repeat=box.nY),
+    ):
+        yield RelabelFrame(*f)
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,23 @@ def model_to_json(model: OntologicalModel) -> str:
     return json_text(model_doc(model))
 
 
+def _parts_from_doc(side, parts) -> dict:
+    """A model document's partsA or partsB as {input: [cell, ...]}."""
+    out, names = {}, {}  # input -> its cells, input -> the key that named it
+    for key, cells in parts.items():
+        # ASCII digits: int() reads "+0" and " 0 " as 0 too; "00" names 0
+        if not (key.isascii() and key.isdigit()):
+            raise ParseError(f"bad parts{side} input key {key!r}")
+        x = int(key)
+        if x in names:
+            raise StructuralError(f"parts{side} keys {names[x]!r} and {key!r} both name input {x}")
+        # JSON integers: true == 1 would name state 1 and be written back as true
+        if any(type(w) is not int for c in cells for w in c):
+            raise ParseError(f"parts{side}[{key}] has a state that is not an integer")
+        names[x], out[x] = key, [frozenset(c) for c in cells]
+    return out
+
+
 def model_from_json(text: str) -> OntologicalModel:
     try:
         doc = json.loads(text, parse_float=str)
@@ -461,13 +478,13 @@ def model_from_json(text: str) -> OntologicalModel:
         raise ParseError(f"bad JSON: {exc}") from exc
     try:
         measure = [rat(m) for m in doc["P"]]
-        partsA, partsB = (
-            {int(x): [frozenset(c) for c in cells] for x, cells in doc[side].items()}
-            for side in ("partsA", "partsB")
-        )
-        omega = int(doc.get("omega", len(measure)))
+        partsA, partsB = (_parts_from_doc(side, doc[f"parts{side}"]) for side in "AB")
+        omega = doc.get("omega", len(measure))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad model document: {exc}") from exc
+    # a JSON integer only: int() would read true as 1 and "2" as 2
+    if type(omega) is not int:
+        raise ParseError("model document field omega is not an integer")
     model = make_model(measure, partsA, partsB)
     if len(measure) != omega:
         raise StructuralError("omega does not match the measure length")

@@ -26,6 +26,7 @@ reduces a larger box to 2x2x2x2 first (see reduction).
 
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from .boxes import (
@@ -69,6 +70,15 @@ def _require_2222(box: Box):
         raise ShapeError("operation defined for the 2x2x2x2 shape only")
 
 
+def _match_form(box: Box, kind: str, maker, keys):
+    """The kind's form if maker rebuilds box from r, s, t, u at keys, else None."""
+    _require_2222(box)
+    r, s, t, u = (box.p(*key) for key in keys)
+    if maker(r, s, t, u) != box:
+        return None
+    return TableForm(kind, (r, s, t, u), not caption_violations(kind, r, s, t, u))
+
+
 def match_ccd_form(box: Box):
     """Match against the CCD form; None unless all 16 entries agree.
 
@@ -76,29 +86,15 @@ def match_ccd_form(box: Box):
     rebuilds the form; constraints_ok additionally requires the caption
     constraints, among them r > 0 and s - u != r - t.
     """
-    _require_2222(box)
-    r = box.p(0, 0, 0, 0)
-    s = box.p(0, 1, 0, 1)
-    t = box.p(0, 0, 1, 1)
-    u = box.p(0, 1, 1, 0)
-    if ccd_table_box(r, s, t, u) != box:
-        return None
-    ok = not caption_violations("ccd", r, s, t, u)
-    return TableForm("ccd", (r, s, t, u), ok)
+    return _match_form(box, "ccd", ccd_table_box,
+                       ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0)))
 
 
 def match_sd_form(box: Box):
     """Match against the SD form: s = p(00|00), t = p(01|00),
     u = p(11|00), r = p(00|11)."""
-    _require_2222(box)
-    s = box.p(0, 0, 0, 0)
-    t = box.p(0, 1, 0, 0)
-    u = box.p(1, 1, 0, 0)
-    r = box.p(0, 0, 1, 1)
-    if sd_table_box(r, s, t, u) != box:
-        return None
-    ok = not caption_violations("sd", r, s, t, u)
-    return TableForm("sd", (r, s, t, u), ok)
+    return _match_form(box, "sd", sd_table_box,
+                       ((0, 0, 1, 1), (0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)))
 
 
 def tsirelson_obstruction(box: Box):
@@ -154,19 +150,18 @@ def classify(box: Box, relabel_search: bool = False) -> ClassificationVerdict:
             return ClassificationVerdict(
                 local, None, None, None, False, Conclusion.NO_OBSTRUCTION_FOUND
             )
-    working = box
-    frame = None
-    if relabel_search:
-        for fr in all_frames(box):
+    working, frame = box, None
+    ccd_form, sd_form = match_ccd_form(box), match_sd_form(box)
+    if relabel_search and not (ccd_form or sd_form):
+        # past the identity, matched above; with no match both forms end None
+        for fr in islice(all_frames(box), 1, None):
             candidate = relabel(box, fr)
-            if match_ccd_form(candidate) or match_sd_form(candidate):
-                working = candidate
-                frame = None if fr.is_identity() else fr
+            ccd_form, sd_form = match_ccd_form(candidate), match_sd_form(candidate)
+            if ccd_form or sd_form:
+                working, frame = candidate, fr
                 break
 
     verdict: LocalityVerdict = is_local(working)
-    ccd_form = match_ccd_form(working)
-    sd_form = match_sd_form(working)
     gap = tsirelson_obstruction(working)
     hardy = hardy_pattern(working)
 

@@ -14,7 +14,7 @@ can be studied too.
 from fractions import Fraction
 from itertools import product
 
-from .boxes import Box, make_box
+from .boxes import Box, make_box, row_labels
 from .rationals import over_common_den, rat
 
 ZERO = Fraction(0)
@@ -46,12 +46,7 @@ def uniform_box(nA: int = 2, nB: int = 2, nX: int = 2, nY: int = 2) -> Box:
 
 # the keys (a, b, x, y) of a 2222 box in box_from_rows' order: one line per
 # input pair (x, y), outputs (a, b) within it
-_KEYS_2222 = (
-    (0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0),
-    (0, 0, 0, 1), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1),
-    (0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 1, 0),
-    (0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1),
-)
+_KEYS_2222 = row_labels(2, 2, 2, 2)
 
 
 def _box_2222(D, nums) -> Box:

@@ -4,7 +4,7 @@ import json
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -553,6 +553,38 @@ def test_frame_count_and_identity_first():
     frames = list(ab.all_frames(ab.pr_box()))
     assert len(frames) == 64
     assert len(set(frames)) == 64
+    assert frames[0].is_identity()
+
+
+def nested_loop_frames(nA, nB, nX, nY):
+    """Every frame as (sigma_x, sigma_y, pi_a, pi_b), one loop per input's
+    output permutation, the last input's innermost."""
+    def per_input(n_out, n_in):
+        if n_in == 0:
+            yield ()
+            return
+        for first in permutations(range(n_out)):
+            for rest in per_input(n_out, n_in - 1):
+                yield (first,) + rest
+
+    frames = []
+    for sx in permutations(range(nX)):
+        for sy in permutations(range(nY)):
+            for pa in per_input(nA, nX):
+                for pb in per_input(nB, nY):
+                    frames.append(ab.RelabelFrame(sx, sy, pa, pb))
+    return frames
+
+
+@pytest.mark.parametrize("shape, count", [((2, 2, 2, 2), 64), ((3, 2, 2, 2), 576),
+                                          ((2, 2, 3, 3), 2304), ((2, 2, 3, 2), 384)],
+                         ids=["2222", "3222", "2233", "2232"])
+def test_all_frames_come_in_nested_loop_order(shape, count):
+    frames = list(ab.all_frames(ab.uniform_box(*shape)))
+    assert frames == nested_loop_frames(*shape)
+    assert len(frames) == count
+    # lexicographic, so the identity comes first
+    assert frames == sorted(frames)
     assert frames[0].is_identity()
 
 

@@ -449,14 +449,40 @@ def test_any_json_value_in_a_model_field_gives_a_model_or_an_agreebox_error(path
         pass
 
 
-@pytest.mark.parametrize("field, value", [("partsA", []), ("partsA", {"0": [5, [1]]}),
-                                          ("omega", "x"), ("partsB", {"0": [[[0]], [1]]})],
-                         ids=["parts-list", "cell-number", "omega-text", "nested-cell"])
+# int() would read "2" as 2 and an input key "+0" or " 0 " as 0; true == 1
+# would name state 1 and be written back as true
+@pytest.mark.parametrize("field, value", [
+    ("partsA", []), ("partsA", {"0": [5, [1]]}), ("omega", "x"), ("partsB", {"0": [[[0]], [1]]}),
+    ("omega", "2"), ("partsA", {"0": [[0], [True]]}),
+    ("partsB", {"+0": [[0], [1]]}), ("partsB", {" 0 ": [[0], [1]]}), ("partsB", {"٠": [[0], [1]]}),
+], ids=["parts-list", "cell-number", "omega-text", "nested-cell",
+        "omega-digit-text", "cell-bool", "key-plus", "key-spaces", "key-arabic-indic-digit"])
 def test_malformed_model_documents_are_parse_errors(field, value):
     doc = json.loads(ab.model_to_json(two_state_model()))
     doc[field] = value
     with pytest.raises(ab.ParseError):
         ab.model_from_json(json.dumps(doc))
+
+
+def test_a_bool_omega_is_a_parse_error():
+    # int() would read true as 1, the count of this model's one state
+    doc = json.loads(ab.model_to_json(ab.make_model([1], {0: [{0}]}, {0: [{0}]})))
+    doc["omega"] = True
+    with pytest.raises(ab.ParseError):
+        ab.model_from_json(json.dumps(doc))
+
+
+def test_two_input_keys_naming_one_input_are_a_structural_error():
+    doc = json.loads(ab.model_to_json(two_state_model()))
+    doc["partsA"]["00"] = [[0, 1], []]
+    with pytest.raises(ab.StructuralError, match="'0' and '00'"):
+        ab.model_from_json(json.dumps(doc))
+
+
+def test_an_input_key_with_leading_zeros_names_its_input():
+    doc = json.loads(ab.model_to_json(two_state_model()))
+    doc["partsA"] = {"01": doc["partsA"]["0"]}
+    assert ab.model_from_json(json.dumps(doc)).partsA == {1: (frozenset({0}), frozenset({1}))}
 
 
 def test_model_json_shape():
