@@ -25,7 +25,6 @@ a different frame can be moved into this one with relabel().
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +33,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import ParseError, ShapeError, StructuralError
-from .rationals import _TOO_LONG, MAX_DIGITS, json_text, over_common_den, rat, rat_str
+from .rationals import _TOO_LONG, MAX_DIGITS, json_doc, json_text, over_common_den, rat, rat_str
 
 
 @dataclass(frozen=True, repr=False)
@@ -342,10 +341,14 @@ class RelabelFrame(NamedTuple):
 
 
 def relabel(box: Box, frame: RelabelFrame) -> Box:
-    num = {}
-    for (a, b, x, y), v in box.num.items():
-        num[(frame.pi_a[x][a], frame.pi_b[y][b], frame.sigma_x[x], frame.sigma_y[y])] = v
-    return Box(box.nA, box.nB, box.nX, box.nY, box.den, num)
+    return Box(box.nA, box.nB, box.nX, box.nY, box.den, _relabeled_num(box, frame))
+
+
+def _relabeled_num(box: Box, frame: RelabelFrame) -> dict:
+    """The num of relabel(box, frame), without building its Box."""
+    pi_a, pi_b, sigma_x, sigma_y = frame.pi_a, frame.pi_b, frame.sigma_x, frame.sigma_y
+    return {(pi_a[x][a], pi_b[y][b], sigma_x[x], sigma_y[y]): v
+            for (a, b, x, y), v in box.num.items()}
 
 
 def all_frames(box: Box):
@@ -384,10 +387,7 @@ def box_to_json(box: Box) -> str:
 
 
 def box_from_json(text: str) -> Box:
-    try:
-        doc = json.loads(text, parse_float=str)
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
+    doc = json_doc(text)
     shape = []
     try:
         for field in ("nA", "nB", "nX", "nY"):

@@ -14,7 +14,8 @@ is_local settles nonnegativity by exact LP and returns either the convex
 decomposition or a separating (Bell-type) functional as certificate.
 Both refuse a box with a row not summing to 1.  is_local prices its
 functional through the cores of bell_local_bound, a best response, and
-bell_value, on ints.
+bell_value, on ints; the price is kept per process, the value on each
+box is not.
 Its LPs on one shape share a tree of pivot paths (simplexq), so a box
 whose path an earlier box took is solved on the rhs column alone.
 """
@@ -141,6 +142,13 @@ class BellCertificate:
     box_value: Fraction
 
 
+# the most Bell functionals is_local keeps priced, each under (shape, L, Y)
+# (the 390 nonlocal valid k/8 boxes share two); past it, a new functional
+# is priced on every call and not kept
+MAX_PRICED = 256
+_PRICED = {}
+
+
 @dataclass(frozen=True)
 class LocalityVerdict:
     local: bool
@@ -166,17 +174,28 @@ def is_local(box: Box) -> LocalityVerdict:
         return LocalityVerdict(True, weights, None)
     # the functional v / d in lowest terms is Y / L; it is priced and
     # evaluated on ints, through the cores of bell_local_bound and
-    # bell_value: its keys are row_labels, so none is checked
+    # bell_value: its keys are row_labels, so none is checked.  Its price
+    # depends on the shape, L and Y alone, so it is kept; its value on this
+    # box is computed and checked every time
     g = gcd(d, *v)
     L = d // g
-    Y = [vi // g for vi in v]
-    best = _local_bound(zip(labels, Y), box.nA, box.nB, box.nX, box.nY)
-    value = _value_num(box, zip(labels, Y))
+    Y = tuple([vi // g for vi in v])
+    shape = (box.nA, box.nB, box.nX, box.nY)
+    priced = _PRICED.get((shape, L, Y))
+    if priced is None:
+        terms = tuple((key, yi) for key, yi in zip(labels, Y) if yi)
+        best = _local_bound(terms, *shape)
+        coeffs = {key: Fraction(yi, L) for key, yi in terms}
+        priced = (terms, best, coeffs, Fraction(best, L))
+        if len(_PRICED) < MAX_PRICED:
+            _PRICED[shape, L, Y] = priced
+    terms, best, coeffs, bound = priced
+    value = _value_num(box, terms)
     if value <= best * box.den:
         raise RuntimeError("Bell certificate does not separate the box")
-    coeffs = {key: Fraction(yi, L) for key, yi in zip(labels, Y) if yi}
+    # a copy, so that no caller shares the kept dict
     return LocalityVerdict(False, None, BellCertificate(
-        coeffs, Fraction(best, L), Fraction(value, box.den * L)))
+        dict(coeffs), bound, Fraction(value, box.den * L)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ property asserts that for perfectly correlated events this forces qA = qB;
 verify_agreement_theorem() checks that exhaustively over all small models.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations, product
@@ -27,7 +26,7 @@ from math import factorial, gcd
 from typing import NamedTuple
 
 from .errors import ParseError, PreconditionError, StructuralError
-from .rationals import json_text, rat, rat_str
+from .rationals import json_doc, json_text, rat, rat_str
 
 ZERO = Fraction(0)
 
@@ -472,20 +471,23 @@ def _parts_from_doc(side, parts) -> dict:
 
 
 def model_from_json(text: str) -> OntologicalModel:
-    try:
-        doc = json.loads(text, parse_float=str)
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
+    doc = json_doc(text)
     try:
         measure = [rat(m) for m in doc["P"]]
         partsA, partsB = (_parts_from_doc(side, doc[f"parts{side}"]) for side in "AB")
         omega = doc.get("omega", len(measure))
+        signed = doc.get("signed", False)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad model document: {exc}") from exc
     # a JSON integer only: int() would read true as 1 and "2" as 2
     if type(omega) is not int:
         raise ParseError("model document field omega is not an integer")
+    if type(signed) is not bool:
+        raise ParseError("model document field signed is not a boolean")
     model = make_model(measure, partsA, partsB)
     if len(measure) != omega:
         raise StructuralError("omega does not match the measure length")
+    # a missing field is taken to agree with the measure
+    if "signed" in doc and signed != model.signed:
+        raise StructuralError("signed does not match the sign of the measure")
     return model

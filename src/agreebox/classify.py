@@ -32,9 +32,9 @@ from typing import NamedTuple
 from .boxes import (
     Box,
     RelabelFrame,
+    _relabeled_num,
     all_frames,
     is_perfectly_correlated,
-    relabel,
 )
 from .bridge import LocalityVerdict, is_local
 from .errors import BudgetError, ReductionRefused, ShapeError
@@ -70,9 +70,17 @@ def _require_2222(box: Box):
         raise ShapeError("operation defined for the 2x2x2x2 shape only")
 
 
-def _match_form(box: Box, kind: str, maker, keys):
-    """The kind's form if maker rebuilds box from r, s, t, u at keys, else None."""
+# the entries each form fixes at zero, whatever its parameters
+_CCD_ZEROS = ((0, 1, 1, 1), (1, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0))
+_SD_ZEROS = ((0, 1, 1, 1), (1, 0, 1, 1), (0, 0, 0, 1), (1, 0, 1, 0))
+
+
+def _match_form(box: Box, kind: str, maker, keys, zeros):
+    """The kind's form if maker rebuilds box from r, s, t, u at keys, else
+    None; a box with a nonzero entry at one of the form's zeros is not rebuilt."""
     _require_2222(box)
+    if any(box.num[key] for key in zeros):
+        return None
     r, s, t, u = (box.p(*key) for key in keys)
     if maker(r, s, t, u) != box:
         return None
@@ -87,14 +95,14 @@ def match_ccd_form(box: Box):
     constraints, among them r > 0 and s - u != r - t.
     """
     return _match_form(box, "ccd", ccd_table_box,
-                       ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0)))
+                       ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0)), _CCD_ZEROS)
 
 
 def match_sd_form(box: Box):
     """Match against the SD form: s = p(00|00), t = p(01|00),
     u = p(11|00), r = p(00|11)."""
     return _match_form(box, "sd", sd_table_box,
-                       ((0, 0, 1, 1), (0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)))
+                       ((0, 0, 1, 1), (0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)), _SD_ZEROS)
 
 
 def tsirelson_obstruction(box: Box):
@@ -155,7 +163,11 @@ def classify(box: Box, relabel_search: bool = False) -> ClassificationVerdict:
     if relabel_search and not (ccd_form or sd_form):
         # past the identity, matched above; with no match both forms end None
         for fr in islice(all_frames(box), 1, None):
-            candidate = relabel(box, fr)
+            # a frame with a nonzero entry at a zero of each form matches neither
+            num = _relabeled_num(box, fr)
+            if any(num[key] for key in _CCD_ZEROS) and any(num[key] for key in _SD_ZEROS):
+                continue
+            candidate = Box(2, 2, 2, 2, box.den, num)
             ccd_form, sd_form = match_ccd_form(candidate), match_sd_form(candidate)
             if ccd_form or sd_form:
                 working, frame = candidate, fr

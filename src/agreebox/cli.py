@@ -197,16 +197,24 @@ SWEEP_COLUMNS = [
 ]
 
 
+def _cells(q):
+    """The exact and the decimal cell of q, or two empty cells for None."""
+    return ("", "") if q is None else (rat_str(q), rat_dec(q))
+
+
 def _sweep_rows(family, D, tuples):
-    """The CSV rows of the sweep, one per point with a valid box.
+    """The CSV rows of the sweep, one per point with a valid box, each a
+    list in SWEEP_COLUMNS order.
 
     For ccd and sd each point is (r, s, t, u) as ints over D, which the
     family's entry function takes as they are; Box reduces each box to the
     one ccd_table_box or sd_table_box builds.  The fixed families take the
-    one point (None, None, None, None).
+    one point (None, None, None, None).  A sweep repeats few parameter
+    values: each is formatted once.
     """
     if family in ("ccd", "sd"):
         entries = _ccd_nums if family == "ccd" else _sd_nums
+    param_cells = {None: ("", "")}  # parameter value -> its two cells
     skipped = 0
     for values in tuples:
         if family in ("ccd", "sd"):
@@ -219,31 +227,27 @@ def _sweep_rows(family, D, tuples):
                 skipped += 1
                 continue
             box = _box_2222(D, nums)
-            params = [Fraction(v, D) for v in values]
         else:
             box = _family_box(family, {})
-            params = values
         if not validate(box).ok:
             skipped += 1
             continue
         report = detect_ccd(box)
         h = report.hierarchy
         gap = tsirelson_obstruction(box)
-        row = {
-            "family": family,
-            "ccd": str(report.ccd).lower(),
-            "sd": str(report.sd).lower(),
-            "local": str(is_local(box).local).lower(),
-        }
-        cells = (
-            *zip(TABLE_PARAMS, params),
-            ("qA", h.qA),
-            ("qB", h.qB),
-            ("gap", gap),
+        row = [family]
+        for v in values:
+            if v not in param_cells:
+                param_cells[v] = _cells(Fraction(v, D))
+            row += param_cells[v]
+        row += (
+            *_cells(h.qA),
+            *_cells(h.qB),
+            str(report.ccd).lower(),
+            str(report.sd).lower(),
+            str(is_local(box).local).lower(),
+            *_cells(gap),
         )
-        for name, value in cells:
-            row[name] = rat_str(value) if value is not None else ""
-            row[name + "_dec"] = rat_dec(value) if value is not None else ""
         yield row
     if skipped:
         print(f"note: skipped {skipped} grid points with invalid boxes", file=sys.stderr)
@@ -289,8 +293,8 @@ def _cmd_sweep(args):
 
     # the whole CSV is written at once, so a sweep that fails writes nothing
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS)
-    writer.writeheader()
+    writer = csv.writer(out)
+    writer.writerow(SWEEP_COLUMNS)
     writer.writerows(_sweep_rows(args.family, D, tuples))
     _write_text(args.output, out.getvalue())
     return EXIT_OK

@@ -76,28 +76,34 @@ def hierarchy(box: Box, qA, qB) -> CertaintyHierarchy:
     if qA is not None:
         if nB < 2 or box.nY < 2:
             raise ShapeError("qA is probed at output b = 1 of inputs x = 0, y = 1")
-        qA = Fraction(qA)
+        if not isinstance(qA, Fraction):
+            qA = Fraction(qA)
         n, d = qA.numerator, qA.denominator
         alpha = tuple(a for a in range(nA)
                       if (marg := box._num_a(a, 0, 1)) and num[a, 1, 0, 1] * d == marg * n)
     if qB is not None:
         if nA < 2 or box.nX < 2:
             raise ShapeError("qB is probed at output a = 1 of inputs x = 1, y = 0")
-        qB = Fraction(qB)
+        if not isinstance(qB, Fraction):
+            qB = Fraction(qB)
         n, d = qB.numerator, qB.denominator
         beta = tuple(b for b in range(nB)
                      if (marg := box._num_b(b, 1, 0)) and num[1, b, 1, 0] * d == marg * n)
 
     # a is certain of the other side's set at level n when, at x = y = 0, the
-    # set's mass given a is the whole nonzero marginal of a
+    # set's mass given a is the whole nonzero marginal of a; that row and its
+    # marginals are read once
+    row = [[num[a, b, 0, 0] for b in range(nB)] for a in range(nA)]
+    marg_a = [sum(r) for r in row]
+    marg_b = [sum(col) for col in zip(*row)]
     alphas = [alpha]
     betas = [beta]
     while True:
         cur_a, cur_b = alphas[-1], betas[-1]
-        next_a = tuple(a for a in cur_a if (marg := box._num_a(a, 0, 0))
-                       and sum(num[a, b, 0, 0] for b in cur_b) == marg)
-        next_b = tuple(b for b in cur_b if (marg := box._num_b(b, 0, 0))
-                       and sum(num[a, b, 0, 0] for a in cur_a) == marg)
+        next_a = tuple(a for a in cur_a if marg_a[a]
+                       and sum(row[a][b] for b in cur_b) == marg_a[a])
+        next_b = tuple(b for b in cur_b if marg_b[b]
+                       and sum(row[a][b] for a in cur_a) == marg_b[b])
         alphas.append(next_a)
         betas.append(next_b)
         if next_a == cur_a and next_b == cur_b:

@@ -1,4 +1,4 @@
-"""Exact rational parsing and formatting helpers, and the JSON writer.
+"""Exact rational parsing and formatting helpers, and the JSON reader and writer.
 
 Everything in the core is a fractions.Fraction.  Decimal input strings are
 converted exactly ("0.5" becomes 1/2), so a box loaded from JSON written by
@@ -7,7 +7,7 @@ underscore ("1_0") is refused, whatever the Python version.
 """
 
 from fractions import Fraction
-from json import dumps
+from json import JSONDecodeError, JSONDecoder, dumps
 from json.encoder import encode_basestring_ascii
 from math import isfinite, lcm
 
@@ -93,6 +93,21 @@ def rat_dec(q: Fraction) -> str:
     places, rem = divmod(rem * 10**DEC_PLACES, d)
     digits = f"{places:0{DEC_PLACES}d}"
     return f"{sign}{whole}." + (digits if rem else digits.rstrip("0"))
+
+
+# json.loads(text, parse_float=str) builds a decoder on every call
+_DECODER = JSONDecoder(parse_float=str)
+
+
+def json_doc(text: str):
+    """json.loads(text, parse_float=str), a float kept as its text, on one
+    shared decoder; bad JSON is a ParseError."""
+    try:
+        if text.startswith("\ufeff"):  # json.loads refuses a BOM; decode does not check
+            raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad JSON: {exc}") from exc
 
 
 def json_text(value) -> str:

@@ -48,6 +48,7 @@ recorded paths starts over on the full tableau.
 """
 
 from fractions import Fraction
+from operator import mul
 
 ZERO = Fraction(0)
 
@@ -228,6 +229,8 @@ def feasible_nonneg(rows, c, paths=None):
     if rhs[m] == 0:  # the artificial sum reached zero
         # x = X / d with X read off the basic rows; x >= 0 and M x = c, i.e.
         # M X = c d, checked over the support of X
+        # (a sum of row[j] * v over the support measured faster on Python
+        # 3.11 than sum(map(mul, ...)) over the support's entries)
         support = [(basis[i], rhs[i]) for i in range(m) if basis[i] < n and rhs[i]]
         if any(v < 0 for _, v in support) or any(
             sum(row[j] * v for j, v in support) != ci * d for row, ci in zip(rows, c)
@@ -242,13 +245,7 @@ def feasible_nonneg(rows, c, paths=None):
     # separating functional; y = Y / d with d > 0, col the artificial block
     Y = [d - zi for zi in col]
     Y = [-yi if ci < 0 else yi for yi, ci in zip(Y, c)]
-    # Y M, accumulated over the rows where Y is nonzero
-    YM = [0] * n
-    for yi, row in zip(Y, rows):
-        if yi:
-            for j, a in enumerate(row):
-                if a:
-                    YM[j] += yi * a
-    if sum(yi * ci for yi, ci in zip(Y, c)) <= 0 or any(v > 0 for v in YM):
+    # Y c, then Y M one column of M at a time
+    if sum(map(mul, Y, c)) <= 0 or any(sum(map(mul, Y, col)) > 0 for col in zip(*rows)):
         raise RuntimeError("Farkas certificate failed verification")
     return False, Y, d

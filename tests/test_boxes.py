@@ -740,6 +740,14 @@ def test_box_from_json_matches_the_reference(text):
     assert outcome(ab.box_from_json, text) == outcome(reference_box_from_json, text)
 
 
+def test_a_byte_order_mark_is_refused_as_the_reference_refuses_it():
+    # json.loads refuses a leading U+FEFF itself; a decoder's decode does not check
+    text = "\ufeff" + ab.box_to_json(ab.pr_box())
+    got = outcome(ab.box_from_json, text)
+    assert got == outcome(reference_box_from_json, text)
+    assert got[0] is ab.ParseError and "BOM" in got[1]
+
+
 @pytest.mark.parametrize("field", ["nA", "nB", "nX", "nY"])
 @pytest.mark.parametrize("value", [True, False, "2", "\u0662", 2.0, None, [2], {"n": 2}],
                          ids=["true", "false", "str", "arabic-indic-str", "float", "null", "list",

@@ -546,6 +546,65 @@ def test_a_certificate_that_does_not_separate_is_refused(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# is_local prices each Bell functional once per process
+
+def test_a_cleared_and_a_warm_memo_give_equal_verdicts_on_the_k8_grid(monkeypatch):
+    monkeypatch.setattr(bridge, "_PRICED", {})
+    cold = []
+    for box in k8_boxes():
+        bridge._PRICED.clear()
+        cold.append(ab.is_local(box))
+    assert sum(not verdict.local for verdict in cold) == 390
+    for box in k8_boxes():
+        ab.is_local(box)
+    warm = [ab.is_local(box) for box in k8_boxes()]
+    assert warm == cold
+    # the 390 nonlocal boxes share two functionals
+    assert len(bridge._PRICED) == 2
+
+
+def test_a_mutated_certificate_does_not_change_the_next_verdict(monkeypatch):
+    monkeypatch.setattr(bridge, "_PRICED", {})
+    first = ab.is_local(ab.pr_box())
+    expected = dict(first.certificate.coeffs)
+    first.certificate.coeffs[(0, 0, 0, 0)] = F(7)
+    first.certificate.coeffs.clear()
+    assert len(bridge._PRICED) == 1
+    assert ab.is_local(ab.pr_box()).certificate.coeffs == expected
+
+
+def pr_frames():
+    """The PR box in each of its 64 frames."""
+    return [ab.relabel(ab.pr_box(), frame) for frame in ab.all_frames(ab.pr_box())]
+
+
+def test_the_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(bridge, "_PRICED", {})
+    unbounded = [ab.is_local(box) for box in pr_frames()]
+    distinct = len(bridge._PRICED)
+    assert 2 < distinct <= bridge.MAX_PRICED
+    monkeypatch.setattr(bridge, "_PRICED", {})
+    monkeypatch.setattr(bridge, "MAX_PRICED", 2)
+    # past the bound a functional is priced on each call, to the same verdict
+    assert [ab.is_local(box) for box in pr_frames()] == unbounded
+    assert len(bridge._PRICED) == 2
+
+
+def test_a_warm_memo_still_checks_the_value_on_each_box(monkeypatch):
+    monkeypatch.setattr(bridge, "_PRICED", {})
+    ab.is_local(ab.pr_box())
+    assert len(bridge._PRICED) == 1
+
+    def at_the_bound(box, terms):
+        # the box's value exactly at the functional's local bound
+        return bridge._local_bound(terms, box.nA, box.nB, box.nX, box.nY) * box.den
+
+    monkeypatch.setattr(bridge, "_value_num", at_the_bound)
+    with pytest.raises(RuntimeError, match="does not separate"):
+        ab.is_local(ab.pr_box())
+
+
+# ---------------------------------------------------------------------------
 # is_local's tree of pivot paths, one per shape
 
 @settings(max_examples=20, deadline=None)

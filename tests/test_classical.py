@@ -472,6 +472,42 @@ def test_a_bool_omega_is_a_parse_error():
         ab.model_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("value", ["true", 1, 0, None, [], {}],
+                         ids=["text", "one", "zero", "null", "list", "object"])
+def test_a_signed_field_that_is_not_a_bool_is_a_parse_error(value):
+    doc = json.loads(ab.model_to_json(two_state_model()))
+    doc["signed"] = value
+    with pytest.raises(ab.ParseError, match="signed is not a boolean"):
+        ab.model_from_json(json.dumps(doc))
+
+
+def signed_model():
+    return ab.make_model([F(3, 2), F(-1, 2)], {0: [{0}, {1}]}, {0: [{0, 1}]})
+
+
+@pytest.mark.parametrize("model", [two_state_model(), signed_model()], ids=["unsigned", "signed"])
+def test_a_signed_field_that_contradicts_the_measure_is_a_structural_error(model):
+    # before, the field was never read: a one-state document with
+    # "signed": true read as a model with signed False
+    doc = json.loads(ab.model_to_json(model))
+    doc["signed"] = not model.signed
+    with pytest.raises(ab.StructuralError, match="signed does not match"):
+        ab.model_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("model", [two_state_model(), signed_model()], ids=["unsigned", "signed"])
+def test_a_missing_signed_field_is_read_off_the_measure(model):
+    doc = json.loads(ab.model_to_json(model))
+    assert ab.model_from_json(json.dumps(doc)) == model
+    del doc["signed"]
+    assert ab.model_from_json(json.dumps(doc)) == model
+
+
+def test_a_model_document_with_a_byte_order_mark_is_a_parse_error():
+    with pytest.raises(ab.ParseError, match="BOM"):
+        ab.model_from_json("\ufeff" + ab.model_to_json(two_state_model()))
+
+
 def test_two_input_keys_naming_one_input_are_a_structural_error():
     doc = json.loads(ab.model_to_json(two_state_model()))
     doc["partsA"]["00"] = [[0, 1], []]

@@ -118,6 +118,16 @@ def test_classify_malformed_json(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "ontology", "reduce"])
+def test_a_box_document_with_a_byte_order_mark_exits_2(tmp_path, capsys, command):
+    # a UTF-8 BOM stays in the text read as utf-8, and JSON refuses it
+    path = tmp_path / "bom.json"
+    path.write_text(ab.box_to_json(ab.pr_box()), encoding="utf-8-sig")
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "BOM" in err and "Traceback" not in err
+
+
 def test_classify_missing_file(capsys):
     code, out, err = run(capsys, "classify", "--input", "/nonexistent/box.json")
     assert code == 2

@@ -16,6 +16,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import agreebox as ab
+from agreebox.classify import _CCD_ZEROS, _SD_ZEROS
+from agreebox.families import _KEYS_2222, _ccd_nums, _sd_nums
 
 FULL_DIGEST = "2e92d0cc5e5db86fc37aec6e3fae2a5e10f98036c8aed6a2730ece3c5e1b1b1b"
 THIN_STRIDE = 16
@@ -50,6 +52,17 @@ def test_relabel_search_verdicts_on_a_thin_k8_subset_are_pinned():
     assert relabel_digest(boxes[::THIN_STRIDE]) == (
         2880, "eb6ee391988ccbec1019942c2fa58562acc9ab492921c0c498193578d998dd8e"
     )
+
+
+def test_each_form_is_zero_at_the_keys_the_search_checks_first():
+    # the search turns a frame away when it has a nonzero entry at one of
+    # these keys, before it builds the form: each must be zero in the form
+    # for every r, s, t and u, valid or not
+    for entries, zeros in ((_ccd_nums, _CCD_ZEROS), (_sd_nums, _SD_ZEROS)):
+        assert len(set(zeros)) == 4
+        for params in product(range(-1, 10), repeat=4):
+            num = dict(zip(_KEYS_2222, entries(8, *params)))
+            assert [num[key] for key in zeros] == [0] * 4
 
 
 if __name__ == "__main__":
