@@ -277,7 +277,7 @@ def conditional(box: Box, target, given) -> Fraction | None:
 
 
 def cond_event_b(box: Box, bs, a: int, x: int, y: int) -> Fraction | None:
-    """p(b in bs | a, x, y), the certainty probe used by the hierarchy."""
+    """p(b in bs | a, x, y), or None when p(a | x, y) = 0."""
     marg = box._num_a(a, x, y)
     if marg == 0:
         return None
@@ -285,7 +285,7 @@ def cond_event_b(box: Box, bs, a: int, x: int, y: int) -> Fraction | None:
 
 
 def cond_event_a(box: Box, as_, b: int, x: int, y: int) -> Fraction | None:
-    """p(a in as_ | b, x, y)."""
+    """p(a in as_ | b, x, y), or None when p(b | x, y) = 0."""
     marg = box._num_b(b, x, y)
     if marg == 0:
         return None

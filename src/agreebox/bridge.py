@@ -30,6 +30,7 @@ from operator import getitem
 from .boxes import Box, _in_shape, make_box, row_labels
 from .classical import OntologicalModel, make_model
 from .errors import BudgetError, PreconditionError, ShapeError
+from .rationals import rat
 from .simplexq import LinearSolver, feasible_nonneg
 
 # the largest instruction system built; checked before any state is enumerated
@@ -49,25 +50,20 @@ def instruction_states(nA, nB, nX, nY):
 
 @lru_cache(maxsize=None)
 def _shape_system(nA, nB, nX, nY):
+    """(states, labels, M, paths, priced): the shape's instruction system,
+    the tree of pivot paths its LPs took, and its Bell functionals keyed (L, Y)."""
     states = instruction_states(nA, nB, nX, nY)
     labels = row_labels(nA, nB, nX, nY)
     M = tuple(
         tuple(1 if (alpha[x] == a and beta[y] == b) else 0 for alpha, beta in states)
         for (a, b, x, y) in labels
     )
-    return states, labels, M
-
-
-@lru_cache(maxsize=None)
-def _shape_paths(nA, nB, nX, nY):
-    """The tree of pivot paths is_local's LPs on this shape have taken."""
-    return {}
+    return states, labels, M, {}, {}
 
 
 @lru_cache(maxsize=None)
 def _shape_solver(nA, nB, nX, nY):
-    _, _, M = _shape_system(nA, nB, nX, nY)
-    return LinearSolver(M)
+    return LinearSolver(_shape_system(nA, nB, nX, nY)[2])
 
 
 def _numerators(box: Box, labels):
@@ -106,7 +102,7 @@ def box_to_model(box: Box) -> OntologicalModel:
     measure is signed whenever the particular solution has a negative
     weight; is_local() decides whether some unsigned solution exists.
     """
-    states, labels, _ = _shape_system(box.nA, box.nB, box.nX, box.nY)
+    states, labels, *_ = _shape_system(box.nA, box.nB, box.nX, box.nY)
     solver = _shape_solver(box.nA, box.nB, box.nX, box.nY)
     # solved as M (den P) = num on ints, like is_local
     P = solver.solve(_numerators(box, labels))
@@ -142,11 +138,10 @@ class BellCertificate:
     box_value: Fraction
 
 
-# the most Bell functionals is_local keeps priced, each under (shape, L, Y)
-# (the 390 nonlocal valid k/8 boxes share two); past it, a new functional
-# is priced on every call and not kept
+# the most Bell functionals is_local keeps priced for one shape, each
+# under (L, Y) (the 390 nonlocal valid k/8 boxes share two); past it, a new
+# functional of that shape is priced on every call and not kept
 MAX_PRICED = 256
-_PRICED = {}
 
 
 @dataclass(frozen=True)
@@ -164,8 +159,8 @@ def is_local(box: Box) -> LocalityVerdict:
     best deterministic score, the bound bell_local_bound computes.
     """
     # solved as M (den P) = num on ints; its Farkas vectors are those of M P = C
-    states, labels, M = _shape_system(box.nA, box.nB, box.nX, box.nY)
-    paths = _shape_paths(box.nA, box.nB, box.nX, box.nY)
+    shape = (box.nA, box.nB, box.nX, box.nY)
+    states, labels, M, paths, priced = _shape_system(*shape)
     ok, v, d = feasible_nonneg(M, _numerators(box, labels), paths)
     if ok:
         # den P = v / d: each weight is one Fraction
@@ -180,16 +175,15 @@ def is_local(box: Box) -> LocalityVerdict:
     g = gcd(d, *v)
     L = d // g
     Y = tuple([vi // g for vi in v])
-    shape = (box.nA, box.nB, box.nX, box.nY)
-    priced = _PRICED.get((shape, L, Y))
-    if priced is None:
+    price = priced.get((L, Y))
+    if price is None:
         terms = tuple((key, yi) for key, yi in zip(labels, Y) if yi)
         best = _local_bound(terms, *shape)
         coeffs = {key: Fraction(yi, L) for key, yi in terms}
-        priced = (terms, best, coeffs, Fraction(best, L))
-        if len(_PRICED) < MAX_PRICED:
-            _PRICED[shape, L, Y] = priced
-    terms, best, coeffs, bound = priced
+        price = (terms, best, coeffs, Fraction(best, L))
+        if len(priced) < MAX_PRICED:
+            priced[L, Y] = price
+    terms, best, coeffs, bound = price
     value = _value_num(box, terms)
     if value <= best * box.den:
         raise RuntimeError("Bell certificate does not separate the box")
@@ -236,8 +230,9 @@ def correlator_functional(weights) -> dict:
     """Functional sum_xy w_xy * c_xy as coefficients on binary box entries."""
     coeffs = {}
     for (x, y), w in weights.items():
+        w = rat(w)
         for a in range(2):
             for b in range(2):
-                coeffs[(a, b, x, y)] = Fraction(w) * (1 if a == b else -1)
+                coeffs[(a, b, x, y)] = w * (1 if a == b else -1)
     return coeffs
 

@@ -133,7 +133,7 @@ def tower(model: OntologicalModel, events: EventPair, qA, qB) -> TowerResult:
     holds, so every conditional below is defined.
     """
     _check_tower_preconditions(model)
-    qA, qB = Fraction(qA), Fraction(qB)
+    qA, qB = rat(qA), rat(qB)
 
     def level0(cells, event, q):
         out = set()

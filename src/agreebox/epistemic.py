@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .boxes import Box, conditional, is_perfectly_correlated
 from .errors import ShapeError
-from .rationals import json_text, rat_str
+from .rationals import json_text, rat, rat_str
 
 NULL_CONDITIONING = "null conditioning event"
 
@@ -77,7 +77,7 @@ def hierarchy(box: Box, qA, qB) -> CertaintyHierarchy:
         if nB < 2 or box.nY < 2:
             raise ShapeError("qA is probed at output b = 1 of inputs x = 0, y = 1")
         if not isinstance(qA, Fraction):
-            qA = Fraction(qA)
+            qA = rat(qA)
         n, d = qA.numerator, qA.denominator
         alpha = tuple(a for a in range(nA)
                       if (marg := box._num_a(a, 0, 1)) and num[a, 1, 0, 1] * d == marg * n)
@@ -85,7 +85,7 @@ def hierarchy(box: Box, qA, qB) -> CertaintyHierarchy:
         if nA < 2 or box.nX < 2:
             raise ShapeError("qB is probed at output a = 1 of inputs x = 1, y = 0")
         if not isinstance(qB, Fraction):
-            qB = Fraction(qB)
+            qB = rat(qB)
         n, d = qB.numerator, qB.denominator
         beta = tuple(b for b in range(nB)
                      if (marg := box._num_b(b, 1, 0)) and num[1, b, 1, 0] * d == marg * n)

@@ -3,7 +3,7 @@
 Everything in the core is a fractions.Fraction.  Decimal input strings are
 converted exactly ("0.5" becomes 1/2), so a box loaded from JSON written by
 a float-producing pipeline still analyses exactly.  A string with an
-underscore ("1_0") is refused, whatever the Python version.
+underscore ("1_0") or with any character that is not ASCII is refused.
 """
 
 from fractions import Fraction
@@ -39,14 +39,14 @@ def rat(value) -> Fraction:
         num, slash, den = text.partition("/")
         scientific = "e" in text or "E" in text
         try:
-            if num.isdigit() and num.isascii() and (not slash or den.isdigit() and den.isascii()):
+            if not value.isascii() or "_" in text:
+                # Fraction and int read "1_0" as 10 (Fraction only from Python
+                # 3.11 on), and digits and spaces of any script: all refused
+                raise ParseError(f"not a rational: {value!r}")
+            if num.isdigit() and (not slash or den.isdigit()):
                 # "n" or "n/d" in ASCII digits, as rat_str writes it: the value
                 # Fraction(text) parses, without its regular expression
                 q = Fraction(int(num), int(den) if slash else 1)
-            elif "_" in text:
-                # Fraction and int read "1_0" as 10 (Fraction only from
-                # Python 3.11 on): refused on every version
-                raise ParseError(f"not a rational: {value!r}")
             elif scientific and abs(int(text.replace("E", "e").rpartition("e")[2])) > MAX_DIGITS:
                 raise ParseError(f"exponent beyond {MAX_DIGITS} in {value!r}")
             else:
@@ -71,7 +71,7 @@ def over_common_den(qs):
 def rat_str(q: Fraction) -> str:
     """Canonical string form, "num/den" or bare integer."""
     if not isinstance(q, (Fraction, int)):
-        q = Fraction(q)
+        q = rat(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -84,7 +84,7 @@ def rat_dec(q: Fraction) -> str:
     terminating one loses its trailing zeros.
     """
     if not isinstance(q, (Fraction, int)):
-        q = Fraction(q)
+        q = rat(q)
     n, d = q.numerator, q.denominator
     whole, rem = divmod(abs(n), d)
     sign = "-" if n < 0 else ""

@@ -39,12 +39,12 @@ tableau but its rhs column depends only on the pivots taken so far: the
 objective row, the column Bland's rule enters, that column's entries, the
 divisor d and, at the end, the objective row's artificial block (the
 Farkas multipliers).  Only the ratio test reads c, and its ties go by
-basis indices, which the pivots fix too.  So a caller that solves many
-right-hand sides against one M can pass feasible_nonneg a dict in which
-it records the pivot paths taken.  A solve along a recorded path updates
-the rhs column alone, O(m) per pivot against O(m (n + m)), and reproduces
-the same pivots, basis, point, multipliers and d; a solve that leaves the
-recorded paths starts over on the full tableau.
+basis indices, which the pivots fix too.  So feasible_nonneg records the
+pivot paths taken in a dict its caller keeps for one M.  A solve along a
+recorded path updates the rhs column alone, O(m) per pivot against
+O(m (n + m)), and reproduces the same pivots, basis, point, multipliers
+and d; a solve that leaves the recorded paths, and every solve on an
+empty dict, runs on the full tableau.
 """
 
 from fractions import Fraction
@@ -149,7 +149,7 @@ def _tableau(rows, c):
     return tab
 
 
-def feasible_nonneg(rows, c, paths=None):
+def feasible_nonneg(rows, c, paths):
     """Decide whether M x = c admits x >= 0, exactly.
 
     Returns (ok, v, d): v is a list of ints and d > 0 an int, and the
@@ -159,16 +159,16 @@ def feasible_nonneg(rows, c, paths=None):
     functional separating c from the cone of nonnegative combinations of
     M's columns.  Both rechecks run on v and d, in integers.
 
-    paths, if given, is a dict the caller keeps for this one M: the tree
-    of the pivot paths earlier calls took.  A node is keyed by the sign
-    pattern of c and the leaving rows so far; it holds (entering column,
-    that column's m + 1 entries), or (None, the objective row's
+    paths is a dict the caller keeps for this one M: the tree of the
+    pivot paths earlier calls took ({} for none).  A node is keyed by the
+    sign pattern of c and the leaving rows so far; it holds (entering
+    column, that column's m + 1 entries), or (None, the objective row's
     artificial block) where the path ends.  Along a recorded path only
     the rhs column is updated.  The first step the tree lacks starts the
-    solve over on the full tableau, as without a tree, and records each
-    node it visits, up to MAX_PATH_NODES nodes.  The answer is the same
-    either way: the full tableau never reads a recorded entry, and the
-    rechecks refuse any certificate that a damaged path gets wrong.
+    solve over on the full tableau and records each node it visits, up
+    to MAX_PATH_NODES nodes.  The answer does not depend on the tree: the
+    full tableau never reads a recorded entry, and the rechecks refuse
+    any certificate that a damaged path gets wrong.
     """
     m = len(rows)
     n = len(rows[0])
@@ -176,7 +176,7 @@ def feasible_nonneg(rows, c, paths=None):
     basis = list(range(n, n + m))
     rhs = [abs(ci) for ci in c]
     rhs.append(-sum(rhs))
-    tab = None if paths is not None else _tableau(rows, c)
+    tab = None
     d = 1
     while True:
         node = None if tab else paths.get(key)
@@ -189,7 +189,7 @@ def feasible_nonneg(rows, c, paths=None):
             z = tab[m]
             enter = next((j for j in range(n + m) if z[j] < 0), None)  # Bland
             col = z[n:n + m] if enter is None else [row[enter] for row in tab]
-            if paths is not None and len(paths) < MAX_PATH_NODES:
+            if len(paths) < MAX_PATH_NODES:
                 paths[key] = (enter, col)
             rhs = [row[-1] for row in tab]
         else:

@@ -834,12 +834,21 @@ def test_underscores_are_refused_on_every_version(text):
         ab.rat(text)
 
 
+# Fraction reads digits of every script and strips every kind of space
+@pytest.mark.parametrize("text", ["\u0661/\u0662", "\u0660.\u0665", "\xa00.5", "\uff11",
+                                  "1/\uff12", "0.5\u2003", "\u00bd"])
+def test_texts_that_are_not_ascii_are_refused(text):
+    with pytest.raises(ab.ParseError, match="not a rational"):
+        ab.rat(text)
+
+
 def reference_rat(value):
     """rat on a string as it was before it read "n" and "n/d" with int():
-    every text through Fraction, but with no underscore on any version."""
+    every text through Fraction, but with no underscore and nothing that is
+    not ASCII, on any version."""
     digits = ab.rationals.MAX_DIGITS
     text = value.strip()
-    if "_" in text:
+    if "_" in text or not value.isascii():
         raise ab.ParseError(f"not a rational: {value!r}")
     scientific = "e" in text or "E" in text
     try:
@@ -955,6 +964,14 @@ def test_rat_dec_cuts_after_twelve_places():
     # anything that is not a Fraction or an int is coerced first
     assert ab.rat_dec("0.5") == "0.5"
     assert ab.rat_str(0.5) == ab.rat_str("3/6") == "1/2"
+
+
+def test_rat_str_and_rat_dec_read_a_float_as_rat_does():
+    # the decimal literal the float prints as, not its binary value
+    assert ab.rat_str(0.1) == ab.rat_str(ab.rat(0.1)) == "1/10"
+    assert ab.rat_dec(0.1) == "0.1"
+    with pytest.raises(ab.ParseError, match="not a rational"):
+        ab.rat_str("\u0661/\u0662")
 
 
 def test_boxes_too_long_to_print_are_refused():

@@ -63,7 +63,7 @@ def test_state_budget():
 def test_each_constraint_row_touches_the_right_states():
     # a row (a, b, x, y) selects states free in the other nX - 1 and
     # nY - 1 coordinates
-    states, labels, M = _shape_system(2, 2, 2, 2)
+    states, labels, M, *_ = _shape_system(2, 2, 2, 2)
     assert labels == row_labels(2, 2, 2, 2)
     assert len(M) == 16
     for i, (a, b, x, y) in enumerate(labels):
@@ -425,6 +425,16 @@ def test_chsh_functional_on_pr():
     assert ab.bell_local_bound(coeffs, 2, 2, 2, 2) == 2
 
 
+def test_correlator_weights_are_read_as_rat_reads_them():
+    # a float weight is the decimal it prints as, not its binary value
+    coeffs = ab.correlator_functional({(0, 0): 0.1, (1, 1): "1/2"})
+    assert coeffs[(0, 0, 0, 0)] == ab.rat(0.1) == F(1, 10)
+    assert coeffs[(0, 1, 0, 0)] == F(-1, 10)
+    assert coeffs[(1, 1, 1, 1)] == F(1, 2)
+    with pytest.raises(ab.ParseError, match="not a rational"):
+        ab.correlator_functional({(0, 0): "\uff11"})
+
+
 @pytest.mark.parametrize("key", [(5, 0, 0, 0), (0, 0, 0, 2), (-1, 0, 0, 0),
                                  (0, 0, 0), (0, 0, 0, 0, 0), 3, (0.5, 0, 0, 0), (1.0, 0, 0, 0)])
 def test_a_coefficient_outside_the_shape_is_a_shape_error(key):
@@ -536,7 +546,7 @@ def test_certificates_above_2222_match_the_bell_functions(box):
 def test_a_certificate_that_does_not_separate_is_refused(monkeypatch):
     solve = bridge.feasible_nonneg
 
-    def corrupted(rows, c, paths=None):
+    def corrupted(rows, c, paths):
         ok, v, d = solve(rows, c, paths)
         return ok, [-vi for vi in v], d
 
@@ -545,14 +555,32 @@ def test_a_certificate_that_does_not_separate_is_refused(monkeypatch):
         ab.is_local(ab.pr_box())
 
 
+def test_box_to_model_on_the_k8_grid_is_pinned():
+    # every model document, in order, byte for byte
+    models = [ab.box_to_model(box) for box in k8_boxes()]
+    assert len(models) == 720
+    assert sum(model.signed for model in models) == 666
+    text = "".join(ab.model_to_json(model) for model in models)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1eeba0263adf504495b36cb5c558946620ad1e4517d97e6c46e3ae1946e147e4"
+    )
+
+
 # ---------------------------------------------------------------------------
 # is_local prices each Bell functional once per process
 
-def test_a_cleared_and_a_warm_memo_give_equal_verdicts_on_the_k8_grid(monkeypatch):
-    monkeypatch.setattr(bridge, "_PRICED", {})
+def cleared_memo():
+    """The 2222 record's dict of priced Bell functionals, emptied."""
+    priced = _shape_system(2, 2, 2, 2)[4]
+    priced.clear()
+    return priced
+
+
+def test_a_cleared_and_a_warm_memo_give_equal_verdicts_on_the_k8_grid():
+    priced = cleared_memo()
     cold = []
     for box in k8_boxes():
-        bridge._PRICED.clear()
+        priced.clear()
         cold.append(ab.is_local(box))
     assert sum(not verdict.local for verdict in cold) == 390
     for box in k8_boxes():
@@ -560,16 +588,16 @@ def test_a_cleared_and_a_warm_memo_give_equal_verdicts_on_the_k8_grid(monkeypatc
     warm = [ab.is_local(box) for box in k8_boxes()]
     assert warm == cold
     # the 390 nonlocal boxes share two functionals
-    assert len(bridge._PRICED) == 2
+    assert len(priced) == 2
 
 
-def test_a_mutated_certificate_does_not_change_the_next_verdict(monkeypatch):
-    monkeypatch.setattr(bridge, "_PRICED", {})
+def test_a_mutated_certificate_does_not_change_the_next_verdict():
+    priced = cleared_memo()
     first = ab.is_local(ab.pr_box())
     expected = dict(first.certificate.coeffs)
     first.certificate.coeffs[(0, 0, 0, 0)] = F(7)
     first.certificate.coeffs.clear()
-    assert len(bridge._PRICED) == 1
+    assert len(priced) == 1
     assert ab.is_local(ab.pr_box()).certificate.coeffs == expected
 
 
@@ -579,21 +607,21 @@ def pr_frames():
 
 
 def test_the_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(bridge, "_PRICED", {})
+    priced = cleared_memo()
     unbounded = [ab.is_local(box) for box in pr_frames()]
-    distinct = len(bridge._PRICED)
+    distinct = len(priced)
     assert 2 < distinct <= bridge.MAX_PRICED
-    monkeypatch.setattr(bridge, "_PRICED", {})
+    priced.clear()
     monkeypatch.setattr(bridge, "MAX_PRICED", 2)
     # past the bound a functional is priced on each call, to the same verdict
     assert [ab.is_local(box) for box in pr_frames()] == unbounded
-    assert len(bridge._PRICED) == 2
+    assert len(priced) == 2
 
 
 def test_a_warm_memo_still_checks_the_value_on_each_box(monkeypatch):
-    monkeypatch.setattr(bridge, "_PRICED", {})
+    priced = cleared_memo()
     ab.is_local(ab.pr_box())
-    assert len(bridge._PRICED) == 1
+    assert len(priced) == 1
 
     def at_the_bound(box, terms):
         # the box's value exactly at the functional's local bound
@@ -612,15 +640,17 @@ def test_a_warm_memo_still_checks_the_value_on_each_box(monkeypatch):
     lambda shape: st.lists(lifted_pr_mixture(shape), min_size=1, max_size=4)))
 def test_a_shared_tree_gives_the_answers_without_one_above_2222(boxes):
     box = boxes[0]
-    _, labels, M = _shape_system(box.nA, box.nB, box.nX, box.nY)
+    _, labels, M, *_ = _shape_system(box.nA, box.nB, box.nX, box.nY)
     paths = {}
     for box in boxes + boxes:
         c = [box.num[key] for key in labels]
-        assert feasible_nonneg(M, c, paths) == feasible_nonneg(M, c)
+        assert feasible_nonneg(M, c, paths) == feasible_nonneg(M, c, {})
 
 
 def test_is_local_keeps_one_tree_per_shape():
     ab.is_local(ab.pr_box())
     ab.is_local(lift(ab.pr_box(), 3, 2, 2, 2))
-    assert bridge._shape_paths(2, 2, 2, 2) and bridge._shape_paths(3, 2, 2, 2)
-    assert bridge._shape_paths(2, 2, 2, 2) is not bridge._shape_paths(3, 2, 2, 2)
+    tree_2222 = _shape_system(2, 2, 2, 2)[3]
+    tree_3222 = _shape_system(3, 2, 2, 2)[3]
+    assert tree_2222 and tree_3222
+    assert tree_2222 is not tree_3222

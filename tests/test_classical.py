@@ -63,6 +63,16 @@ def test_tower_crosswise_common_certainty_everywhere():
     assert ab.common_certainty_at(crosswise_model(), ev, F(1, 2), F(1, 2), 0)
 
 
+def test_tower_reads_its_values_as_rat_reads_them():
+    # ten states of mass 1/10 and one cell each: P(E | cell) = 1/10, which a
+    # float 0.1 is read as, not its binary value
+    m = ab.make_model([F(1, 10)] * 10, {0: [set(range(10))]}, {0: [set(range(10))]})
+    ev = ab.EventPair(frozenset({0}), frozenset({0}))
+    result = ab.tower(m, ev, 0.1, "1/10")
+    assert result == ab.tower(m, ev, F(1, 10), F(1, 10))
+    assert result.levels[0] == (frozenset(range(10)), frozenset(range(10)))
+
+
 def test_tower_wrong_value_empties_out():
     ev = ab.EventPair(frozenset({0, 3}), frozenset({0, 3}))
     result = ab.tower(crosswise_model(), ev, F(1, 2), F(1, 4))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -195,6 +196,25 @@ def test_underscores_in_box_entries_exit_2(tmp_path, capsys, entry):
     ("sweep", "--family", "ccd", "--grid", "r=0:1:1/1_0,s=0,t=0,u=0"),
 ], ids=["params", "grid"])
 def test_underscores_in_parameters_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "not a rational" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["\u0661/\u0662", "\u0660.\u0665", "\xa00.5", "\uff11"])
+def test_box_entries_that_are_not_ascii_exit_2(tmp_path, capsys, entry):
+    code, out, err = run(capsys, "classify", "--input", box_file_with_entry(tmp_path, entry))
+    assert (code, out) == (2, "")
+    assert f"not a rational: {entry!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--family", "ccd", "--params", "r=\u0661/\u0662,s=1/4,t=1/2,u=0"),
+    ("sweep", "--family", "ccd", "--grid", "r=\u0661/\u0662,s=1/4,t=1/2,u=0"),
+    ("sweep", "--family", "sd", "--grid", "r=0:1:1/\uff14,s=0,t=0,u=0"),
+    ("verify-classical", "--params", "omega=\uff12,denom=2"),
+], ids=["params", "grid", "grid-range", "bounds"])
+def test_parameters_that_are_not_ascii_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "not a rational" in err and "Traceback" not in err
@@ -868,3 +888,134 @@ def test_random_argvs_dispatch_as_the_top_level_parse(tmp_path, capsys, monkeypa
     with monkeypatch.context() as m:
         m.setattr(cli, "_COMMANDS", {})
         assert outcome() == direct
+
+
+# ---------------------------------------------------------------------------
+# every argv ends in a documented exit code
+
+def fuzz_documents():
+    """The file name -> bytes of the inputs each fuzzed run finds in its
+    directory: small 2222 box documents, valid or not, and files that are
+    no box document."""
+    ccd = ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), F(0))
+    signaling = ab.box_doc(ab.pr_box())
+    signaling["p"]["0,0"] = [["1", "0"], ["0", "0"]]
+    signaling["p"]["0,1"] = [["0", "0"], ["0", "1"]]
+    docs = {
+        "pr.json": ab.box_to_json(ab.pr_box()),
+        "ccd.json": ab.box_to_json(ccd),
+        "uniform.json": ab.box_to_json(ab.uniform_box()),
+        "signaling.json": json.dumps(signaling),
+        "list.json": "[1, 2]",
+        "broken.json": '{"nA": 2,',
+        "empty.json": "",
+    }
+    for name, entry in [("arabic", "\u0661/\u0662"), ("fullwidth", "\uff11"),
+                        ("underscore", "1_0"), ("huge", "1e99999999")]:
+        doc = ab.box_doc(ab.pr_box())
+        doc["p"]["0,0"][0][0] = entry
+        docs[f"{name}.json"] = json.dumps(doc)
+    files = {name: text.encode() for name, text in docs.items()}
+    files["latin1.json"] = ab.box_to_json(ab.pr_box()).replace("1/2", "\xbd").encode("latin-1")
+    return files
+
+
+FUZZ_FILES = fuzz_documents()
+# inputs: the documents above, a missing file and two directories
+FUZZ_INPUTS = [*FUZZ_FILES, "missing.json", ".", "sub"]
+# outputs: a new file, a directory, a path under a missing directory and one
+# under a file
+FUZZ_OUTPUTS = ["out.json", "-", ".", "sub", "nowhere/out.json", "pr.json/out.json"]
+FUZZ_FAMILIES = ["ccd", "sd", "pr", "uniform", "zz", "CCD", "\u0661"]
+# family parameters and verify-classical bounds (at most omega=4, denom=3
+# with the defaults, so that no run takes long)
+FUZZ_PARAMS = [
+    "r=1/2,s=1/4,t=1/2,u=0", "r=0.5,s=0.25,t=0.5,u=0", "r=1,s=0,t=0,u=0",
+    "r=3/4,s=1/4,t=1/4,u=1/4", "r=2,s=0,t=0,u=0", "r=-1/2,s=0,t=0,u=0", "r=1/2",
+    "r=1/0,s=0,t=0,u=0", "r=1_0,s=0,t=0,u=0", "r=\u0661/\u0662,s=0,t=0,u=0",
+    "r=\xa01/2,s=0,t=0,u=0", "r=1e99999999,s=0,t=0,u=0", "r=x,s=0,t=0,u=0",
+    "r=1/2,r=1/2", "=1", "r", "zz=1", "omega=2,denom=2", "omega=4,denom=3",
+    "omega=3", "denom=1", "omega=0,denom=2", "omega=1/2", "omega=-1", "omega=\uff12",
+    "omega=2.0,denom=1e0",
+]
+FUZZ_GRIDS = [
+    "r=0:1:1/2,s=0,t=1/2,u=0", "r=0:1:1/4,s=1/4,t=1/2,u=0", "r=1/2,s=1/4,t=1/2,u=0",
+    "r=0:1:1/2,s=0:1:1/2,t=0:1:1/2,u=0:1:1/2", "r=1:0:1,s=0,t=0,u=0",
+    "r=0:1:0,s=0,t=0,u=0", "r=0:1:-1/2,s=0,t=0,u=0", "r=0:1,s=0,t=0,u=0",
+    "r=0:1:1/1000,s=0:1:1/1000,t=0,u=0", "r=0:1:1e-99999999,s=0,t=0,u=0",
+    "r=\u0660:1:1/2,s=0,t=0,u=0", "r=0:1:1/1_0,s=0,t=0,u=0", "r=0:1:1/2",
+    "r=0,r=0", "zz=1", "", " ",
+]
+FUZZ_OPTIONS = {
+    "--input": FUZZ_INPUTS, "--output": FUZZ_OUTPUTS, "--family": FUZZ_FAMILIES,
+    "--params": FUZZ_PARAMS, "--grid": FUZZ_GRIDS,
+    "--sample": ["0", "1", "3", "-1", "6562", "1/2", "x", "\uff13"],
+    "--seed": ["0", "7", "-3", "x"], "--mode": ["auto", "ccd", "sd", "zz"],
+}
+# each subcommand's options, the ones it needs first
+FUZZ_COMMANDS = {
+    "classify": ["--input", "--output", "--relabel-search"],
+    "reduce": ["--input", "--output", "--mode"],
+    "ontology": ["--input", "--output"],
+    "generate": ["--family", "--params", "--output"],
+    "sweep": ["--family", "--grid", "--sample", "--seed", "--output"],
+    "verify-classical": ["--params", "--output"],
+}
+
+
+def fuzz_option(option):
+    """option and one of its values, as two tokens or as option=value."""
+    if option not in FUZZ_OPTIONS:
+        return st.just([option])
+    return st.sampled_from(FUZZ_OPTIONS[option]).flatmap(
+        lambda value: st.sampled_from([[option, value], [f"{option}={value}"]]))
+
+
+# what does not belong: another subcommand's option, a bare option, a flag
+# that exits early, "--" and a stray token
+fuzz_strays = (
+    st.sampled_from(sorted(FUZZ_OPTIONS)).flatmap(fuzz_option)
+    | st.sampled_from(["--relabel-search", "--", "-h", "--version", "--zz", "extra",
+                       "--input", "--output"]).map(lambda token: [token])
+)
+
+
+@st.composite
+def fuzz_argvs(draw):
+    """A subcommand, the option it needs (left out now and then), then up
+    to three more tokens, most of them its own options."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    options = FUZZ_COMMANDS[command]
+    argv = [command]
+    if draw(st.integers(0, 9)):
+        argv += draw(fuzz_option(options[0]))
+    for _ in range(draw(st.integers(0, 3))):
+        stray = not draw(st.integers(0, 4))
+        argv += draw(fuzz_strays if stray else st.sampled_from(options).flatmap(fuzz_option))
+    return argv
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzz_argvs())
+def test_random_argvs_end_in_a_documented_exit_code(tmp_path, capsys, monkeypatch, argv):
+    # each run gets a fresh directory holding the input files, so that what
+    # one run writes cannot reach the next; argparse's usage errors and its
+    # -h and --version exit through SystemExit, with 2 and 0; no run may
+    # take 10 s (the slowest take under 50 ms)
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    (work / "sub").mkdir()
+    for name, data in FUZZ_FILES.items():
+        (work / name).write_bytes(data)
+    with monkeypatch.context() as m:
+        m.chdir(work)
+        start = time.perf_counter()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (argv, err)
+    assert "Traceback" not in err
+    assert elapsed < 10, argv

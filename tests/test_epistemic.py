@@ -69,6 +69,17 @@ def test_hierarchy_excludes_null_marginal_outputs():
     assert 0 not in h.alphas[0]
 
 
+def test_hierarchy_reads_its_values_as_rat_reads_them():
+    # Bob outputs 1 with probability 1/10 whatever the inputs, Alice 1 with
+    # 1/2: a float 0.1 is the decimal it prints as, not its binary value
+    pb = (F(9, 10), F(1, 10))
+    box = ab.make_box(2, 2, 2, 2, {(a, b, x, y): pb[b] / 2
+                                   for a, b, x, y in product(range(2), repeat=4)})
+    h = ab.hierarchy(box, 0.1, "1/2")
+    assert h == ab.hierarchy(box, F(1, 10), F(1, 2))
+    assert h.alphas[0] == (0, 1) and h.qA == F(1, 10)
+
+
 def test_hierarchy_accepts_undefined_values():
     h = ab.hierarchy(ab.uniform_box(), None, F(1, 2))
     assert h.alphas[0] == ()

@@ -18,7 +18,7 @@ from agreebox.simplexq import LinearSolver, feasible_nonneg
 
 
 def lp_2222(box):
-    _, _, M = _shape_system(2, 2, 2, 2)
+    M = _shape_system(2, 2, 2, 2)[2]
     return M, [box.p(*label) for label in row_labels(2, 2, 2, 2)]
 
 
@@ -89,7 +89,7 @@ PR_DUAL = fracs("1 -3 -3 1 -3 1 1 -3 1 -3 -3 1 1 -3 -3 1")
 )
 def test_pinned_answers_on_2222(box, expected):
     M, C = lp_2222(box)
-    got = read_off(feasible_nonneg(*cleared(M, C)))
+    got = read_off(feasible_nonneg(*cleared(M, C), {}))
     assert got == expected
     assert_certificate(M, C, *got)
 
@@ -104,7 +104,7 @@ def test_pinned_answers_on_2222(box, expected):
 def test_ratio_ties_go_to_the_least_basic_index(rows, c, dual):
     # the first pivot ties between rows; breaking the tie the other way
     # ends at another, equally valid, functional
-    got = read_off(feasible_nonneg(rows, c))
+    got = read_off(feasible_nonneg(rows, c, {}))
     assert got == (False, None, dual)
     assert_certificate(rows, c, *got)
 
@@ -116,7 +116,7 @@ def test_rational_rows_feasible():
     rows = [[F(1, 2), 3], [F(2, 3), -1]]
     c = [F(3, 2), F(1, 3)]
     assert cleared(rows, c) == ([[3, 18], [4, -6]], [9, 2])
-    ok, x, y = read_off(feasible_nonneg(*cleared(rows, c)))
+    ok, x, y = read_off(feasible_nonneg(*cleared(rows, c), {}))
     assert ok and x == [1, F(1, 3)]
     assert_certificate(rows, c, ok, x, y)
 
@@ -124,7 +124,7 @@ def test_rational_rows_feasible():
 def test_rational_rows_infeasible():
     rows = [[F(1, 2), F(1, 3)], [F(5, 7), -F(2, 9)]]
     c = [F(1, 5), F(-3, 4)]
-    ok, x, y = read_off(feasible_nonneg(*cleared(rows, c)))
+    ok, x, y = read_off(feasible_nonneg(*cleared(rows, c), {}))
     assert not ok
     assert_certificate(rows, c, ok, x, y)
 
@@ -132,13 +132,13 @@ def test_rational_rows_infeasible():
 def test_negative_rhs_rows_are_flipped():
     rows = [[1, -1], [1, 1]]
     c = [-1, 3]
-    ok, x, y = read_off(feasible_nonneg(rows, c))
+    ok, x, y = read_off(feasible_nonneg(rows, c, {}))
     assert ok and x == [1, 2]
     assert_certificate(rows, c, ok, x, y)
 
     rows = [[1, 1], [1, -1]]
     c = [-2, 1]
-    ok, x, y = read_off(feasible_nonneg(rows, c))
+    ok, x, y = read_off(feasible_nonneg(rows, c, {}))
     assert not ok
     assert_certificate(rows, c, ok, x, y)
 
@@ -159,7 +159,7 @@ def test_negative_rhs_rows_are_flipped():
 )
 def test_every_answer_carries_a_valid_certificate(system):
     rows, c = system
-    assert_certificate(rows, c, *read_off(feasible_nonneg(*cleared(rows, c))))
+    assert_certificate(rows, c, *read_off(feasible_nonneg(*cleared(rows, c), {})))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def dense_pivot(rows, r, col, d):
 def answers(rows, c):
     """feasible_nonneg and the affine solver on one system."""
     solver = LinearSolver(rows)
-    return (feasible_nonneg(rows, c), solver.rank, solver.pivots, solver.divisor,
+    return (feasible_nonneg(rows, c, {}), solver.rank, solver.pivots, solver.divisor,
             solver.transform, solver.solve(c))
 
 
@@ -296,7 +296,7 @@ def test_2222_lps_pivot_on_units_only():
             for params in product(range(9), repeat=4):
                 box = maker(*(F(k, 8) for k in params))
                 if ab.validate(box).ok:
-                    feasible_nonneg(M, [box.num[key] for key in row_labels(2, 2, 2, 2)])
+                    feasible_nonneg(M, [box.num[key] for key in row_labels(2, 2, 2, 2)], {})
     assert len(seen) == 6581 and set(seen) == {(1, 1)}
 
 
@@ -328,10 +328,10 @@ def shift_rhs(tab, d):
     cleared(*lp_2222(ab.uniform_box())),
 ], ids=["2x2", "uniform-2222"])
 def test_a_corrupted_feasible_point_is_refused(monkeypatch, rows, c):
-    assert feasible_nonneg(rows, c)[0]
+    assert feasible_nonneg(rows, c, {})[0]
     monkeypatch.setattr(simplexq, "_pivot", corrupting(shift_rhs))
     with pytest.raises(RuntimeError, match="invalid feasible point"):
-        feasible_nonneg(rows, c)
+        feasible_nonneg(rows, c, {})
 
 
 def multipliers(*Y):
@@ -352,10 +352,10 @@ def multipliers(*Y):
     (*cleared(*lp_2222(ab.pr_box())), multipliers()),
 ], ids=["2x2-yc", "2x2-yM", "pr-2222"])
 def test_a_corrupted_farkas_vector_is_refused(monkeypatch, rows, c, corrupt):
-    assert not feasible_nonneg(rows, c)[0]
+    assert not feasible_nonneg(rows, c, {})[0]
     monkeypatch.setattr(simplexq, "_pivot", corrupting(corrupt))
     with pytest.raises(RuntimeError, match="Farkas certificate failed verification"):
-        feasible_nonneg(rows, c)
+        feasible_nonneg(rows, c, {})
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +392,7 @@ def test_a_shared_tree_gives_the_answers_without_one_on_the_k8_grid():
     paths = {}
     for _ in range(2):  # the second pass runs every path from the tree
         for c in cs:
-            assert feasible_nonneg(M, c, paths) == feasible_nonneg(M, c)
+            assert feasible_nonneg(M, c, paths) == feasible_nonneg(M, c, {})
 
 
 def test_a_shared_tree_pivots_on_units_and_far_less_often():
@@ -422,7 +422,7 @@ def test_a_shared_tree_gives_the_answers_without_one(system):
     rows, cs = system
     paths = {}
     for c in cs + cs:
-        assert feasible_nonneg(rows, c, paths) == feasible_nonneg(rows, c)
+        assert feasible_nonneg(rows, c, paths) == feasible_nonneg(rows, c, {})
 
 
 def test_a_full_tree_records_nothing_more(monkeypatch):
@@ -430,7 +430,7 @@ def test_a_full_tree_records_nothing_more(monkeypatch):
     monkeypatch.setattr(simplexq, "MAX_PATH_NODES", 10)
     paths = {}
     for c in shuffled_kgrid():
-        assert feasible_nonneg(M, c, paths) == feasible_nonneg(M, c)
+        assert feasible_nonneg(M, c, paths) == feasible_nonneg(M, c, {})
         assert len(paths) <= 10
     assert len(paths) == 10
 
@@ -478,7 +478,7 @@ def test_no_corrupted_entry_changes_the_verdict(box):
     # every recorded entry one larger or one smaller, in turn: the solve
     # either still returns the answer without a tree or raises
     M, c = int_lp_2222(box)
-    want = feasible_nonneg(M, c)
+    want = feasible_nonneg(M, c, {})
     paths = {}
     feasible_nonneg(M, c, paths)
     raised = 0
@@ -503,7 +503,7 @@ def test_a_solve_that_leaves_the_tree_starts_over(box):
     # node recorded again
     M, c = int_lp_2222(box)
     with kernel(simplexq._pivot) as seen:
-        want = feasible_nonneg(M, c)
+        want = feasible_nonneg(M, c, {})
     paths = {}
     feasible_nonneg(M, c, paths)
     keys = path_keys(paths)
