@@ -12,7 +12,9 @@ weights may be negative; nonnegative solvability is exactly locality.
 box_to_model returns the deterministic free-variables-zero solution,
 is_local settles nonnegativity by exact LP and returns either the convex
 decomposition or a separating (Bell-type) functional as certificate.
-Both refuse a box with a row not summing to 1.  is_local prices its
+Both refuse a box with a row not summing to 1, solve M (den P) = num on
+ints and build each weight once, as Fraction(v_k, d * den) from simplexq's
+ints v over d.  is_local prices its
 functional through the cores of bell_local_bound, a best response, and
 bell_value, on ints; the price is kept per process, the value on each
 box is not.
@@ -28,7 +30,7 @@ from math import gcd
 from operator import getitem
 
 from .boxes import Box, _in_shape, make_box, row_labels
-from .classical import OntologicalModel, make_model
+from .classical import OntologicalModel
 from .errors import BudgetError, PreconditionError, ShapeError
 from .rationals import rat
 from .simplexq import LinearSolver, feasible_nonneg
@@ -104,24 +106,21 @@ def box_to_model(box: Box) -> OntologicalModel:
     """
     states, labels, *_ = _shape_system(box.nA, box.nB, box.nX, box.nY)
     solver = _shape_solver(box.nA, box.nB, box.nX, box.nY)
-    # solved as M (den P) = num on ints, like is_local
-    P = solver.solve(_numerators(box, labels))
-    if P is None:
+    # solved as M (den P) = num on ints, like is_local: P = v / (d den)
+    solved = solver.solve(_numerators(box, labels))
+    if solved is None:
         raise PreconditionError("instruction system inconsistent: the box is not no-signaling")
-    P = [pk / box.den for pk in P]
-    if sum(P) != 1:
+    v, d = solved
+    dd = d * box.den
+    if sum(v) != dd:
         raise RuntimeError("solution mass is not 1; normalization row violated")
-    partsA = {
-        x: [frozenset(k for k, (alpha, _) in enumerate(states) if alpha[x] == a)
-            for a in range(box.nA)]
-        for x in range(box.nX)
-    }
-    partsB = {
-        y: [frozenset(k for k, (_, beta) in enumerate(states) if beta[y] == b)
-            for b in range(box.nB)]
-        for y in range(box.nY)
-    }
-    return make_model(P, partsA, partsB)
+    # mass and signs are read off the ints, and the cells partition the states
+    partsA = {x: tuple(frozenset(k for k, (alpha, _) in enumerate(states) if alpha[x] == a)
+                       for a in range(box.nA)) for x in range(box.nX)}
+    partsB = {y: tuple(frozenset(k for k, (_, beta) in enumerate(states) if beta[y] == b)
+                       for b in range(box.nB)) for y in range(box.nY)}
+    return OntologicalModel(len(v), tuple(Fraction(vk, dd) for vk in v), partsA, partsB,
+                            any(vk * dd < 0 for vk in v))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ Three independent obstructions to quantum realizability are implemented.
   incompatible with locality.  Quantum boxes show the pattern too, but
   only with p(00|00) <= (5 sqrt 5 - 11)/2 ~ 0.0902 (Rabelo, Zhi and
   Scarani, PRL 109, 180401, 2012), so the pattern is an obstruction only
-  above that bound, decided exactly as (2 p(00|00) + 11)^2 > 125.
+  above that bound, decided as (2 n + 11 den)^2 > 125 den^2, n / den = p(00|00).
 
 classify() combines these with the exact locality LP.  The verdict is
 LOCAL when the LP finds a convex decomposition, POSTQUANTUM when an
@@ -38,7 +38,7 @@ from .boxes import (
 )
 from .bridge import LocalityVerdict, is_local
 from .errors import BudgetError, ReductionRefused, ShapeError
-from .families import caption_violations, ccd_table_box, sd_table_box
+from .families import _KEYS_2222, _ccd_nums, _sd_nums, caption_violations
 from .rationals import json_text, rat_str
 from .reduction import reduce_box
 
@@ -73,17 +73,18 @@ def _require_2222(box: Box):
 # the entries each form fixes at zero, whatever its parameters
 _CCD_ZEROS = ((0, 1, 1, 1), (1, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0))
 _SD_ZEROS = ((0, 1, 1, 1), (1, 0, 1, 1), (0, 0, 0, 1), (1, 0, 1, 0))
+# (kind, the keys of r, s, t and u, the form's entries as ints over D)
+_CCD = ("ccd", ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0)), _ccd_nums)
+_SD = ("sd", ((0, 0, 1, 1), (0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)), _sd_nums)
 
 
-def _match_form(box: Box, kind: str, maker, keys, zeros):
-    """The kind's form if maker rebuilds box from r, s, t, u at keys, else
-    None; a box with a nonzero entry at one of the form's zeros is not rebuilt."""
-    _require_2222(box)
-    if any(box.num[key] for key in zeros):
+def _match_num(den, num, kind, keys, entries):
+    """The kind's form if num over den is the form at the numerators r, s, t
+    and u that num holds at keys, else None (also for a 17th key)."""
+    params = [num[key] for key in keys]
+    if dict(zip(_KEYS_2222, entries(den, *params))) != num:
         return None
-    r, s, t, u = (box.p(*key) for key in keys)
-    if maker(r, s, t, u) != box:
-        return None
+    r, s, t, u = (Fraction(n, den) for n in params)
     return TableForm(kind, (r, s, t, u), not caption_violations(kind, r, s, t, u))
 
 
@@ -91,18 +92,18 @@ def match_ccd_form(box: Box):
     """Match against the CCD form; None unless all 16 entries agree.
 
     Reads r = p(00|00), s = p(01|01), t = p(00|11), u = p(01|10) and
-    rebuilds the form; constraints_ok additionally requires the caption
-    constraints, among them r > 0 and s - u != r - t.
+    compares the form's entries with the box's; constraints_ok additionally
+    requires the caption constraints, among them r > 0 and s - u != r - t.
     """
-    return _match_form(box, "ccd", ccd_table_box,
-                       ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0)), _CCD_ZEROS)
+    _require_2222(box)
+    return _match_num(box.den, box.num, *_CCD)
 
 
 def match_sd_form(box: Box):
     """Match against the SD form: s = p(00|00), t = p(01|00),
     u = p(11|00), r = p(00|11)."""
-    return _match_form(box, "sd", sd_table_box,
-                       ((0, 0, 1, 1), (0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)), _SD_ZEROS)
+    _require_2222(box)
+    return _match_num(box.den, box.num, *_SD)
 
 
 def tsirelson_obstruction(box: Box):
@@ -125,12 +126,8 @@ def tsirelson_obstruction(box: Box):
 
 def hardy_pattern(box: Box) -> bool:
     _require_2222(box)
-    return (
-        box.p(0, 0, 0, 0) > 0
-        and box.p(0, 1, 1, 1) == 0
-        and box.p(0, 0, 0, 1) == 0
-        and box.p(1, 0, 1, 0) == 0
-    )
+    n = box.num
+    return n[0, 0, 0, 0] > 0 and not (n[0, 1, 1, 1] or n[0, 0, 0, 1] or n[1, 0, 1, 0])
 
 
 def classify(box: Box, relabel_search: bool = False) -> ClassificationVerdict:
@@ -165,17 +162,17 @@ def classify(box: Box, relabel_search: bool = False) -> ClassificationVerdict:
         for fr in islice(all_frames(box), 1, None):
             # a frame with a nonzero entry at a zero of each form matches neither
             num = _relabeled_num(box, fr)
-            if any(num[key] for key in _CCD_ZEROS) and any(num[key] for key in _SD_ZEROS):
+            if any(map(num.__getitem__, _CCD_ZEROS)) and any(map(num.__getitem__, _SD_ZEROS)):
                 continue
-            candidate = Box(2, 2, 2, 2, box.den, num)
-            ccd_form, sd_form = match_ccd_form(candidate), match_sd_form(candidate)
+            ccd_form, sd_form = _match_num(box.den, num, *_CCD), _match_num(box.den, num, *_SD)
             if ccd_form or sd_form:
-                working, frame = candidate, fr
+                working, frame = Box(2, 2, 2, 2, box.den, num), fr
                 break
 
     verdict: LocalityVerdict = is_local(working)
     gap = tsirelson_obstruction(working)
     hardy = hardy_pattern(working)
+    n00, den = working.num[0, 0, 0, 0], working.den
 
     if verdict.local:
         conclusion = Conclusion.LOCAL
@@ -183,7 +180,7 @@ def classify(box: Box, relabel_search: bool = False) -> ClassificationVerdict:
         (ccd_form is not None and ccd_form.constraints_ok)
         or (sd_form is not None and sd_form.constraints_ok)
         or (gap is not None and gap != 0)
-        or (hardy and (2 * working.p(0, 0, 0, 0) + 11) ** 2 > 125)
+        or (hardy and (2 * n00 + 11 * den) ** 2 > 125 * den ** 2)
     ):
         conclusion = Conclusion.POSTQUANTUM
     else:

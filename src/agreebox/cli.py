@@ -63,8 +63,14 @@ TABLE_PARAMS = ("r", "s", "t", "u")
 MAX_GRID_POINTS = 16**4
 
 
+def _open(path, mode, **kwargs):
+    if "\0" in path:  # open() raises ValueError, not OSError, for a NUL
+        raise OSError(f"path holds a NUL character: {path!r}")
+    return open(path, mode, encoding="utf-8", **kwargs)
+
+
 def _read_text(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path, "r") as fh:
         return fh.read()
 
 
@@ -72,7 +78,7 @@ def _write_text(path, text):
     if path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _open(path, "w", newline="") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 

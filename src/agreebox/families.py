@@ -27,12 +27,8 @@ def pr_box() -> Box:
     anticorrelates.  This is the standard PR box with Alice's inputs
     swapped so its disagreement sits at the conventional labels.
     """
-    half = Fraction(1, 2)
-    entries = {}
-    for a, b, x, y in product(range(2), repeat=4):
-        hit = (a ^ b) == ((x ^ 1) * y)
-        entries[(a, b, x, y)] = half if hit else ZERO
-    return make_box(2, 2, 2, 2, entries)
+    return Box(2, 2, 2, 2, 2, {(a, b, x, y): int((a ^ b) == ((x ^ 1) * y))
+                               for a, b, x, y in product(range(2), repeat=4)})
 
 
 def uniform_box(nA: int = 2, nB: int = 2, nX: int = 2, nY: int = 2) -> Box:

@@ -20,12 +20,10 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .boxes import Box, make_box
+from .boxes import Box
 from .epistemic import detect_ccd
-from .errors import ReductionRefused
+from .errors import ReductionRefused, ShapeError
 from .rationals import rat
-
-ZERO = Fraction(0)
 
 
 class ReductionPlan(NamedTuple):
@@ -81,21 +79,23 @@ def split_output(box: Box, output: int = 0, at_input: int = 0, ratio=Fraction(1,
     (1 - ratio) share of the split output's mass on every row, elsewhere it
     occurs with probability zero.  The result is again no-signaling: Bob's
     marginals are untouched and Alice's new marginals are consistent in y.
+    Raises ShapeError for an output or input out of range; a ratio outside
+    [0, 1] gives a box that fails validate().
     """
+    if not (0 <= output < box.nA and 0 <= at_input < box.nX):
+        raise ShapeError(f"Alice's output {output} at input {at_input} is out of range")
     ratio = rat(ratio)
-    new_a = box.nA
-    entries = {}
-    for a, b, x, y in product(
-        range(box.nA + 1), range(box.nB), range(box.nX), range(box.nY)
-    ):
-        if a == new_a:
-            v = (1 - ratio) * box.p(output, b, x, y) if x == at_input else ZERO
+    k, q = ratio.numerator, ratio.denominator  # every entry is an int over den * q
+    num, nums = box.num, {}
+    for a, b, x, y in product(range(box.nA + 1), range(box.nB), range(box.nX), range(box.nY)):
+        if a == box.nA:
+            v = (q - k) * num[output, b, x, y] if x == at_input else 0
         elif a == output and x == at_input:
-            v = ratio * box.p(output, b, x, y)
+            v = k * num[output, b, x, y]
         else:
-            v = box.p(a, b, x, y)
-        entries[(a, b, x, y)] = v
-    return make_box(box.nA + 1, box.nB, box.nX, box.nY, entries)
+            v = q * num[a, b, x, y]
+        nums[a, b, x, y] = v
+    return Box(box.nA + 1, box.nB, box.nX, box.nY, box.den * q, nums)
 
 
 def plan_doc(plan: ReductionPlan) -> dict:

@@ -17,10 +17,10 @@ with f = T[i][col] (exact too: the result and T[i][j] are ints, so d
 divides f * T[r][j]), so only the columns where the pivot row is nonzero
 change, in place, and no row is rescaled; any other pivot rebuilds every
 row.  The 0/1 locality LPs of 2222 boxes pivot on units only (p = d = 1).
-No Fraction is built while pivoting.  LinearSolver.solve reads its
-answer off as Fraction(numerator, d); feasible_nonneg returns its point
-or Farkas vector as ints v with the divisor d > 0, and the caller reads
-it off as v / d.
+No Fraction is built anywhere here: both routines return their answer
+as ints v with a divisor d, and the caller reads it off as v / d.
+LinearSolver.solve's d is +-det B and may be negative; feasible_nonneg's
+d is positive.
 
 LinearSolver factors a fixed coefficient matrix once (Gauss-Jordan on
 [M | I], recording the row transform) so that many right-hand sides can
@@ -47,10 +47,7 @@ and d; a solve that leaves the recorded paths, and every solve on an
 empty dict, runs on the full tableau.
 """
 
-from fractions import Fraction
 from operator import mul
-
-ZERO = Fraction(0)
 
 
 def _pivot(rows, r, col, d):
@@ -111,17 +108,19 @@ class LinearSolver:
         self.transform = [row[n:] for row in aug]
 
     def solve(self, c):
-        """Particular solution with free variables zero, or None if inconsistent."""
+        """(v, d): the particular solution with free variables zero is
+        x = v / d, v a list of ints and d = +-det B an int that may be
+        negative; None if M x = c is inconsistent."""
         if len(c) != self.m:
             raise ValueError("right-hand side has the wrong length")
         # x_pivot = E c = transform c / d
         v = [sum(e * ci for e, ci in zip(erow, c) if e) for erow in self.transform]
         if any(v[self.rank:]):
             return None
-        x = [ZERO] * self.n
-        for j, col in enumerate(self.pivots):
-            x[col] = Fraction(v[j], self.divisor)
-        return x
+        x = [0] * self.n
+        for col, vj in zip(self.pivots, v):
+            x[col] = vj
+        return x, self.divisor
 
 
 # the most nodes a pivot-path tree records (2222 needs 97; a new box of a

@@ -566,6 +566,20 @@ def test_box_to_model_on_the_k8_grid_is_pinned():
     )
 
 
+def test_box_to_model_beyond_2222_is_pinned():
+    # every 16th k/8 box split to three outputs, then three uniform shapes:
+    # every model document, in order, byte for byte
+    boxes = [ab.split_output(box, 1, 1, F(1, 3)) for box in k8_boxes()[::16]]
+    boxes += [ab.uniform_box(3, 3, 2, 2), ab.uniform_box(2, 2, 3, 3), ab.uniform_box(3, 2, 2, 2)]
+    models = [ab.box_to_model(box) for box in boxes]
+    assert len(models) == 48
+    assert sum(model.signed for model in models) == 44
+    text = "".join(ab.model_to_json(model) for model in models)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a42ad5e56ed2fe3113f078754fe72a98bbb3c59595b90e2e210bac894b0d4791"
+    )
+
+
 # ---------------------------------------------------------------------------
 # is_local prices each Bell functional once per process
 

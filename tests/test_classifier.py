@@ -72,6 +72,16 @@ def test_sd_form_present_but_constraints_fail():
     assert not form.constraints_ok
 
 
+def test_a_box_with_a_17th_key_matches_neither_form():
+    # entries equal to a form's at its 16 keys, plus one key beyond them
+    for form in (ab.pr_box(), ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), 0),
+                 ab.sd_table_box(F(1, 2), F(1, 4), F(1, 4), F(1, 4))):
+        assert ab.match_ccd_form(form) or ab.match_sd_form(form)
+        box = ab.Box(2, 2, 2, 2, form.den, {**form.num, (2, 0, 0, 0): 0})
+        assert ab.match_ccd_form(box) is None
+        assert ab.match_sd_form(box) is None
+
+
 def test_uniform_box_matches_neither_form():
     assert ab.match_ccd_form(ab.uniform_box()) is None
     assert ab.match_sd_form(ab.uniform_box()) is None

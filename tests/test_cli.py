@@ -257,6 +257,27 @@ def test_a_directory_as_output_exits_2(tmp_path, command):
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
+# a shell cannot pass a NUL character in an argument, but a Python caller
+# of main can; open() refuses it with ValueError, which must not escape
+
+@pytest.mark.parametrize("command", ["classify", "reduce", "ontology"])
+def test_a_nul_in_the_input_path_exits_2(tmp_path, capsys, command):
+    code, out, err = run(capsys, command, "--input", str(tmp_path / "a\0b.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "NUL" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--family", "pr"], ["sweep", "--family", "pr"],
+    ["verify-classical", "--params", "omega=2,denom=2"],
+])
+def test_a_nul_in_the_output_path_exits_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--output", str(tmp_path / "a\0b.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "NUL" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["classify", "reduce", "ontology"])
 def test_non_utf8_input_exits_2(tmp_path, command):
     path = tmp_path / "box.json"
@@ -921,11 +942,12 @@ def fuzz_documents():
 
 
 FUZZ_FILES = fuzz_documents()
-# inputs: the documents above, a missing file and two directories
-FUZZ_INPUTS = [*FUZZ_FILES, "missing.json", ".", "sub"]
-# outputs: a new file, a directory, a path under a missing directory and one
-# under a file
-FUZZ_OUTPUTS = ["out.json", "-", ".", "sub", "nowhere/out.json", "pr.json/out.json"]
+# inputs: the documents above, a missing file, two directories and a path
+# with a NUL character
+FUZZ_INPUTS = [*FUZZ_FILES, "missing.json", ".", "sub", "pr\0.json"]
+# outputs: a new file, a directory, a path under a missing directory, one
+# under a file and one with a NUL character
+FUZZ_OUTPUTS = ["out.json", "-", ".", "sub", "nowhere/out.json", "pr.json/out.json", "out\0.json"]
 FUZZ_FAMILIES = ["ccd", "sd", "pr", "uniform", "zz", "CCD", "\u0661"]
 # family parameters and verify-classical bounds (at most omega=4, denom=3
 # with the defaults, so that no run takes long)

@@ -37,6 +37,15 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == [(1, "json"), (2, "gcd"), (3, "z")]
 
 
+def test_the_integer_solver_imports_no_fractions():
+    # simplexq answers in ints over a divisor, and its caller reads them off
+    tree = ast.parse((PACKAGE / "simplexq.py").read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and "fractions" not in modules
+
+
 def dead_names(sources):
     """(module, line, name) for each function, class or constant that a
     module binds at top level and nothing reads: not its own module, not a

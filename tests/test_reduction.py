@@ -1,6 +1,8 @@
 """Output coarse-graining to effective 2x2 boxes and general classification."""
 
+import hashlib
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,46 @@ def test_split_preserves_disagreement():
     assert report.hierarchy.qB == 0
     assert report.hierarchy.alpha_N == (0, 2)
     assert report.hierarchy.beta_N == (0,)
+
+
+def split_by_fractions(box, output, at_input, ratio):
+    """split_output as a Fraction per entry through make_box: the reference
+    for the integer version."""
+    entries = {}
+    for a, b, x, y in product(range(box.nA + 1), range(box.nB), range(box.nX), range(box.nY)):
+        if a == box.nA:
+            v = (1 - ratio) * box.p(output, b, x, y) if x == at_input else F(0)
+        elif a == output and x == at_input:
+            v = ratio * box.p(output, b, x, y)
+        else:
+            v = box.p(a, b, x, y)
+        entries[(a, b, x, y)] = v
+    return ab.make_box(box.nA + 1, box.nB, box.nX, box.nY, entries)
+
+
+def test_split_equals_the_fraction_reference_in_value_and_repr():
+    # every output and input of four boxes, with ratios inside and outside
+    # [0, 1]; the reprs, concatenated, keep their sha256
+    sources = [ab.pr_box(), ab.uniform_box(), ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), 0),
+               ab.uniform_box(3, 2, 3, 2)]
+    reprs = []
+    for box in sources:
+        for output, at_input in product(range(box.nA), range(box.nX)):
+            for ratio in (F(0), F(1, 3), F(1), F(-2), F(3, 2)):
+                split = ab.split_output(box, output, at_input, ratio)
+                reference = split_by_fractions(box, output, at_input, ratio)
+                assert split == reference and repr(split) == repr(reference)
+                reprs.append(repr(split))
+    assert len(reprs) == 105
+    assert hashlib.sha256("".join(reprs).encode()).hexdigest() == (
+        "47e0422644674109b5fbd3ab7a72034cd9f375972c36426d7bdc40bd8fd812d2"
+    )
+
+
+@pytest.mark.parametrize("output, at_input", [(2, 0), (-1, 0), (5, 0), (0, 2), (0, -1), (0, 5)])
+def test_split_refuses_an_output_or_input_out_of_range(output, at_input):
+    with pytest.raises(ab.ShapeError):
+        ab.split_output(ab.pr_box(), output=output, at_input=at_input)
 
 
 # ---------------------------------------------------------------------------

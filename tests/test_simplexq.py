@@ -165,14 +165,24 @@ def test_every_answer_carries_a_valid_certificate(system):
 # ---------------------------------------------------------------------------
 # the affine solver
 
+def solved(solver, c):
+    """The solver's answer read off as v / d, or None."""
+    answer = solver.solve(c)
+    return None if answer is None else [F(v, answer[1]) for v in answer[0]]
+
+
 def test_rank_deficient_solver():
     solver = LinearSolver([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert solver.rank == 2
     assert solver.pivots == [0, 1]
+    # the answer is ints v over the divisor d = +-det B, which is negative here
+    v, d = solver.solve([6, 12, 2])
+    assert (v, d) == ([-4, -4, 0], -2)
+    assert all(type(n) is int for n in (*v, d))
     # free variable x2 is zero
-    assert solver.solve([6, 12, 2]) == [2, 2, 0]
+    assert solved(solver, [6, 12, 2]) == [2, 2, 0]
     # the rhs (1/2, 1, 1/3) cleared by 6; the answer is divided back
-    assert [v / 6 for v in solver.solve([3, 6, 2])] == [F(1, 3), F(1, 12), 0]
+    assert [v / 6 for v in solved(solver, [3, 6, 2])] == [F(1, 3), F(1, 12), 0]
     # row 1 is twice row 0, so its rhs must be too
     assert solver.solve([6, 13, 2]) is None
 
@@ -182,7 +192,7 @@ def test_rank_deficient_rational_solver():
     # by 3, so 2 M x = 3 c; the answer is multiplied back by 2/3
     solver = LinearSolver([[1, 2], [2, 4]])
     assert solver.rank == 1
-    assert [v * 2 / 3 for v in solver.solve([1, 2])] == [F(2, 3), 0]
+    assert [v * 2 / 3 for v in solved(solver, [1, 2])] == [F(2, 3), 0]
     assert solver.solve([1, 3]) is None
     with pytest.raises(ValueError):
         solver.solve([3])
@@ -194,7 +204,7 @@ def test_solver_reproduces_boxes_on_2222():
     assert solver.rank == 9
     for box in (ab.pr_box(), ab.uniform_box(), ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), F(0))):
         _, C = lp_2222(box)
-        P = [v / box.den for v in solver.solve([box.num[key] for key in row_labels(2, 2, 2, 2)])]
+        P = [v / box.den for v in solved(solver, [box.num[key] for key in row_labels(2, 2, 2, 2)])]
         assert all(type(v) is F for v in P)
         for row, ci in zip(M, C):
             assert sum((a * p for a, p in zip(row, P)), F(0)) == ci
