@@ -2,10 +2,10 @@
 Given a two-input two-output box, where does it sit?  classify() runs
 the exact locality LP and three quantum obstructions.
 
-* A box carrying common certainty of disagreement must match a specific
-  four-parameter table; when the matched parameters satisfy the
-  disagreement constraints, no quantum state and measurements can
-  realize it.
+* No quantum state and measurements can realize a box carrying common
+  certainty of disagreement (CCD) or singular disagreement (SD), as
+  detect_ccd decides them.  The matched four-parameter table only
+  describes the box; its "constraints ok" is detect_ccd's answer.
 * Perfect correlation at inputs (0,0) and (1,1) forces c01 = c10 for
   every quantum box (a Tsirelson-type argument), so a nonzero gap
   c01 - c10 is disqualifying.

@@ -2,11 +2,11 @@
 
 Three independent obstructions to quantum realizability are implemented.
 
-* Form matching: a box carrying common certainty of disagreement must
-  equal the four-parameter CCD form, and one carrying singular
-  disagreement the SD form; when the caption constraints hold on the
-  matched parameters, no quantum box can produce the disagreement, so the
-  box itself cannot be quantum.
+* Disagreement: epistemic.detect_ccd decides common certainty of
+  disagreement (CCD) and singular disagreement (SD), which no quantum box
+  can produce.  The four-parameter CCD and SD table forms only describe
+  the box: a valid 2x2x2x2 box carrying CCD (SD) equals the CCD (SD) form,
+  and a matched form's constraints_ok is detect_ccd's answer on the box.
 * Correlator gap: with perfect correlation at inputs (0,0) and (1,1), any
   quantum box must have c01 = c10; a nonzero gap c01 - c10 is therefore
   disqualifying.  Without the perfect-correlation premise the test is
@@ -38,7 +38,8 @@ from .boxes import (
 )
 from .bridge import LocalityVerdict, is_local
 from .errors import BudgetError, ReductionRefused, ShapeError
-from .families import _KEYS_2222, _ccd_nums, _sd_nums, caption_violations
+from .epistemic import detect_ccd
+from .families import _KEYS_2222, _ccd_nums, _sd_nums
 from .rationals import json_text, rat_str
 from .reduction import reduce_box
 
@@ -52,7 +53,7 @@ class Conclusion(Enum):
 class TableForm(NamedTuple):
     kind: str  # "ccd" or "sd"
     params: tuple  # (r, s, t, u)
-    constraints_ok: bool
+    constraints_ok: bool  # detect_ccd's ccd (or sd) on the matched box
 
 
 class ClassificationVerdict(NamedTuple):
@@ -73,37 +74,38 @@ def _require_2222(box: Box):
 # the entries each form fixes at zero, whatever its parameters
 _CCD_ZEROS = ((0, 1, 1, 1), (1, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0))
 _SD_ZEROS = ((0, 1, 1, 1), (1, 0, 1, 1), (0, 0, 0, 1), (1, 0, 1, 0))
-# (kind, the keys of r, s, t and u, the form's entries as ints over D)
-_CCD = ("ccd", ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0)), _ccd_nums)
-_SD = ("sd", ((0, 0, 1, 1), (0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)), _sd_nums)
+# the keys of r, s, t and u, and the form's entries as ints over D
+_CCD = (((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0)), _ccd_nums)
+_SD = (((0, 0, 1, 1), (0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)), _sd_nums)
 
 
-def _match_num(den, num, kind, keys, entries):
-    """The kind's form if num over den is the form at the numerators r, s, t
+def _match_num(den, num, keys, entries):
+    """(r, s, t, u) if num over den is the form at the numerators r, s, t
     and u that num holds at keys, else None (also for a 17th key)."""
     params = [num[key] for key in keys]
     if dict(zip(_KEYS_2222, entries(den, *params))) != num:
         return None
-    r, s, t, u = (Fraction(n, den) for n in params)
-    return TableForm(kind, (r, s, t, u), not caption_violations(kind, r, s, t, u))
+    return tuple(Fraction(n, den) for n in params)
 
 
 def match_ccd_form(box: Box):
     """Match against the CCD form; None unless all 16 entries agree.
 
     Reads r = p(00|00), s = p(01|01), t = p(00|11), u = p(01|10) and
-    compares the form's entries with the box's; constraints_ok additionally
-    requires the caption constraints, among them r > 0 and s - u != r - t.
+    compares the form's entries with the box's; constraints_ok is
+    detect_ccd(box).ccd, which on the form means r > 0 and s - u != r - t.
     """
     _require_2222(box)
-    return _match_num(box.den, box.num, *_CCD)
+    params = _match_num(box.den, box.num, *_CCD)
+    return TableForm("ccd", params, detect_ccd(box).ccd) if params else None
 
 
 def match_sd_form(box: Box):
-    """Match against the SD form: s = p(00|00), t = p(01|00),
-    u = p(11|00), r = p(00|11)."""
+    """Match against the SD form: s = p(00|00), t = p(01|00), u = p(11|00),
+    r = p(00|11); constraints_ok is detect_ccd(box).sd (s > 0, s + t != 0, u + t != 1)."""
     _require_2222(box)
-    return _match_num(box.den, box.num, *_SD)
+    params = _match_num(box.den, box.num, *_SD)
+    return TableForm("sd", params, detect_ccd(box).sd) if params else None
 
 
 def tsirelson_obstruction(box: Box):
@@ -141,8 +143,8 @@ def classify(box: Box, relabel_search: bool = False) -> ClassificationVerdict:
     With relabel_search=True the 2x2x2x2 box is then moved through
     input/output relabelings, identity first, until one of the forms
     matches (if any does); the frame used is recorded on the verdict.
-    Locality is relabeling-invariant, the other evidences are reported in
-    the chosen frame.
+    Locality is relabeling-invariant; detect_ccd, which alone decides
+    disagreement, and the other evidences read the box in the chosen frame.
     """
     if (box.nA, box.nB, box.nX, box.nY) != (2, 2, 2, 2):
         try:
@@ -156,19 +158,22 @@ def classify(box: Box, relabel_search: bool = False) -> ClassificationVerdict:
                 local, None, None, None, False, Conclusion.NO_OBSTRUCTION_FOUND
             )
     working, frame = box, None
-    ccd_form, sd_form = match_ccd_form(box), match_sd_form(box)
-    if relabel_search and not (ccd_form or sd_form):
+    ccd, sd = _match_num(box.den, box.num, *_CCD), _match_num(box.den, box.num, *_SD)
+    if relabel_search and not (ccd or sd):
         # past the identity, matched above; with no match both forms end None
         for fr in islice(all_frames(box), 1, None):
             # a frame with a nonzero entry at a zero of each form matches neither
             num = _relabeled_num(box, fr)
             if any(map(num.__getitem__, _CCD_ZEROS)) and any(map(num.__getitem__, _SD_ZEROS)):
                 continue
-            ccd_form, sd_form = _match_num(box.den, num, *_CCD), _match_num(box.den, num, *_SD)
-            if ccd_form or sd_form:
+            ccd, sd = _match_num(box.den, num, *_CCD), _match_num(box.den, num, *_SD)
+            if ccd or sd:
                 working, frame = Box(2, 2, 2, 2, box.den, num), fr
                 break
 
+    report = detect_ccd(working)
+    ccd_form = TableForm("ccd", ccd, report.ccd) if ccd else None
+    sd_form = TableForm("sd", sd, report.sd) if sd else None
     verdict: LocalityVerdict = is_local(working)
     gap = tsirelson_obstruction(working)
     hardy = hardy_pattern(working)
@@ -176,12 +181,7 @@ def classify(box: Box, relabel_search: bool = False) -> ClassificationVerdict:
 
     if verdict.local:
         conclusion = Conclusion.LOCAL
-    elif (
-        (ccd_form is not None and ccd_form.constraints_ok)
-        or (sd_form is not None and sd_form.constraints_ok)
-        or (gap is not None and gap != 0)
-        or (hardy and (2 * n00 + 11 * den) ** 2 > 125 * den ** 2)
-    ):
+    elif report.ccd or report.sd or gap or (hardy and (2 * n00 + 11 * den) ** 2 > 125 * den ** 2):
         conclusion = Conclusion.POSTQUANTUM
     else:
         conclusion = Conclusion.NO_OBSTRUCTION_FOUND

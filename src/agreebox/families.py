@@ -93,8 +93,8 @@ def _sd_nums(D, r, s, t, u):
 def caption_violations(kind: str, r, s, t, u) -> list:
     """Which of the family's disagreement constraints fail for these params.
 
-    Empty list means the instantiated box is guaranteed the corresponding
-    disagreement (given it validates as a box at all).
+    Empty exactly when detect_ccd finds the family's disagreement on the
+    family's box at these params, valid or not (classify reads detect_ccd).
     """
     r, s, t, u = rat(r), rat(s), rat(t), rat(u)
     bad = []

@@ -111,8 +111,8 @@ def test_sd_matcher_inverts_the_generator(p):
 
 
 def test_ccd_constraints_are_the_caption_constraints_on_every_k4_box():
-    # the form already has p(01|00) = p(10|00) = 0, so the caption
-    # constraints alone decide constraints_ok
+    # the form already has p(01|00) = p(10|00) = 0, so detect_ccd, which
+    # fills constraints_ok, answers as the caption constraints do
     quarters = [F(k, 4) for k in range(5)]
     matched = 0
     for r, s, t, u in product(quarters, repeat=4):
