@@ -341,6 +341,13 @@ class RelabelFrame(NamedTuple):
 
 
 def relabel(box: Box, frame: RelabelFrame) -> Box:
+    """box in frame; ShapeError if a permutation of frame is not one of the
+    shape's inputs or outputs (one pi_a per input x, one pi_b per input y)."""
+    perms = [(frame.sigma_x, box.nX), (frame.sigma_y, box.nY),
+             *((p, box.nA) for p in frame.pi_a), *((p, box.nB) for p in frame.pi_b)]
+    if (len(frame.pi_a), len(frame.pi_b)) != (box.nX, box.nY) or any(
+            len(p) != n or set(p) != set(range(n)) for p, n in perms):
+        raise ShapeError(f"{frame} does not fit the shape {box.nA}{box.nB}{box.nX}{box.nY}")
     return Box(box.nA, box.nB, box.nX, box.nY, box.den, _relabeled_num(box, frame))
 
 

@@ -65,7 +65,14 @@ def _shape_system(nA, nB, nX, nY):
 
 @lru_cache(maxsize=None)
 def _shape_solver(nA, nB, nX, nY):
-    return LinearSolver(_shape_system(nA, nB, nX, nY)[2])
+    """(solver, cellsA, cellsB): box_to_model's solver for the shape's system,
+    and the states' cells, cellsA[x][a] the states whose alpha[x] is a."""
+    states, _, M, *_ = _shape_system(nA, nB, nX, nY)
+    cellsA = tuple(tuple(frozenset(k for k, (alpha, _) in enumerate(states) if alpha[x] == a)
+                         for a in range(nA)) for x in range(nX))
+    cellsB = tuple(tuple(frozenset(k for k, (_, beta) in enumerate(states) if beta[y] == b)
+                         for b in range(nB)) for y in range(nY))
+    return LinearSolver(M), cellsA, cellsB
 
 
 def _numerators(box: Box, labels):
@@ -104,8 +111,8 @@ def box_to_model(box: Box) -> OntologicalModel:
     measure is signed whenever the particular solution has a negative
     weight; is_local() decides whether some unsigned solution exists.
     """
-    states, labels, *_ = _shape_system(box.nA, box.nB, box.nX, box.nY)
-    solver = _shape_solver(box.nA, box.nB, box.nX, box.nY)
+    labels = _shape_system(box.nA, box.nB, box.nX, box.nY)[1]
+    solver, cellsA, cellsB = _shape_solver(box.nA, box.nB, box.nX, box.nY)
     # solved as M (den P) = num on ints, like is_local: P = v / (d den)
     solved = solver.solve(_numerators(box, labels))
     if solved is None:
@@ -114,13 +121,10 @@ def box_to_model(box: Box) -> OntologicalModel:
     dd = d * box.den
     if sum(v) != dd:
         raise RuntimeError("solution mass is not 1; normalization row violated")
-    # mass and signs are read off the ints, and the cells partition the states
-    partsA = {x: tuple(frozenset(k for k, (alpha, _) in enumerate(states) if alpha[x] == a)
-                       for a in range(box.nA)) for x in range(box.nX)}
-    partsB = {y: tuple(frozenset(k for k, (_, beta) in enumerate(states) if beta[y] == b)
-                       for b in range(box.nB)) for y in range(box.nY)}
-    return OntologicalModel(len(v), tuple(Fraction(vk, dd) for vk in v), partsA, partsB,
-                            any(vk * dd < 0 for vk in v))
+    # mass and signs are read off the ints; the cells are the shape's, in
+    # dicts of the model's own
+    return OntologicalModel(len(v), tuple(Fraction(vk, dd) for vk in v), dict(enumerate(cellsA)),
+                            dict(enumerate(cellsB)), any(vk * dd < 0 for vk in v))
 
 
 # ---------------------------------------------------------------------------

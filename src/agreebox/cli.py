@@ -8,6 +8,9 @@ Subcommands:
     ontology          box JSON -> instruction-set model JSON (flags signed)
     verify-classical  exhaustive small-model agreement check -> report JSON
 
+Each subcommand returns its text and exit code, and main writes the text
+once: a subcommand that fails writes nothing.
+
 Exit codes: 0 success, 2 parse error or a file that cannot be read or
 written (missing, a directory, not UTF-8 text), 3 validation or
 precondition error, 4 size limit exceeded, 1 anything unexpected.
@@ -75,11 +78,11 @@ def _read_text(path):
 
 
 def _write_text(path, text):
+    text = text if text.endswith("\n") else text + "\n"
     if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with _open(path, "w", newline="") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        return sys.stdout.write(text)
+    with _open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def _load_box(path):
@@ -166,9 +169,7 @@ def _parse_grid(text):
 
 def _cmd_classify(args):
     box = _load_box(args.input)
-    verdict = classify(box, relabel_search=args.relabel_search)
-    _write_text(args.output, verdict_to_json(verdict))
-    return EXIT_OK
+    return verdict_to_json(classify(box, relabel_search=args.relabel_search)), EXIT_OK
 
 
 def _family_box(family, params):
@@ -191,8 +192,7 @@ def _cmd_generate(args):
     captions = caption_violations(args.family, *map(params.get, names)) if names else []
     for w in [*captions, *validate(box).violations]:
         print(f"warning: {w}", file=sys.stderr)
-    _write_text(args.output, box_to_json(box))
-    return EXIT_OK
+    return box_to_json(box), EXIT_OK
 
 
 SWEEP_COLUMNS = [
@@ -297,28 +297,21 @@ def _cmd_sweep(args):
             raise ParseError(f"family {args.family!r} takes no --grid or --sample")
         D, tuples = 1, [(None, None, None, None)]
 
-    # the whole CSV is written at once, so a sweep that fails writes nothing
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(SWEEP_COLUMNS)
     writer.writerows(_sweep_rows(args.family, D, tuples))
-    _write_text(args.output, out.getvalue())
-    return EXIT_OK
+    return out.getvalue(), EXIT_OK
 
 
 def _cmd_reduce(args):
     box = _load_box(args.input)
     reduced, plan = reduce_box(box, args.mode)
-    doc = {"box": box_doc(reduced), "plan": plan_doc(plan)}
-    _write_text(args.output, json_text(doc))
-    return EXIT_OK
+    return json_text({"box": box_doc(reduced), "plan": plan_doc(plan)}), EXIT_OK
 
 
 def _cmd_ontology(args):
-    box = _load_box(args.input)
-    model = box_to_model(box)
-    _write_text(args.output, model_to_json(model))
-    return EXIT_OK
+    return model_to_json(box_to_model(_load_box(args.input))), EXIT_OK
 
 
 def _cmd_verify_classical(args):
@@ -331,12 +324,8 @@ def _cmd_verify_classical(args):
     report = verify_agreement_theorem(
         int(params.get("omega", 4)), int(params.get("denom", 3))
     )
-    _write_text(args.output, json_text(asdict(report)))
-    if report.violations:
-        return EXIT_UNEXPECTED
-    if not report.complete:
-        return EXIT_BUDGET
-    return EXIT_OK
+    code = EXIT_UNEXPECTED if report.violations else EXIT_OK if report.complete else EXIT_BUDGET
+    return json_text(asdict(report)), code
 
 
 # ---------------------------------------------------------------------------
@@ -420,23 +409,18 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        return args.func(args)
-    except ReductionRefused as exc:
+        text, code = args.func(args)
+        _write_text(args.output, text)
+        return code
+    except (AgreeboxError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(json_text(report_doc(exc.report)), file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ParseError, StructuralError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (PreconditionError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except AgreeboxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+        if isinstance(exc, ReductionRefused):
+            print(json_text(report_doc(exc.report)), file=sys.stderr)
+        if isinstance(exc, (ParseError, StructuralError, OSError, UnicodeDecodeError)):
+            return EXIT_PARSE
+        if isinstance(exc, (PreconditionError, ShapeError)):  # ReductionRefused is one
+            return EXIT_VALIDATION
+        return EXIT_BUDGET if isinstance(exc, BudgetError) else EXIT_UNEXPECTED
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from .boxes import Box, make_box, row_labels
+from .errors import ShapeError
 from .rationals import over_common_den, rat
 
 ZERO = Fraction(0)
@@ -32,6 +33,8 @@ def pr_box() -> Box:
 
 
 def uniform_box(nA: int = 2, nB: int = 2, nX: int = 2, nY: int = 2) -> Box:
+    if min(nA, nB, nX, nY) < 1:
+        raise ShapeError("cardinalities must be positive")
     w = Fraction(1, nA * nB)
     entries = {
         (a, b, x, y): w
@@ -129,9 +132,14 @@ def deterministic_strategies():
 
 
 def mix_strategies(weighted) -> Box:
-    """Convex mixture of deterministic strategies given as ((a0,a1,b0,b1), w)."""
+    """Convex mixture of deterministic strategies given as ((a0,a1,b0,b1), w).
+
+    Raises ShapeError for a strategy with an output outside {0, 1}.
+    """
     entries = {k: ZERO for k in product(range(2), repeat=4)}
     for (a0, a1, b0, b1), w in weighted:
+        if not {a0, a1, b0, b1} <= {0, 1}:
+            raise ShapeError(f"strategy {(a0, a1, b0, b1)} has an output outside {{0, 1}}")
         w = rat(w)
         for x, y in product(range(2), repeat=2):
             entries[((a0, a1)[x], (b0, b1)[y], x, y)] += w

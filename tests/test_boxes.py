@@ -42,6 +42,13 @@ def test_uniform_box_is_valid():
     assert ab.validate(ab.uniform_box(3, 3, 2, 2)).ok
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2, 2), (2, 0, 2, 2), (2, 2, 0, 2), (2, 2, 2, -1)])
+def test_a_uniform_box_with_a_cardinality_below_one_is_a_shape_error(shape):
+    # an output count of 0 would divide by zero
+    with pytest.raises(ab.ShapeError, match="cardinalities must be positive"):
+        ab.uniform_box(*shape)
+
+
 def test_signaling_box_reports_no_signaling_violation():
     # p(00|00) = 1 but p(00|01) = 0, remaining mass spread uniformly:
     # Alice's output-0 marginal depends on y, Bob's output-0 marginal on x.
@@ -452,6 +459,16 @@ def test_conditional_rejects_bad_indices():
         ab.conditional(ab.pr_box(), ("B", 2), (0, 0, 1))
     with pytest.raises(ab.ShapeError):
         ab.conditional(ab.pr_box(), ("C", 1), (0, 0, 1))
+    with pytest.raises(ab.ShapeError, match=r"output out of range: target=\('A', 5\)"):
+        ab.conditional(ab.pr_box(), ("A", 5), (0, 0, 0))
+
+
+def test_marginal_b_sums_alices_outputs_on_its_row():
+    # Bob answers b0 = 0 a quarter of the time and b1 = 1 always
+    box = ab.mix_strategies([((0, 1, 0, 1), F(1, 4)), ((1, 0, 1, 1), F(3, 4))])
+    for b, x, y in product(range(2), repeat=3):
+        assert box.marginal_b(b, x, y) == sum(box.p(a, b, x, y) for a in range(2))
+        assert box.marginal_b(b, x, y) == [[F(1, 4), F(3, 4)], [0, 1]][y][b]
 
 
 @pytest.mark.parametrize("given", [(0, 5, 0), (0, 0, 2), (0, -1, 0), (0, 0, -1)])
@@ -547,6 +564,22 @@ def test_relabel_moves_standard_pr_into_working_frame():
         (1, 0), (0, 1), ((0, 1), (0, 1)), ((0, 1), (0, 1))
     )
     assert ab.relabel(standard, frame).table == ab.pr_box().table
+
+
+IDENTITY_2222 = ((0, 1), (0, 1), ((0, 1), (0, 1)), ((0, 1), (0, 1)))
+
+
+@pytest.mark.parametrize("part, value", [
+    (0, (0,)), (1, (1, 1)), (1, (0, 2)), (2, ((0, 1),)), (3, ((0, 1), (0, 1), (0, 1))),
+    (2, ((0, 1), (0, 1, 2))), (3, ((0, 1), (1,))),
+], ids=["sigma-x-short", "sigma-y-repeat", "sigma-y-range", "pi-a-short", "pi-b-long",
+        "pi-a-long-perm", "pi-b-short-perm"])
+def test_relabel_refuses_a_frame_that_does_not_fit_the_shape(part, value):
+    # each would index outside the shape, or map two entries to one key
+    frame = ab.RelabelFrame(*IDENTITY_2222[:part], value, *IDENTITY_2222[part + 1:])
+    with pytest.raises(ab.ShapeError, match="does not fit the shape 2222"):
+        ab.relabel(ab.pr_box(), frame)
+    assert ab.relabel(ab.pr_box(), ab.RelabelFrame(*IDENTITY_2222)) == ab.pr_box()
 
 
 def test_frame_count_and_identity_first():
@@ -1009,12 +1042,25 @@ def test_caption_violation_lists():
     assert ab.caption_violations("sd", F(1, 2), F(1, 2), 0, F(1, 2)) == []
 
 
+def test_caption_violations_of_an_unknown_family_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown family kind 'xyz'"):
+        ab.caption_violations("xyz", 0, 0, 0, 0)
+
+
 def test_sd_form_at_pr_parameters_is_pr():
     assert ab.sd_table_box(F(1, 2), F(1, 2), 0, F(1, 2)).table == ab.pr_box().table
 
 
 def test_ccd_form_at_pr_parameters_is_pr():
     assert ab.ccd_table_box(F(1, 2), F(1, 2), F(1, 2), 0).table == ab.pr_box().table
+
+
+@pytest.mark.parametrize("make", [lambda: ab.mix_strategies([((0, 0, 2, 0), 1)]),
+                                  lambda: ab.strategy_box(0, 0, 0, 5),
+                                  lambda: ab.strategy_box(-1, 0, 0, 0)])
+def test_a_strategy_with_an_output_outside_0_and_1_is_a_shape_error(make):
+    with pytest.raises(ab.ShapeError, match=r"has an output outside \{0, 1\}"):
+        make()
 
 
 def test_strategy_boxes_are_deterministic_and_local():

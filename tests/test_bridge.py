@@ -117,6 +117,17 @@ def test_model_to_box_rejects_ragged_partitions():
         ab.model_to_box(m)
 
 
+@pytest.mark.parametrize("skipped", ["A", "B"])
+def test_model_to_box_rejects_partitions_that_skip_an_input(skipped):
+    # inputs 0 and 2, no 1: not contiguous from 0
+    gapped = {0: [{0}, {1}], 2: [{1}, {0}]}
+    whole = {0: [{0}, {1}], 1: [{1}, {0}]}
+    m = ab.make_model([F(1, 2), F(1, 2)], gapped if skipped == "A" else whole,
+                      gapped if skipped == "B" else whole)
+    with pytest.raises(ab.ShapeError, match="contiguous inputs from 0"):
+        ab.model_to_box(m)
+
+
 # ---------------------------------------------------------------------------
 # box -> model
 
@@ -148,6 +159,19 @@ def test_roundtrip_is_exact():
 def test_roundtrip_on_local_mixtures(ws):
     box = local_mixture(ws)
     assert ab.model_to_box(ab.box_to_model(box)) == box
+
+
+def test_models_of_one_shape_share_no_partition_dict():
+    # the cells are built once per shape; each model gets dicts of its own,
+    # so changing one model's partitions leaves the next model as it was
+    first = ab.box_to_model(ab.uniform_box(3, 2, 2, 2))
+    second = ab.box_to_model(ab.uniform_box(3, 2, 2, 2))
+    assert first.partsA == second.partsA and first.partsB == second.partsB
+    first.partsA.clear()
+    first.partsB[0] = ()
+    third = ab.box_to_model(ab.uniform_box(3, 2, 2, 2))
+    assert (third.partsA, third.partsB) == (second.partsA, second.partsB)
+    assert len(third.partsA) == 2 and len(third.partsA[0]) == 3
 
 
 def test_signaling_box_is_rejected():

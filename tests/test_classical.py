@@ -95,6 +95,25 @@ def test_null_join_cell_is_named():
         ab.tower(m, ab.EventPair(frozenset(), frozenset()), 0, 0)
 
 
+@pytest.mark.parametrize("party", ["A", "B"])
+def test_tower_needs_an_input_0_partition_for_both_parties(party):
+    parts = {0: [{0}, {1}]}
+    other = {1: [{0}, {1}]}
+    m = ab.make_model([F(1, 2), F(1, 2)], other if party == "A" else parts,
+                      other if party == "B" else parts)
+    with pytest.raises(ab.PreconditionError, match="input-0 partitions for both parties"):
+        ab.tower(m, ab.EventPair(frozenset(), frozenset()), 0, 0)
+
+
+def test_conditional_mass_on_a_null_set_is_a_precondition_error():
+    m = ab.make_model([F(1, 2), F(1, 2), F(0)], {0: [{0, 1, 2}]}, {0: [{0, 1, 2}]})
+    assert classical.conditional_mass(m, {0}, {0, 2}) == 1
+    with pytest.raises(ab.PreconditionError, match="conditioning on a null state set"):
+        classical.conditional_mass(m, {0}, {2})
+    with pytest.raises(ab.PreconditionError, match="conditioning on a null state set"):
+        classical.conditional_mass(m, {0}, set())
+
+
 def test_tower_stabilization_properties():
     # once stabilized with A_N nonempty, Alice is certain of B_N and
     # still assigns exactly qA to the event
@@ -471,6 +490,14 @@ def test_malformed_model_documents_are_parse_errors(field, value):
     doc = json.loads(ab.model_to_json(two_state_model()))
     doc[field] = value
     with pytest.raises(ab.ParseError):
+        ab.model_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("omega", [1, 3])
+def test_an_omega_that_is_not_the_measure_length_is_a_structural_error(omega):
+    doc = json.loads(ab.model_to_json(two_state_model()))
+    doc["omega"] = omega
+    with pytest.raises(ab.StructuralError, match="omega does not match the measure length"):
         ab.model_from_json(json.dumps(doc))
 
 

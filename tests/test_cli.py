@@ -14,12 +14,13 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import agreebox as ab
 from agreebox import cli
 from agreebox.cli import SWEEP_COLUMNS, _parse_grid, _sample_tuples, main
+from agreebox.epistemic import report_doc
 
 
 def run(capsys, *argv):
@@ -147,10 +148,10 @@ def test_malformed_box_documents_exit_2(tmp_path, capsys, command, rows):
     assert out == "" and "Traceback" not in err
 
 
-def cli_process(*argv):
+def cli_process(*argv, cwd=None):
     """The CLI in a child process, so that a hang fails the test at the timeout."""
     env = dict(os.environ, PYTHONPATH=str(Path(ab.__file__).resolve().parent.parent))
-    return subprocess.run([sys.executable, "-m", "agreebox.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "agreebox.cli", *argv], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=10)
 
 
@@ -376,6 +377,17 @@ def test_sweep_bad_grid(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("r=0:1:0,s=0,t=0,u=0", "grid step must be positive"),
+    ("r=0:1:-1/2,s=0,t=0,u=0", "grid step must be positive"),
+    ("r=0:1:1/2,s=0,t=0", "grid is missing axes ['u']"),
+    ("s=0,t=0", "grid is missing axes ['r', 'u']"),
+])
+def test_sweep_grid_needs_positive_steps_and_every_axis(capsys, grid, message):
+    code, out, err = run(capsys, "sweep", "--family", "ccd", "--grid", grid)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_grid_repeated_axis_is_a_parse_error(capsys):
     grid = "r=0,r=1/2,s=1/2,t=1/2,u=0"
     code, out, err = run(capsys, "sweep", "--family", "ccd", "--grid", grid)
@@ -466,21 +478,75 @@ def test_sweep_seed_without_sample_is_a_parse_error(capsys, argv):
     assert out == ""
 
 
-def test_a_failed_sweep_writes_no_output_file(tmp_path, capsys):
-    # the grid's one point is too long for a Box (see below), so the sweep
-    # exits 2: the file is neither created nor replaced
+def failing_argvs(tmp_path):
+    """One argv per subcommand that fails after its options are read, with
+    the exit code it ends in."""
+    uniform = tmp_path / "uniform.json"
+    uniform.write_text(ab.box_to_json(ab.uniform_box()))
+    too_big = tmp_path / "u2267.json"
+    too_big.write_text(ab.box_to_json(ab.uniform_box(2, 2, 6, 7)))
+    # the grid's one point is too long for a Box (see below)
     zeros = "0" * 3999
-    grid = f"r=2,s=1/7{zeros},t=1/3{zeros},u=0"
-    path = tmp_path / "f.csv"
-    code, out, err = run(capsys, "sweep", "--family", "ccd", "--grid", grid,
-                         "--output", str(path))
-    assert code == 2 and out == ""
+    return {
+        "classify": (["classify", "--input", str(tmp_path / "missing.json")], 2),
+        "generate": (["generate", "--family", "ccd", "--params", "r=1/2"], 2),
+        "sweep": (["sweep", "--family", "ccd", "--grid", f"r=2,s=1/7{zeros},t=1/3{zeros},u=0"], 2),
+        "reduce": (["reduce", "--input", str(uniform)], 3),
+        "ontology": (["ontology", "--input", str(too_big)], 4),
+        "verify-classical": (["verify-classical", "--params", "omega=0"], 2),
+    }
+
+
+def test_a_failed_sweep_writes_no_output_file(tmp_path, capsys):
+    # main writes a subcommand's text only once it has returned: a run that
+    # fails neither creates the file nor replaces it, whichever the subcommand
+    argvs = failing_argvs(tmp_path)
+    assert sorted(argvs) == sorted(cli._COMMANDS)
+    for command, (argv, status) in argvs.items():
+        path = tmp_path / f"{command}.out"
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert (code, out) == (status, ""), command
+        assert err.startswith("error: ")
+        assert not path.exists()
+        path.write_text("kept\n")
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert code == status
+        assert path.read_text() == "kept\n"
+
+
+# each branch of main's error handler, in its order (a refused reduction,
+# which also writes its report, is driven by the reduce tests below); a
+# bare AgreeboxError is a fault, and an error outside the package is not
+# caught at all
+HANDLED_ERRORS = [
+    (ab.ParseError("p"), 2), (ab.StructuralError("s"), 2), (OSError("o"), 2),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 2),
+    (ab.PreconditionError("c"), 3), (ab.ShapeError("h"), 3), (ab.BudgetError("b"), 4),
+    (ab.AgreeboxError("a"), 1),
+]
+
+
+@pytest.mark.parametrize("exc, status", HANDLED_ERRORS,
+                         ids=[type(exc).__name__ for exc, _ in HANDLED_ERRORS])
+def test_each_error_ends_in_its_exit_code_with_one_message(tmp_path, capsys, monkeypatch,
+                                                           exc, status):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify_agreement_theorem", fail)
+    path = tmp_path / "out.json"
+    code, out, err = run(capsys, "verify-classical", "--output", str(path))
+    assert (code, out, err) == (status, "", f"error: {exc}\n")
     assert not path.exists()
-    path.write_text("kept\n")
-    code, out, err = run(capsys, "sweep", "--family", "ccd", "--grid", grid,
-                         "--output", str(path))
-    assert code == 2
-    assert path.read_text() == "kept\n"
+
+
+def test_an_error_outside_the_package_is_not_caught(monkeypatch):
+    def fail(*args):
+        raise RuntimeError("a broken invariant")
+
+    monkeypatch.setattr(cli, "verify_agreement_theorem", fail)
+    with pytest.raises(RuntimeError, match="a broken invariant"):
+        main(["verify-classical"])
 
 
 # sha256 of the stdout of the sweep over the full k/8 grid: every row, in
@@ -632,6 +698,18 @@ def test_reduce_refusal_reports(tmp_path, capsys):
         assert '"ccd": false' in err
 
 
+def test_reduce_in_sd_mode_refuses_a_box_with_ccd_and_no_sd(tmp_path, capsys):
+    box = ab.ccd_table_box(F(1, 2), F(1, 4), F(1, 2), 0)
+    report = ab.detect_ccd(box)
+    assert report.ccd and not report.sd
+    path = tmp_path / "ccd.json"
+    path.write_text(ab.box_to_json(box))
+    code, out, err = run(capsys, "reduce", "--input", str(path), "--mode", "sd")
+    assert (code, out) == (3, "")
+    assert err == ("error: source box has no singular disagreement\n"
+                   + json.dumps(report_doc(report), indent=2) + "\n")
+
+
 def test_ontology_flags_signed_models(tmp_path, capsys):
     path = tmp_path / "pr.json"
     path.write_text(ab.box_to_json(ab.pr_box()))
@@ -758,7 +836,6 @@ def test_every_json_output_is_json_dumps_with_indent_2(tmp_path, capsys):
 
     from agreebox.classical import model_doc
     from agreebox.classify import verdict_doc
-    from agreebox.epistemic import report_doc
 
     def dumped(doc):
         return json.dumps(doc, indent=2) + "\n"
@@ -1017,18 +1094,24 @@ def fuzz_argvs(draw):
     return argv
 
 
-@settings(max_examples=600, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=fuzz_argvs())
-def test_random_argvs_end_in_a_documented_exit_code(tmp_path, capsys, monkeypatch, argv):
-    # each run gets a fresh directory holding the input files, so that what
-    # one run writes cannot reach the next; argparse's usage errors and its
-    # -h and --version exit through SystemExit, with 2 and 0; no run may
-    # take 10 s (the slowest take under 50 ms)
+def fuzz_directory(tmp_path):
+    """A fresh directory holding the input files, so that what one run
+    writes cannot reach the next."""
     work = Path(tempfile.mkdtemp(dir=tmp_path))
     (work / "sub").mkdir()
     for name, data in FUZZ_FILES.items():
         (work / name).write_bytes(data)
+    return work
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzz_argvs())
+def test_random_argvs_end_in_a_documented_exit_code(tmp_path, capsys, monkeypatch, argv):
+    # argparse's usage errors and its -h and --version exit through
+    # SystemExit, with 2 and 0; no run may take 10 s (the slowest take
+    # under 50 ms), but a run that hangs is stopped only by the test below
+    work = fuzz_directory(tmp_path)
     with monkeypatch.context() as m:
         m.chdir(work)
         start = time.perf_counter()
@@ -1041,3 +1124,16 @@ def test_random_argvs_end_in_a_documented_exit_code(tmp_path, capsys, monkeypatc
     assert code in (0, 2, 3, 4), (argv, err)
     assert "Traceback" not in err
     assert elapsed < 10, argv
+
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, phases=[Phase.generate],
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzz_argvs().filter(lambda argv: "\0" not in "".join(argv)))
+def test_sampled_argvs_end_in_a_documented_exit_code_in_a_process(tmp_path, argv):
+    # ten of the fuzz's argvs, the same ten on every run, each in a child
+    # process that is killed at 10 s: a run that hangs fails here instead of
+    # stalling the suite (and is not shrunk); a process argument holds no NUL
+    done = cli_process(*argv, cwd=fuzz_directory(tmp_path))
+    assert done.returncode in (0, 2, 3, 4), (argv, done.stderr)
+    assert "Traceback" not in done.stderr

@@ -89,6 +89,9 @@ def test_hierarchy_refuses_a_box_without_the_probed_inputs():
     # qA is read at y = 1, which a one-input Bob does not have
     with pytest.raises(ab.ShapeError):
         ab.hierarchy(ab.uniform_box(2, 2, 2, 1), 0, 0)
+    # qB is read at x = 1, which a one-input Alice does not have
+    with pytest.raises(ab.ShapeError, match="qB is probed at output a = 1 of inputs x = 1"):
+        ab.hierarchy(ab.uniform_box(2, 2, 1, 2), None, F(1, 2))
 
 
 def reference_hierarchy(box, qA, qB):
