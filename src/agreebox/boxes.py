@@ -309,14 +309,14 @@ def correlators(box: Box) -> dict:
     """c[x, y] = p(a=b|xy) - p(a!=b|xy) for a binary-output box."""
     if box.nA != 2 or box.nB != 2:
         raise ShapeError("correlators are defined for binary outputs only")
+    return {(x, y): Fraction(_correlator_num(box, x, y), box.den)
+            for x in range(box.nX) for y in range(box.nY)}
+
+
+def _correlator_num(box: Box, x: int, y: int) -> int:
+    """den * c[x, y]: the agreeing minus the differing numerators on row (x, y)."""
     n = box.num
-    c = {}
-    for x in range(box.nX):
-        for y in range(box.nY):
-            agree = n[0, 0, x, y] + n[1, 1, x, y]
-            differ = n[0, 1, x, y] + n[1, 0, x, y]
-            c[(x, y)] = Fraction(agree - differ, box.den)
-    return c
+    return n[0, 0, x, y] + n[1, 1, x, y] - n[0, 1, x, y] - n[1, 0, x, y]
 
 
 # ---------------------------------------------------------------------------

@@ -199,11 +199,16 @@ def is_local(box: Box) -> LocalityVerdict:
 # Bell functionals on boxes
 
 def bell_value(box: Box, coeffs) -> Fraction:
-    """sum_k c_k p(k) for coeffs {(a, b, x, y): int or Fraction}, missing keys 0."""
+    """sum_k c_k p(k) for coeffs {(a, b, x, y): rational-like}, missing keys 0."""
     for key in coeffs:
         if not _in_shape(key, box.nA, box.nB, box.nX, box.nY):
             raise ShapeError(f"coefficient key outside the box's shape: {key!r}")
-    return Fraction(_value_num(box, coeffs.items()), box.den)
+    return Fraction(_value_num(box, _exact(coeffs)), box.den)
+
+
+def _exact(coeffs):
+    """coeffs' (key, weight) pairs, each weight that is no int or Fraction read by rat."""
+    return [(key, w if isinstance(w, (int, Fraction)) else rat(w)) for key, w in coeffs.items()]
 
 
 def _value_num(box: Box, items):
@@ -213,11 +218,12 @@ def _value_num(box: Box, items):
 
 def bell_local_bound(coeffs, nA, nB, nX, nY):
     """Maximum of the functional over all deterministic strategies: for each
-    of Alice's alpha, Bob's best response b maximizes sum_x c(alpha[x], b, x, y)."""
+    of Alice's alpha, Bob's best response b maximizes sum_x c(alpha[x], b, x, y).
+    Int coefficients give an int bound; others are read as bell_value reads them."""
     for key in coeffs:
         if not _in_shape(key, nA, nB, nX, nY):
             raise ShapeError(f"coefficient key outside the shape: {key!r}")
-    return _local_bound(coeffs.items(), nA, nB, nX, nY)
+    return _local_bound(_exact(coeffs), nA, nB, nX, nY)
 
 
 def _local_bound(items, nA, nB, nX, nY):

@@ -32,6 +32,7 @@ from typing import NamedTuple
 from .boxes import (
     Box,
     RelabelFrame,
+    _correlator_num,
     _relabeled_num,
     all_frames,
     is_perfectly_correlated,
@@ -119,11 +120,7 @@ def tsirelson_obstruction(box: Box):
         raise ShapeError("gap test needs binary outputs and two inputs per party")
     if not (is_perfectly_correlated(box, 0, 0) and is_perfectly_correlated(box, 1, 1)):
         return None
-    # (agree - differ) at (0, 1) minus the same at (1, 0), over den
-    n = box.num
-    gap = (n[0, 0, 0, 1] + n[1, 1, 0, 1] - n[0, 1, 0, 1] - n[1, 0, 0, 1]
-           - n[0, 0, 1, 0] - n[1, 1, 1, 0] + n[0, 1, 1, 0] + n[1, 0, 1, 0])
-    return Fraction(gap, box.den)
+    return Fraction(_correlator_num(box, 0, 1) - _correlator_num(box, 1, 0), box.den)
 
 
 def hardy_pattern(box: Box) -> bool:

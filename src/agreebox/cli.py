@@ -96,10 +96,10 @@ def _load_box(path):
     return box
 
 
-def _split_items(text, what):
+def _split_items(text, names, what, whats):
     """Split "name=value,..." into a name -> value text dict.
 
-    Every item needs an "=" and a name that is nonempty and new.
+    Every item needs an "=" and a nonempty new name; then every name must be one of names.
     """
     items = {}
     for item in text.split(","):
@@ -110,6 +110,10 @@ def _split_items(text, what):
         if name in items:
             raise ParseError(f"{what} {name!r} given twice")
         items[name] = value
+    unknown = set(items) - set(names)
+    if unknown:
+        known = ", ".join(names) or "none"
+        raise ParseError(f"unknown {whats} {sorted(unknown)} (known: {known})")
     return items
 
 
@@ -117,11 +121,7 @@ def _parse_params(text, names):
     """Parse "r=1/2,s=0.25" into a name -> Fraction dict; only names are read."""
     if not text:
         return {}
-    items = _split_items(text, "parameter")
-    unknown = set(items) - set(names)
-    if unknown:
-        known = ", ".join(names) or "none"
-        raise ParseError(f"unknown parameters {sorted(unknown)} (known: {known})")
+    items = _split_items(text, names, "parameter", "parameters")
     return {name: rat(value) for name, value in items.items()}
 
 
@@ -135,11 +135,7 @@ def _parse_grid(text):
     counted before any is built: a grid of more than MAX_GRID_POINTS raises
     BudgetError, and a grid of none has every axis empty.
     """
-    items = _split_items(text, "grid axis")
-    unknown = set(items) - set(TABLE_PARAMS)
-    if unknown:
-        known = ", ".join(TABLE_PARAMS)
-        raise ParseError(f"unknown grid axes {sorted(unknown)} (known: {known})")
+    items = _split_items(text, TABLE_PARAMS, "grid axis", "grid axes")
     pieces = []  # start, stop, step of each axis in turn; a singleton v is v:v:1
     for axis in items.values():
         if ":" in axis:
@@ -331,24 +327,19 @@ def _cmd_verify_classical(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
-    """The argument parser, and a name -> parser dict of its subcommands."""
+    """The argument parser, and argparse's name -> parser map of its subcommands."""
     parser = argparse.ArgumentParser(
         prog="agreebox",
         description="agreement and disagreement analysis for no-signaling boxes",
     )
     parser.add_argument("--version", action="version", version=f"agreebox {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-
-    def add_command(name, **kwargs):
-        commands[name] = p = sub.add_parser(name, **kwargs)
-        return p
 
     def add_common(p):
         p.add_argument("--input", required=True, help="path to a box JSON file")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    p = add_command("classify", help="classify a box")
+    p = sub.add_parser("classify", help="classify a box")
     add_common(p)
     p.add_argument(
         "--relabel-search", action="store_true",
@@ -356,13 +347,13 @@ def build_parser():
     )
     p.set_defaults(func=_cmd_classify)
 
-    p = add_command("generate", help="emit a family box as JSON")
+    p = sub.add_parser("generate", help="emit a family box as JSON")
     p.add_argument("--family", required=True, choices=["ccd", "sd", "pr", "uniform"])
     p.add_argument("--params", default="", help='e.g. "r=1/2,s=1/4,t=1/2,u=0"')
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_generate)
 
-    p = add_command("sweep", help="sweep a family and emit CSV")
+    p = sub.add_parser("sweep", help="sweep a family and emit CSV")
     p.add_argument("--family", required=True, choices=["ccd", "sd", "pr", "uniform"])
     p.add_argument("--grid", default="", help='e.g. "r=0:1:1/4,s=0:1:1/4,t=1/2,u=0"')
     p.add_argument("--sample", type=int, default=None,
@@ -371,21 +362,21 @@ def build_parser():
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    p = add_command("reduce", help="reduce a many-output box to 2x2")
+    p = sub.add_parser("reduce", help="reduce a many-output box to 2x2")
     add_common(p)
     p.add_argument("--mode", choices=["ccd", "sd", "auto"], default="auto")
     p.set_defaults(func=_cmd_reduce)
 
-    p = add_command("ontology", help="instruction-set model for a box")
+    p = sub.add_parser("ontology", help="instruction-set model for a box")
     add_common(p)
     p.set_defaults(func=_cmd_ontology)
 
-    p = add_command("verify-classical", help="exhaustive small-model agreement check")
+    p = sub.add_parser("verify-classical", help="exhaustive small-model agreement check")
     p.add_argument("--params", default="", help='bounds, e.g. "omega=4,denom=3"')
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_verify_classical)
 
-    return parser, commands
+    return parser, sub.choices
 
 
 _PARSER, _COMMANDS = build_parser()

@@ -33,14 +33,14 @@ def pr_box() -> Box:
 
 
 def uniform_box(nA: int = 2, nB: int = 2, nX: int = 2, nY: int = 2) -> Box:
+    """Every entry 1 / (nA nB); ShapeError unless each cardinality is a positive int."""
+    for n in (nA, nB, nX, nY):
+        if type(n) is not int:
+            raise ShapeError(f"cardinality {n!r} is not an int")
     if min(nA, nB, nX, nY) < 1:
         raise ShapeError("cardinalities must be positive")
-    w = Fraction(1, nA * nB)
-    entries = {
-        (a, b, x, y): w
-        for a, b, x, y in product(range(nA), range(nB), range(nX), range(nY))
-    }
-    return make_box(nA, nB, nX, nY, entries)
+    keys = product(range(nA), range(nB), range(nX), range(nY))
+    return Box(nA, nB, nX, nY, nA * nB, dict.fromkeys(keys, 1))
 
 
 # the keys (a, b, x, y) of a 2222 box in box_from_rows' order: one line per
@@ -134,10 +134,15 @@ def deterministic_strategies():
 def mix_strategies(weighted) -> Box:
     """Convex mixture of deterministic strategies given as ((a0,a1,b0,b1), w).
 
-    Raises ShapeError for a strategy with an output outside {0, 1}.
+    Raises ShapeError for a strategy that is not four outputs, or has an
+    output outside {0, 1}.
     """
     entries = {k: ZERO for k in product(range(2), repeat=4)}
-    for (a0, a1, b0, b1), w in weighted:
+    for strategy, w in weighted:
+        try:
+            a0, a1, b0, b1 = strategy
+        except (TypeError, ValueError):  # not iterable, or not four items
+            raise ShapeError(f"strategy {strategy!r} is not four outputs (a0, a1, b0, b1)") from None
         if not {a0, a1, b0, b1} <= {0, 1}:
             raise ShapeError(f"strategy {(a0, a1, b0, b1)} has an output outside {{0, 1}}")
         w = rat(w)

@@ -49,6 +49,13 @@ def test_a_uniform_box_with_a_cardinality_below_one_is_a_shape_error(shape):
         ab.uniform_box(*shape)
 
 
+@pytest.mark.parametrize("shape", [(2.5,), (2, "2"), (2, 2, 2, 2.0), (2, 2, True), (2, None)])
+def test_a_uniform_box_with_a_cardinality_that_is_no_int_is_a_shape_error(shape):
+    # range() would raise a bare TypeError on each
+    with pytest.raises(ab.ShapeError, match=r"cardinality .* is not an int"):
+        ab.uniform_box(*shape)
+
+
 def test_signaling_box_reports_no_signaling_violation():
     # p(00|00) = 1 but p(00|01) = 0, remaining mass spread uniformly:
     # Alice's output-0 marginal depends on y, Bob's output-0 marginal on x.
@@ -1061,6 +1068,13 @@ def test_ccd_form_at_pr_parameters_is_pr():
 def test_a_strategy_with_an_output_outside_0_and_1_is_a_shape_error(make):
     with pytest.raises(ab.ShapeError, match=r"has an output outside \{0, 1\}"):
         make()
+
+
+@pytest.mark.parametrize("strategy", [(0, 0, 0), (0, 0, 0, 0, 0), 5, None])
+def test_a_strategy_that_is_not_four_outputs_is_a_shape_error(strategy):
+    # unpacking it would raise a bare ValueError or TypeError
+    with pytest.raises(ab.ShapeError, match=r"is not four outputs"):
+        ab.mix_strategies([((0, 0, 0, 0), F(1, 2)), (strategy, F(1, 2))])
 
 
 def test_strategy_boxes_are_deterministic_and_local():

@@ -459,6 +459,32 @@ def test_correlator_weights_are_read_as_rat_reads_them():
         ab.correlator_functional({(0, 0): "\uff11"})
 
 
+def test_a_coefficient_is_read_as_rat_reads_it():
+    # 0.5 reads as 1/2, as correlator_functional reads its weights: an exact
+    # bound and value, never a float or a bare TypeError; so does a text
+    bound = ab.bell_local_bound({(0, 0, 0, 0): 0.5}, 2, 2, 2, 2)
+    assert type(bound) is F and bound == F(1, 2)
+    value = ab.bell_value(ab.pr_box(), {(0, 0, 0, 0): 0.5, (1, 1, 0, 0): 0.1})
+    assert type(value) is F and value == F(3, 10)
+    coeffs = {(0, 0, 0, 0): "1/3", (1, 1, 0, 0): " 0.25 "}
+    assert ab.bell_value(ab.pr_box(), coeffs) == F(7, 24)
+    assert ab.bell_local_bound(coeffs, 2, 2, 2, 2) == F(1, 3)
+
+
+def test_int_coefficients_keep_an_int_bound():
+    bound = ab.bell_local_bound({(0, 0, 0, 0): 3, (1, 1, 1, 1): -1}, 2, 2, 2, 2)
+    assert type(bound) is int and bound == 3
+
+
+@pytest.mark.parametrize("coefficient", ["x", "1/0", float("nan"), None])
+def test_a_coefficient_that_is_no_rational_is_a_parse_error(coefficient):
+    coeffs = {(0, 0, 0, 0): 1, (1, 1, 0, 0): coefficient}
+    with pytest.raises(ab.ParseError, match="not a rational"):
+        ab.bell_value(ab.pr_box(), coeffs)
+    with pytest.raises(ab.ParseError, match="not a rational"):
+        ab.bell_local_bound(coeffs, 2, 2, 2, 2)
+
+
 @pytest.mark.parametrize("key", [(5, 0, 0, 0), (0, 0, 0, 2), (-1, 0, 0, 0),
                                  (0, 0, 0), (0, 0, 0, 0, 0), 3, (0.5, 0, 0, 0), (1.0, 0, 0, 0)])
 def test_a_coefficient_outside_the_shape_is_a_shape_error(key):
