@@ -48,6 +48,8 @@ class Box:
     num: dict  # (a, b, x, y) -> int
 
     def __post_init__(self):
+        if type(self.den) is not int or self.den < 1:
+            raise ParseError(f"box denominator den must be a positive int, not {self.den!r}")
         g = gcd(self.den, *self.num.values())
         if g != 1:
             object.__setattr__(self, "den", self.den // g)

@@ -208,7 +208,8 @@ def bell_value(box: Box, coeffs) -> Fraction:
 
 def _exact(coeffs):
     """coeffs' (key, weight) pairs, each weight that is no int or Fraction read by rat."""
-    return [(key, w if isinstance(w, (int, Fraction)) else rat(w)) for key, w in coeffs.items()]
+    return [(key, w if type(w) is int or isinstance(w, Fraction) else rat(w))
+            for key, w in coeffs.items()]
 
 
 def _value_num(box: Box, items):

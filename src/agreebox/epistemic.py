@@ -126,11 +126,8 @@ def detect_ccd(box: Box) -> DisagreementReport:
     corr = is_perfectly_correlated(box, 1, 1)
     witness_mass = box.num[(0, 0, 0, 0)]
 
-    reason = ""
-    if qA is None or qB is None:
-        reason = NULL_CONDITIONING
-        return DisagreementReport(h, False, False, (0, 0, 0, 0), corr, reason)
-
+    # an undefined qA (qB) leaves alpha (beta) empty and is neither 0 nor 1
+    reason = NULL_CONDITIONING if qA is None or qB is None else ""
     ccd = (
         corr
         and qA != qB

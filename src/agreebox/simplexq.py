@@ -11,8 +11,8 @@ the rational tableau T / d, where d is the last pivot element (1 before
 the first pivot).  A pivot at (r, col) with p = T[r][col] keeps row r and
 maps every other row to (p * T[i][j] - T[i][col] * T[r][j]) // d, then
 sets d = p.  The division is exact: with the identity columns in place,
-every entry is d times an entry of B^-1 [M | I | c] for the current basis
-B, and d = +-det B.  When p = d the update is T[i][j] - f * T[r][j] // d
+every entry is d times an entry of B^-1 [M | I] for the current basis B,
+and d = +-det B.  When p = d the update is T[i][j] - f * T[r][j] // d
 with f = T[i][col] (exact too: the result and T[i][j] are ints, so d
 divides f * T[r][j]), so only the columns where the pivot row is nonzero
 change, in place, and no row is rescaled; any other pivot rebuilds every
@@ -29,22 +29,24 @@ zero under a fixed pivot order, which makes the output deterministic.
 feasible_nonneg decides existence of a nonnegative solution of M x = c by
 a phase-one simplex with Bland's rule, comparing ratios by integer
 cross-multiplication, and returns either the solution or a Farkas
-certificate y with y M <= 0 and y c > 0.  Both certificates are rechecked
+certificate y with y M <= 0 and y c > 0.  Its tableau holds [M | I] and
+the objective row; the rhs column lives beside it as one list, which
+each pivot updates by the same rule.  Both certificates are rechecked
 before they are returned, against the caller's own M and c, never against
 the tableau, so a bug in the pivoting cannot silently produce a wrong
 verdict.
 
-On a fixed M and a fixed sign pattern of c, everything in the phase-one
-tableau but its rhs column depends only on the pivots taken so far: the
-objective row, the column Bland's rule enters, that column's entries, the
-divisor d and, at the end, the objective row's artificial block (the
-Farkas multipliers).  Only the ratio test reads c, and its ties go by
-basis indices, which the pivots fix too.  So feasible_nonneg records the
-pivot paths taken in a dict its caller keeps for one M.  A solve along a
-recorded path updates the rhs column alone, O(m) per pivot against
-O(m (n + m)), and reproduces the same pivots, basis, point, multipliers
-and d; a solve that leaves the recorded paths, and every solve on an
-empty dict, runs on the full tableau.
+On a fixed M and a fixed sign pattern of c, the phase-one tableau depends
+only on the pivots taken so far: the objective row, the column Bland's
+rule enters, that column's entries, the divisor d and, at the end, the
+objective row's artificial block (the Farkas multipliers).  Only the
+ratio test reads c, through the rhs, and its ties go by basis indices,
+which the pivots fix too.  So feasible_nonneg records the pivot paths
+taken in a dict its caller keeps for one M.  A solve along a recorded
+path updates the rhs alone, O(m) per pivot against O(m (n + m)), and
+reproduces the same pivots, basis, point, multipliers and d; a solve
+that leaves the recorded paths, and every solve on an empty dict, runs
+on the full tableau.
 """
 
 from operator import mul
@@ -132,19 +134,16 @@ MAX_PATH_NODES = 1024
 def _tableau(rows, c):
     """The phase-one tableau of M x = c with rows flipped to rhs >= 0.
 
-    Each row is [M_i | e_i | |c_i|], its unit column cut from one zero
-    block.  The objective row, for min(sum of artificials) priced out for
-    the basis, is minus the column sums and 0 under the artificials; it is
-    the last row, so every pivot updates it too.
+    Each row is [M_i | e_i], its unit column cut from one zero block; the
+    rhs |c| lives beside the tableau.  The objective row, for min(sum of
+    artificials) priced out for the basis, is minus the column sums and 0
+    under the artificials; it is the last row, so every pivot updates it.
     """
     m = len(rows)
     signed = [[-v for v in row] if ci < 0 else row for row, ci in zip(rows, c)]
     zeros = (0,) * m
-    tab = [
-        [*row, *zeros[:i], 1, *zeros[i + 1:], abs(ci)]
-        for i, (row, ci) in enumerate(zip(signed, c))
-    ]
-    tab.append([-sum(col) for col in zip(*signed)] + [0] * m + [-sum(map(abs, c))])
+    tab = [[*row, *zeros[:i], 1, *zeros[i + 1:]] for i, row in enumerate(signed)]
+    tab.append([-sum(col) for col in zip(*signed)] + [0] * m)
     return tab
 
 
@@ -163,36 +162,33 @@ def feasible_nonneg(rows, c, paths):
     sign pattern of c and the leaving rows so far; it holds (entering
     column, that column's m + 1 entries), or (None, the objective row's
     artificial block) where the path ends.  Along a recorded path only
-    the rhs column is updated.  The first step the tree lacks starts the
-    solve over on the full tableau and records each node it visits, up
-    to MAX_PATH_NODES nodes.  The answer does not depend on the tree: the
+    the rhs is updated.  The first step the tree lacks starts the solve
+    over on the full tableau and records each node it visits, up to
+    MAX_PATH_NODES nodes.  The answer does not depend on the tree: the
     full tableau never reads a recorded entry, and the rechecks refuse
     any certificate that a damaged path gets wrong.
     """
     m = len(rows)
     n = len(rows[0])
-    key = (bytes([ci < 0 for ci in c]),)
-    basis = list(range(n, n + m))
-    rhs = [abs(ci) for ci in c]
-    rhs.append(-sum(rhs))
-    tab = None
-    d = 1
+    tab = key = None
     while True:
+        if key is None:  # (re)start from the first pivot
+            key = (bytes([ci < 0 for ci in c]),)
+            basis = list(range(n, n + m))
+            rhs = [*map(abs, c), -sum(map(abs, c))]
+            d = 1
         node = None if tab else paths.get(key)
-        if node is None:
-            if tab is None:  # start over from the first pivot
-                tab = _tableau(rows, c)
-                basis = list(range(n, n + m))
-                key = key[:1]
-                d = 1
+        if node:
+            enter, col = node
+        elif tab is None:  # the tree ends here: start over on the full tableau
+            tab, key = _tableau(rows, c), None
+            continue
+        else:
             z = tab[m]
             enter = next((j for j in range(n + m) if z[j] < 0), None)  # Bland
-            col = z[n:n + m] if enter is None else [row[enter] for row in tab]
+            col = z[n:] if enter is None else [row[enter] for row in tab]
             if len(paths) < MAX_PATH_NODES:
                 paths[key] = (enter, col)
-            rhs = [row[-1] for row in tab]
-        else:
-            enter, col = node
         if enter is None:
             break
         # least ratio rhs / a over a > 0, ties to the least basic index;
@@ -209,19 +205,16 @@ def feasible_nonneg(rows, c, paths):
         if leave is None:
             raise RuntimeError("phase-one objective unbounded; cannot happen")
         if tab:
-            d = _pivot(tab, leave, enter, d)
-        else:
-            # _pivot's update of the rhs column alone, col the pivot column
-            p, v = col[leave], rhs[leave]
-            if p == d:
-                if v:
-                    for i, a in enumerate(col):
-                        if a and i != leave:
-                            rhs[i] -= a * v // d
-            else:
-                rhs = [(p * ri - a * v) // d for ri, a in zip(rhs, col)]
-                rhs[leave] = v
-            d = p
+            _pivot(tab, leave, enter, d)
+        p, v = col[leave], rhs[leave]  # _pivot's rule on the rhs
+        if p != d:
+            rhs = [(p * ri - a * v) // d for ri, a in zip(rhs, col)]
+            rhs[leave] = v
+        elif v:
+            for i, a in enumerate(col):
+                if a and i != leave:
+                    rhs[i] -= a * v // d
+        d = p
         basis[leave] = enter
         key += (leave,)
 

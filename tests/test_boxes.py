@@ -424,6 +424,14 @@ def test_box_stores_den_and_num_in_lowest_terms():
     )
 
 
+@pytest.mark.parametrize("den", [0, -2, 2.0, True])
+def test_a_den_that_is_no_positive_int_is_a_parse_error(den):
+    # 0 would divide by zero, -2 would flip every entry's sign, and a float
+    # or a bool is no denominator, though 2.0 == 2 and True == 1
+    with pytest.raises(ab.ParseError, match="den"):
+        ab.Box(2, 2, 2, 2, den, dict(ab.pr_box().num))
+
+
 def test_reduction_of_a_split_box_is_in_lowest_terms():
     # the split PR box has quarters; the reduction sums them back to halves
     split = ab.split_output(ab.pr_box())

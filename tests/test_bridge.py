@@ -413,16 +413,21 @@ def local_box(draw, nA, nB, nX, nY):
 SHAPES_ABOVE_2222 = ((3, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2))
 
 
+def lifted_pr_over(box, lam):
+    """lam times the PR box lifted to box's shape, plus 1 - lam times box."""
+    shape = (box.nA, box.nB, box.nX, box.nY)
+    return ab.make_box(*shape, {
+        key: lam * p + (1 - lam) * box.p(*key)
+        for key, p in lift(ab.pr_box(), *shape).table.items()
+    })
+
+
 @st.composite
 def lifted_pr_mixture(draw, shape):
     """A PR box lifted to shape, mixed with at most 1/4 of a local box:
     CHSH at least 3 - 1/2 on inputs 0, 1, so always nonlocal."""
     local = draw(local_box(*shape))
-    lam = F(draw(st.integers(12, 16)), 16)
-    return ab.make_box(*shape, {
-        key: lam * p + (1 - lam) * local.p(*key)
-        for key, p in lift(ab.pr_box(), *shape).table.items()
-    })
+    return lifted_pr_over(local, F(draw(st.integers(12, 16)), 16))
 
 
 @st.composite
@@ -476,7 +481,8 @@ def test_int_coefficients_keep_an_int_bound():
     assert type(bound) is int and bound == 3
 
 
-@pytest.mark.parametrize("coefficient", ["x", "1/0", float("nan"), None])
+# a bool is an int to Python, but no coefficient, as it is no box entry
+@pytest.mark.parametrize("coefficient", ["x", "1/0", float("nan"), None, True, False])
 def test_a_coefficient_that_is_no_rational_is_a_parse_error(coefficient):
     coeffs = {(0, 0, 0, 0): 1, (1, 1, 0, 0): coefficient}
     with pytest.raises(ab.ParseError, match="not a rational"):
@@ -616,17 +622,39 @@ def test_box_to_model_on_the_k8_grid_is_pinned():
     )
 
 
-def test_box_to_model_beyond_2222_is_pinned():
-    # every 16th k/8 box split to three outputs, then three uniform shapes:
-    # every model document, in order, byte for byte
+def boxes_beyond_2222():
+    """Every 16th k/8 box split to three outputs, then three uniform shapes."""
     boxes = [ab.split_output(box, 1, 1, F(1, 3)) for box in k8_boxes()[::16]]
-    boxes += [ab.uniform_box(3, 3, 2, 2), ab.uniform_box(2, 2, 3, 3), ab.uniform_box(3, 2, 2, 2)]
-    models = [ab.box_to_model(box) for box in boxes]
+    return boxes + [ab.uniform_box(3, 3, 2, 2), ab.uniform_box(2, 2, 3, 3),
+                    ab.uniform_box(3, 2, 2, 2)]
+
+
+def test_box_to_model_beyond_2222_is_pinned():
+    # every model document, in order, byte for byte
+    models = [ab.box_to_model(box) for box in boxes_beyond_2222()]
     assert len(models) == 48
     assert sum(model.signed for model in models) == 44
     text = "".join(ab.model_to_json(model) for model in models)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a42ad5e56ed2fe3113f078754fe72a98bbb3c59595b90e2e210bac894b0d4791"
+    )
+
+
+def test_is_local_verdicts_beyond_2222_are_pinned():
+    # boxes_beyond_2222, then the lifted PR box over uniform noise at
+    # lambda = 12/16, 14/16 and 1 on each larger shape: every weight,
+    # coefficient, bound and value, in order, bit for bit
+    boxes = boxes_beyond_2222() + [
+        lifted_pr_over(ab.uniform_box(*shape), F(k, 16))
+        for shape in ((3, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2))
+        for k in (12, 14, 16)
+    ]
+    verdicts = [ab.is_local(box) for box in boxes]
+    assert len(verdicts) == 60
+    assert sum(verdict.local for verdict in verdicts) == 23
+    text = "\n".join(map(verdict_text, verdicts))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5c3509eabca1076c75b8ff5336a80188276506d62abd36406ea5b58c91c09912"
     )
 
 

@@ -312,7 +312,8 @@ def test_2222_lps_pivot_on_units_only():
 
 # ---------------------------------------------------------------------------
 # both certificates are rechecked against the caller's M and c, so a pivoting
-# bug that corrupts the final tableau raises instead of giving a wrong verdict
+# bug that corrupts the rhs or the final tableau raises instead of giving a
+# wrong verdict
 
 def corrupting(corrupt):
     """simplexq._pivot, then corrupt(tab, d) on the final tableau: the one
@@ -321,27 +322,31 @@ def corrupting(corrupt):
 
     def wrapped(tab, r, col, d):
         d = pivot(tab, r, col, d)
-        if min(tab[-1][:-1]) >= 0:
+        if min(tab[-1]) >= 0:
             corrupt(tab, d)
         return d
 
     return wrapped
 
 
-def shift_rhs(tab, d):
-    for row in tab[:-1]:
-        row[-1] += d  # every basic variable one larger
-
-
-@pytest.mark.parametrize("rows, c", [
-    ([[1, 1], [1, -1]], [2, 0]),
-    cleared(*lp_2222(ab.uniform_box())),
+@pytest.mark.parametrize("rows, c, node, row", [
+    ([[1, 1], [1, -1]], [2, 0], 1, 1),
+    (*cleared(*lp_2222(ab.uniform_box())), 9, 0),
 ], ids=["2x2", "uniform-2222"])
-def test_a_corrupted_feasible_point_is_refused(monkeypatch, rows, c):
-    assert feasible_nonneg(rows, c, {})[0]
-    monkeypatch.setattr(simplexq, "_pivot", corrupting(shift_rhs))
+def test_a_corrupted_feasible_point_is_refused(rows, c, node, row):
+    # one recorded node damaged: the pivot column node pivots into the path
+    # loses the pivot element at row, neither the leaving row nor the
+    # objective row; that pivot's leaving rhs is nonzero, so the walk moves
+    # the row's rhs off the feasible point
+    paths = {}
+    assert feasible_nonneg(rows, c, paths)[0]
+    keys = path_keys(paths)
+    _, col = paths[keys[node]]
+    leave = keys[node + 1][-1]
+    assert row not in (leave, len(rows))
+    col[row] -= col[leave]
     with pytest.raises(RuntimeError, match="invalid feasible point"):
-        feasible_nonneg(rows, c, {})
+        feasible_nonneg(rows, c, paths)
 
 
 def multipliers(*Y):
@@ -350,7 +355,7 @@ def multipliers(*Y):
     def corrupt(tab, d):
         m = len(tab) - 1
         z = tab[m]
-        n = len(z) - m - 1
+        n = len(z) - m
         for i in range(m):
             z[n + i] = d - (Y[i] if Y else 0) * d
     return corrupt
